@@ -59,6 +59,11 @@ class ExperimentConfig:
         return [self.eps_start * self.eps_ratio ** k
                 for k in range(self.eps_count)]
 
+    def n_range(self):
+        if self.n_max < 1:
+            raise ConfigError("n-max", "must be >= 1")
+        return range(1, self.n_max + 1)
+
     def semantic_items(self):
         skip = {"threads", "out"}
         return sorted((k, v) for k, v in self.__dict__.items() if k not in skip)
@@ -136,7 +141,7 @@ def _map_for(cfg):
     from .maps import get_map
     try:
         return get_map(cfg.map_spec)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError("map", str(exc))
 
 
@@ -150,11 +155,11 @@ def _parallel(fn, items, threads):
 def run_entropy(cfg):
     from .entropy import eps_entropy
     m = _map_for(cfg)
+    ns = cfg.n_range()
     w = CsvWriter(cfg.out, ["method", "map", "n", "eps", "delta", "count",
                             "rate", "slope", "direction"], cfg)
     ests = _parallel(
-        lambda eps: eps_entropy(m, eps, n_range=range(1, cfg.n_max + 1),
-                                grid_bits=cfg.grid_bits),
+        lambda eps: eps_entropy(m, eps, n_range=ns, grid_bits=cfg.grid_bits),
         cfg.eps_schedule(), cfg.threads)
     for est in ests:
         for n, count in zip(est.ns, est.counts):
@@ -167,12 +172,12 @@ def run_entropy(cfg):
 def run_tail(cfg):
     from .entropy import tail_entropy_estimate
     m = _map_for(cfg)
+    ns = cfg.n_range()
     w = CsvWriter(cfg.out, ["method", "map", "eps", "delta", "count", "rate",
                             "slope", "direction", "residual",
                             "bound_log2", "bound_log4"], cfg)
     ests = _parallel(
-        lambda eps: tail_entropy_estimate(m, eps,
-                                          n_range=range(1, cfg.n_max + 1)),
+        lambda eps: tail_entropy_estimate(m, eps, n_range=ns),
         cfg.eps_schedule(), cfg.threads)
     for est in ests:
         alog = abs(math.log(est.eps))

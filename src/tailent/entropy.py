@@ -10,6 +10,15 @@ cover count brackets the truth from above, the separated count at scale
 d(f^i y, f^i x) < eps.  Tail entropy does not use grids at all: the balls
 are pulled back exactly as unions of monotone interval pieces.
 
+Grid orbits are kept as a column store: an (n, N) array whose row t is
+f^t of the N grid points, so grid point k is column k and the first row is
+the sorted grid itself.  A center's scale window [c - eps, c + eps] is then
+a contiguous column slice, and both greedy kernels test a whole window with
+one reduction along axis 0.  The kernels scan columns left to right and
+trim each window to the part the scan has not settled yet: every column
+left of the current one is dead or an earlier center, so neither kernel
+ever tests it again.
+
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
 are bit-identical regardless of thread count.
@@ -56,87 +65,119 @@ class EntropyEstimate:
 
 
 def _orbit_matrix(m: IntervalMap, xs, n):
-    orb = np.empty((xs.size, n), dtype=float)
+    """Column-store orbits: an (n, xs.size) array whose row t is f^t(xs)."""
+    orb = np.empty((n, xs.size), dtype=float)
     v = xs.astype(float)
     for t in range(n):
-        orb[:, t] = v
+        orb[t] = v
         if t + 1 < n:
             v = m.evaluate_array(v)
     return orb
 
 
-def _greedy_net(orbits, n, eps, cap=None):
-    """Greedy maximal (n, eps)-separated family of the rows of `orbits`
-    (rows sorted by column 0).
+def _next_alive(alive, i, frontier):
+    """First alive column at or after i.  Columns from `frontier` on have
+    never been inside a kill window, so they are all alive."""
+    if i < frontier:
+        j = i + int(alive[i:frontier].argmax())
+        return j if alive[j] else frontier
+    return i
 
-    Scans rows in order; a row becomes a center when no earlier center is
-    strictly within eps in the sup metric over the first n columns.  By
-    maximality the centers' open eps-balls cover every row, so the count is
-    also a valid spanning count.  Returns (count, capped).
+
+def _greedy_net(orbits, n, eps, cap=None):
+    """Greedy maximal (n, eps)-separated family of the columns of the
+    column-store `orbits` (columns sorted by row 0).
+
+    Scans columns in order; a column becomes a center when no earlier
+    center is strictly within eps in the sup metric over the first n rows.
+    By maximality the centers' open eps-balls cover every column, so the
+    count is also a valid spanning count.  Returns (count, capped).
+
+    Only the right half of a center's window is tested: columns left of the
+    center are dead or earlier centers, and an earlier center is at least
+    eps away from every later one, so the test could not change them.
     """
-    n_pts = orbits.shape[0]
-    first = orbits[:, 0]
+    n_pts = orbits.shape[1]
+    first = orbits[0]
+    block = orbits[:n]
     alive = np.ones(n_pts, dtype=bool)
     count = 0
-    i = 0
+    i = frontier = 0
     while True:
-        while i < n_pts and not alive[i]:
-            i += 1
+        i = _next_alive(alive, i, frontier)
         if i >= n_pts:
             return count, False
         count += 1
         if cap is not None and count >= cap:
             return cap, True
-        c0 = first[i]
-        lo = np.searchsorted(first, c0 - eps, side="left")
-        hi = np.searchsorted(first, c0 + eps, side="right")
-        window = orbits[lo:hi, :n]
-        dist = np.max(np.abs(window - orbits[i, :n]), axis=1)
-        alive[lo:hi] &= dist >= eps
+        hi = int(first.searchsorted(first[i] + eps, side="right"))
+        dist = np.abs(block[:, i + 1:hi] - block[:, i, None]).max(axis=0)
+        alive[i + 1:hi] &= dist >= eps
+        frontier = max(frontier, hi)
         i += 1
 
 
 def _greedy_cover(orbits, n, eps, cap=None):
-    """Greedy (n, eps)-cover with closed balls, centers pushed rightward.
+    """Greedy (n, eps)-cover with closed balls, centers pushed rightward,
+    over the columns of the column-store `orbits`.
 
-    For the first uncovered row u, the center is the row of largest first
-    coordinate within [u_0, u_0 + eps] whose closed ball contains the whole
-    segment of rows from u up to itself (checked through cumulative
-    per-coordinate spreads); its closed ball is then removed.  For n = 1
-    this is the optimal interval covering.  Returns (count, capped).
+    For the first uncovered column u, the center is the column of largest
+    first coordinate within [u_0, u_0 + eps] whose closed ball contains the
+    whole segment of columns from u up to itself (checked through
+    cumulative per-coordinate spreads along each row); its closed ball is
+    then removed.  For n = 1 this is the optimal interval covering.
+    Returns (count, capped).
+
+    Both steps are trimmed.  The feasibility scan stops at the last column
+    within eps of u, since a feasible center's ball holds u.  The kill step
+    tests only columns from u on: every column left of the first uncovered
+    one is already covered.
     """
-    n_pts = orbits.shape[0]
-    first = orbits[:, 0]
+    n_pts = orbits.shape[1]
+    first = orbits[0]
+    block = orbits[:n]
     alive = np.ones(n_pts, dtype=bool)
     count = 0
-    i = 0
+    i = frontier = 0
     while True:
-        while i < n_pts and not alive[i]:
-            i += 1
+        i = _next_alive(alive, i, frontier)
         if i >= n_pts:
             return count, False
         count += 1
         if cap is not None and count >= cap:
             return cap, True
-        u0 = first[i]
-        hi_c = np.searchsorted(first, u0 + eps, side="right")
-        seg = orbits[i:hi_c, :n]
-        run_max = np.maximum.accumulate(seg, axis=0)
-        run_min = np.minimum.accumulate(seg, axis=0)
-        feasible = np.all((run_max - seg <= eps) & (seg - run_min <= eps),
-                          axis=1)
-        center = i + int(np.nonzero(feasible)[0][-1])
-        c0 = first[center]
-        lo = np.searchsorted(first, c0 - eps, side="left")
-        hi = np.searchsorted(first, c0 + eps, side="right")
-        dist = np.max(np.abs(orbits[lo:hi, :n] - orbits[center, :n]), axis=1)
-        alive[lo:hi] &= dist > eps
+        hi_c = int(first.searchsorted(first[i] + eps, side="right"))
+        near = np.abs(block[:, i:hi_c] - block[:, i, None]).max(axis=0) <= eps
+        seg = block[:, i:i + 1 + int(near.nonzero()[0][-1])]
+        run_max = np.maximum.accumulate(seg, axis=1)
+        run_min = np.minimum.accumulate(seg, axis=1)
+        feasible = ((run_max - seg <= eps) & (seg - run_min <= eps)).all(axis=0)
+        center = i + int(feasible.nonzero()[0][-1])
+        hi = int(first.searchsorted(first[center] + eps, side="right"))
+        dist = np.abs(block[:, i:hi] - block[:, center, None]).max(axis=0)
+        alive[i:hi] &= dist > eps
+        frontier = max(frontier, hi)
         i += 1
 
 
 def _default_grid(grid_bits):
     n = 1 << grid_bits
     return np.linspace(0.0, 1.0, n + 1)
+
+
+def _grid_orbits(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS):
+    """Column-store orbits of length n of the grid (the dyadic grid of
+    2^grid_bits cells unless `grid` is given), after checking that the grid
+    resolves scale eps."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    xs = _default_grid(grid_bits) if grid is None else np.asarray(grid, float)
+    if eps * (xs.size - 1) < 8:
+        raise ResolutionError(
+            f"fewer than 8 grid points per eps={eps:g} at grid size {xs.size}")
+    return _orbit_matrix(m, xs, n)
 
 
 def spanning_count(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS,
@@ -146,18 +187,17 @@ def spanning_count(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BI
     Spanning comes from the closed-ball greedy cover, separated from the
     greedy strictly-separated family; spanning <= separated.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    xs = _default_grid(grid_bits) if grid is None else np.asarray(grid, float)
-    if eps * (xs.size - 1) < 8:
-        raise ResolutionError(
-            f"fewer than 8 grid points per eps={eps:g} at grid size {xs.size}")
-    orbits = _orbit_matrix(m, xs, n)
+    orbits = _grid_orbits(m, n, eps, grid, grid_bits)
     cover, _ = _greedy_cover(orbits, n, eps, cap=cap)
     net, _ = _greedy_net(orbits, n, eps, cap=cap)
     return cover, net
+
+
+def _cover_count(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
+    """The spanning half of `spanning_count` alone, for callers that do not
+    need the separated count."""
+    orbits = _grid_orbits(m, n, eps, grid_bits=grid_bits)
+    return _greedy_cover(orbits, n, eps)[0]
 
 
 def _fit_counts(ns, counts, clean_upto=None):
@@ -183,15 +223,17 @@ def _fit_counts(ns, counts, clean_upto=None):
 
 def _count_series(m, eps, n_range, grid_bits, cap, greedy):
     """Counts per n; stops once the grid starves (count above cap, by
-    default one sixteenth of the grid, i.e. under ~16 points per ball)."""
-    xs = _default_grid(grid_bits)
-    if eps * (xs.size - 1) < 8:
-        raise ResolutionError(
-            f"fewer than 8 grid points per eps={eps:g} at grid size {xs.size}")
-    if cap is None:
-        cap = max(64, xs.size // 16)
+    default one sixteenth of the grid, i.e. under ~16 points per ball).
+    Returns (ns, counts, clean_upto), clean_upto being the index of the
+    first starved n (None if the grid never starved)."""
     ns = list(n_range)
-    orbits = _orbit_matrix(m, xs, max(ns))
+    if not ns:
+        raise DomainError("n_range must be nonempty")
+    if min(ns) < 1:
+        raise DomainError("n must be >= 1")
+    orbits = _grid_orbits(m, max(ns), eps, grid_bits=grid_bits)
+    if cap is None:
+        cap = max(64, orbits.shape[1] // 16)
     counts = []
     clean_upto = None
     for j, n in enumerate(ns):
@@ -212,6 +254,8 @@ def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
     The count series uses the greedy separated family (whose open balls
     cover the grid, so it is simultaneously an upper-biased spanning count);
     counts past the grid-starvation knee are excluded from the slope fit.
+    The knee, the index into ns of the first starved count (None if the
+    grid never starved), is reported as extra["clean_upto"].
     """
     ns, counts, clean_upto = _count_series(m, eps, n_range, grid_bits, cap,
                                            _greedy_net)
@@ -219,7 +263,8 @@ def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
     return EntropyEstimate(
         method="eps-entropy", map_name=m.name, eps=eps, delta=None,
         ns=ns, counts=counts, rate=rate, slope=slope,
-        direction="upper-bias", saturated=clean_upto is not None)
+        direction="upper-bias", saturated=clean_upto is not None,
+        extra={"clean_upto": clean_upto})
 
 
 def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
@@ -315,7 +360,7 @@ def _ball_piece_lengths(m: IntervalMap, x, eps, ns, stride=1, piece_cap=1 << 14)
     """
     crit = np.asarray(m.critical_points, dtype=float)
     n_micro = max(ns) * stride
-    center = _orbit_matrix(m, np.array([x]), n_micro + 1)[0]
+    center = _orbit_matrix(m, np.array([x]), n_micro + 1)[:, 0]
     lo = np.array([0.0])
     hi = np.array([1.0])
     lmax = np.array([0.0])
@@ -530,7 +575,7 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
             h = h_est(scale / 4)
             target = hloc_g(scale)
             for p in range(1, p_cap + 1):
-                r_p, _ = spanning_count(m, p, scale / 4, grid_bits=grid_bits)
+                r_p = _cover_count(m, p, scale / 4, grid_bits=grid_bits)
                 if math.log(r_p) / p - h <= target:
                     p_cache[scale] = p
                     break

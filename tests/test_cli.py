@@ -45,6 +45,20 @@ def test_numeric_error_exits_3(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["quadratic:5", "poly:[0,2]"])
+def test_invalid_map_parameters_exit_2(tmp_path, capsys, spec):
+    code = main(["entropy", "--map", spec, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: map:")
+
+
+@pytest.mark.parametrize("experiment", ["entropy", "tail"])
+def test_n_max_below_one_exits_2(tmp_path, capsys, experiment):
+    code = main([experiment, "--n-max", "0", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "n-max" in capsys.readouterr().err
+
+
 def test_entropy_identity_all_rates_zero(tmp_path):
     code, text = run_cli(["entropy", "--map", "identity", "--eps-count", "2",
                           "--n-max", "6", "--grid-bits", "10"], tmp_path)

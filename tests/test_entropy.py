@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tailent.entropy import (branch_product_bound, bound_quasionedim,
-                             bound_wmulti, continuity_modulus, eps_entropy,
-                             growth_rate_R, power_bound_check, spanning_count,
+from tailent.entropy import (_cover_count, _default_grid, _greedy_cover,
+                             _greedy_net, _orbit_matrix, branch_product_bound,
+                             bound_quasionedim, bound_wmulti,
+                             continuity_modulus, eps_entropy, growth_rate_R,
+                             power_bound_check, spanning_count,
                              tail_entropy_estimate)
 from tailent.errors import (DomainError, ResolutionError, ScaleError,
                             UnsupportedOrderError)
@@ -54,6 +56,130 @@ def test_spanning_separated_sandwich(m):
         cover, net = spanning_count(m, n, eps, grid_bits=12)
         _, net2 = spanning_count(m, n, 2 * eps, grid_bits=12)
         assert net2 <= cover <= net
+
+
+# ---------------------------------------------------------------------------
+# greedy kernels against brute-force oracles
+# ---------------------------------------------------------------------------
+
+def _sup_dists(points, k):
+    """Sup-metric distances of every point (one per row) to point k."""
+    return np.max(np.abs(points - points[k]), axis=1)
+
+
+def brute_net(points, eps, cap=None):
+    """Greedy separated family straight from the definition: scan the
+    points in order, keep a point unless an earlier kept point lies
+    strictly within eps."""
+    centers = []
+    for k in range(len(points)):
+        near = np.max(np.abs(points[centers] - points[k]), axis=1) < eps
+        if near.any():
+            continue
+        centers.append(k)
+        if cap is not None and len(centers) >= cap:
+            return cap, True
+    return len(centers), False
+
+
+def brute_cover(points, eps, cap=None):
+    """Greedy closed-ball cover straight from the definition: for the first
+    uncovered point u, the center is the rightmost point k >= u whose
+    closed eps-ball holds every point from u to k; remove that ball."""
+    covered = np.zeros(len(points), dtype=bool)
+    count = 0
+    while not covered.all():
+        u = int(np.argmin(covered))
+        count += 1
+        if cap is not None and count >= cap:
+            return cap, True
+        # a ball holding u has its center within eps of u
+        near_u = np.nonzero(_sup_dists(points, u) <= eps)[0]
+        center = max(k for k in near_u if k >= u and
+                     np.all(_sup_dists(points[u:k + 1], k - u) <= eps))
+        covered |= _sup_dists(points, center) <= eps
+    return count, False
+
+
+def test_orbit_matrix_is_column_store():
+    xs = _default_grid(6)
+    orb = _orbit_matrix(F4, xs, 5)
+    assert orb.shape == (5, xs.size)
+    v = xs
+    for t in range(5):
+        assert np.array_equal(orb[t], v)
+        v = F4.evaluate_array(v)
+
+
+@pytest.mark.parametrize("m", [IDENT, TENT, F4], ids=lambda m: m.name)
+@pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 0.1, 0.0371])
+def test_greedy_kernels_match_brute_force(m, eps):
+    """Dyadic grid, so first-coordinate gaps are exact; at dyadic eps the
+    identity and tent orbits stay dyadic and distances of exactly eps occur,
+    which separates the strict (net) from the closed (cover) comparison."""
+    orbits = _orbit_matrix(m, _default_grid(8), 6)
+    for n in (1, 2, 4, 6):
+        points = orbits[:n].T
+        assert _greedy_net(orbits, n, eps) == brute_net(points, eps)
+        assert _greedy_cover(orbits, n, eps) == brute_cover(points, eps)
+
+
+def test_greedy_kernels_exact_eps_ties():
+    eps = 2.0 ** -4
+    for m in (IDENT, TENT):
+        points = _orbit_matrix(m, _default_grid(8), 4).T
+        assert np.any(_sup_dists(points, 0) == eps)  # the oracle test sees ties
+    # points k/256: the strict net keeps every 16th point, the closed balls
+    # of the cover span 32 cells each
+    orbits = _orbit_matrix(IDENT, _default_grid(8), 4)
+    assert _greedy_net(orbits, 4, eps) == (17, False)
+    assert _greedy_cover(orbits, 4, eps) == (8, False)
+
+
+@pytest.mark.parametrize("m", [IDENT, TENT, F4], ids=lambda m: m.name)
+def test_greedy_kernels_cap_cuts_scan(m):
+    orbits = _orbit_matrix(m, _default_grid(8), 5)
+    points = orbits.T
+    for cap in (1, 3, 7):
+        assert _greedy_net(orbits, 5, 2.0 ** -4, cap=cap) == (cap, True)
+        assert _greedy_cover(orbits, 5, 2.0 ** -4, cap=cap) == (cap, True)
+        assert brute_net(points, 2.0 ** -4, cap=cap) == (cap, True)
+        assert brute_cover(points, 2.0 ** -4, cap=cap) == (cap, True)
+    full, capped = _greedy_net(orbits, 5, 2.0 ** -4, cap=10 ** 6)
+    assert not capped and (full, False) == brute_net(points, 2.0 ** -4)
+
+
+def test_cover_count_matches_spanning_count():
+    for n in (1, 3, 6):
+        cover, _ = spanning_count(F4, n, 0.03, grid_bits=11)
+        assert _cover_count(F4, n, 0.03, grid_bits=11) == cover
+    with pytest.raises(ResolutionError, match="fewer than 8 grid points"):
+        _cover_count(TENT, 3, 1e-5, grid_bits=10)
+
+
+def test_eps_entropy_rejects_empty_n_range():
+    with pytest.raises(DomainError):
+        eps_entropy(TENT, 0.1, n_range=range(1, 1))
+    with pytest.raises(DomainError):
+        eps_entropy(TENT, 0.1, n_range=range(0, 3))
+
+
+def test_eps_entropy_resolution_error_text():
+    with pytest.raises(ResolutionError,
+                       match=r"fewer than 8 grid points per eps=1e-05 at grid size 1025"):
+        eps_entropy(TENT, 1e-5, grid_bits=10)
+
+
+def test_eps_entropy_reports_knee():
+    est = eps_entropy(TENT, 2.0 ** -5, grid_bits=10, n_range=range(1, 13))
+    knee = est.extra["clean_upto"]
+    assert est.saturated and knee is not None
+    cap = 64  # max(64, grid size // 16) at 2^10 cells
+    assert est.counts[knee] >= cap
+    assert all(c < cap for c in est.counts[:knee])
+    assert est.counts[knee:] == [est.counts[knee]] * (len(est.ns) - knee)
+    flat = eps_entropy(IDENT, 0.1, grid_bits=10)
+    assert not flat.saturated and flat.extra["clean_upto"] is None
 
 
 def test_eps_entropy_identity_zero():
