@@ -75,12 +75,11 @@ class ExperimentConfig:
 
 def _coerce(key, value):
     kind = ExperimentConfig.__dataclass_fields__[key].default
-    if isinstance(kind, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(kind, int):
-        return int(value)
-    if isinstance(kind, float):
-        return float(value)
+    if isinstance(kind, (int, float)):
+        try:
+            return type(kind)(value)
+        except ValueError:
+            raise ConfigError(key, f"expected {type(kind).__name__}, got {value!r}")
     return value
 
 
@@ -334,11 +333,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("experiment", "config")}
-    if overrides.get("threads") is None:
-        env = os.environ.get("TAILENT_THREADS")
-        if env:
-            overrides["threads"] = int(env)
+    env = os.environ.get("TAILENT_THREADS")
     try:
+        if overrides.get("threads") is None and env:
+            overrides["threads"] = _coerce("threads", env)
         cfg = load_config(args.experiment, args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

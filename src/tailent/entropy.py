@@ -19,6 +19,14 @@ trim each window to the part the scan has not settled yet: every column
 left of the current one is dead or an earlier center, so neither kernel
 ever tests it again.
 
+The tail pullback is batched the same way: the pieces of every center's
+ball live in one set of arrays (left end, right end, length-maximum, owning
+center), so each time step is a fixed number of array operations over all
+centers, and at most len(centers) * piece_cap pieces are held between
+steps.  Per-center counts are sums of integer-valued floats gathered with
+np.bincount, exact in any order.  Fold-cycle centers likewise bisect all
+their (period, critical point, side) brackets in one array pass.
+
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
 are bit-identical regardless of thread count.
@@ -32,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResolutionError, ScaleError, TailentError
-from .maps import IntervalMap
+from .maps import IntervalMap, _critical_pullbacks
 
 __all__ = [
     "EntropyEstimate", "spanning_count", "eps_entropy", "tail_entropy_estimate",
@@ -267,6 +275,16 @@ def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
         extra={"clean_upto": clean_upto})
 
 
+def _iterate_periods(m: IntervalMap, xs, qs):
+    """f^q(x) for every entry, with nondecreasing periods qs: at step t only
+    the suffix of entries with q > t is mapped."""
+    v = xs.copy()
+    for t in range(int(qs.max(initial=0))):
+        s = int(qs.searchsorted(t, side="right"))
+        v[s:] = m.evaluate_array(v[s:])
+    return v
+
+
 def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
     """Near-periodic points passing within eps of a critical point.
 
@@ -274,25 +292,21 @@ def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
     monotone branches of f^q adjacent to c; such orbits refold their
     dynamical ball every ~q steps and realize the fastest branch growth,
     which generic centers never see.
-    """
-    from .maps import _preimages
 
+    The brackets of all (q, c, side) come from the critical-point pullback
+    (stopped once a level holds more than point_cap points); their
+    endpoints are then evaluated in one pass and every sign-change bracket
+    is bisected at once, 60 halvings each.
+    """
     crit = sorted(m.critical_points)
     if not crit:
         return []
     if q_max is None:
         q_max = min(28, int(abs(math.log(eps)) / math.log(2)) + 6)
-    centers = []
-    base = np.asarray(crit, dtype=float)
-    cur = base.copy()
-
-    def iterate(y, q):
-        v = np.array([y])
-        for _ in range(q):
-            v = m.evaluate_array(v)
-        return float(v[0])
-
-    for q in range(1, q_max + 1):
+    brackets = []
+    for q, cur in zip(range(1, q_max + 1), _critical_pullbacks(m)):
+        if q > 1 and cur.size > point_cap:
+            break
         pts = np.unique(np.concatenate([[0.0], cur, [1.0]]))
         for c in crit:
             j = int(np.searchsorted(pts, c))
@@ -302,107 +316,135 @@ def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
             if j + 1 < pts.size:
                 sides.append((c, float(pts[j + 1])))
             for lo, hi in sides:
-                if hi - lo < 1e-13:
-                    continue
-                glo = iterate(lo, q) - lo
-                ghi = iterate(hi, q) - hi
-                if glo == 0.0:
-                    y = lo
-                elif ghi == 0.0:
-                    y = hi
-                elif glo * ghi < 0:
-                    a, b, ga = lo, hi, glo
-                    for _ in range(60):
-                        mid = 0.5 * (a + b)
-                        gm = iterate(mid, q) - mid
-                        if ga * gm <= 0:
-                            b = mid
-                        else:
-                            a, ga = mid, gm
-                    y = 0.5 * (a + b)
-                else:
-                    continue
-                if abs(y - c) < 0.999 * eps:
-                    centers.append(y)
-        if q < q_max:
-            pre = _preimages(m, cur)
-            cur = np.unique(np.concatenate([base, pre]))
-            if cur.size > point_cap:
-                break
-    return centers
+                if hi - lo >= 1e-13:
+                    brackets.append((lo, hi, q, c))
+    if not brackets:
+        return []
+    lo, hi, qs, cs = (np.array(col) for col in zip(*brackets))
+    ends = _iterate_periods(m, np.column_stack([lo, hi]).ravel(), qs.repeat(2))
+    glo = ends[0::2] - lo
+    ghi = ends[1::2] - hi
+    y = np.where(glo == 0.0, lo, hi)
+    bisect = glo * ghi < 0
+    a, b, ga, qb = lo[bisect], hi[bisect], glo[bisect], qs[bisect]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        gm = _iterate_periods(m, mid, qb) - mid
+        left = ga * gm <= 0
+        b = np.where(left, mid, b)
+        a = np.where(left, a, mid)
+        ga = np.where(left, ga, gm)
+    y[bisect] = 0.5 * (a + b)
+    solved = (glo == 0.0) | (ghi == 0.0) | bisect
+    return y[solved & (np.abs(y - cs) < 0.999 * eps)].tolist()
 
 
 def _tail_centers(m: IntervalMap, n_centers, eps=None):
+    """Sorted tail centers: an even grid, the critical points, branch
+    midpoints and (given eps) fold-cycle centers.  Returns (centers, error),
+    error being the text of the TailentError that cut the structured
+    centers short, or None."""
     xs = list(np.linspace(0.0, 1.0, n_centers + 1)[1:-1])
+    error = None
     try:
         xs.extend(m.critical_points)
         branches, _, _ = m.monotone_partition()
         xs.extend(0.5 * (a + b) for a, b in branches[:16])
         if eps is not None:
             xs.extend(_fold_cycle_centers(m, eps))
-    except TailentError:
-        pass
-    return sorted(set(float(min(max(x, 0.0), 1.0)) for x in xs))
+    except TailentError as exc:
+        error = str(exc)
+    return sorted(set(float(min(max(x, 0.0), 1.0)) for x in xs)), error
 
 
-def _ball_piece_lengths(m: IntervalMap, x, eps, ns, stride=1, piece_cap=1 << 14):
-    """Monotone-piece decomposition of the dynamical balls B_n(f^stride, x, eps).
+def _tail_counts(m: IntervalMap, centers, eps, ns, deltas, stride=1,
+                 piece_cap=1 << 14):
+    """Covering counts of the dynamical balls B_n(f^stride, x, eps) of all
+    centers x at once, maximized over centers.
 
-    The ball is tracked exactly as a union of intervals in image space: at
+    Each ball is tracked exactly as a union of intervals in image space: at
     every (macro) time the pieces are intersected with the eps-window around
-    the center orbit, then split at the critical points of f and mapped
-    monotonically.  For each n in ns, returns the array of per-piece
-    length-maxima max_{t<n} |f^(t*stride)(J)| (inherited maxima of the
-    ancestors, an upper surrogate for subdivided pieces).
+    their center's orbit, then split at the critical points of f and mapped
+    monotonically.  A piece keeps its length-maximum max_{t<n} |f^(t*stride)(J)|
+    (inherited from its ancestors, an upper surrogate for subdivided pieces)
+    and the index of its center, so every step is one array operation over
+    the pieces of all centers.  At each n in ns the (n, delta)-count of a
+    ball is the sum over its pieces of max(ceil(L / (2 delta)), 1).
 
-    Returns (lengths_per_n, clean_upto): clean_upto indexes the first n at
-    which the piece budget was exhausted (None if never).
+    A center whose pieces all vanish in float arithmetic is reseeded with a
+    degenerate piece at its orbit point (the ball always holds the center).
+    A center holding more than piece_cap pieces after a step is frozen: its
+    last counts stand for every later n.
+
+    Returns (sup_counts, cut): sup_counts[i, j] is the largest count over
+    centers at ns[i] and deltas[j]; cut is the macro time of the first
+    freeze (None if no center was frozen).
     """
     crit = np.asarray(m.critical_points, dtype=float)
-    n_micro = max(ns) * stride
-    center = _orbit_matrix(m, np.array([x]), n_micro + 1)[:, 0]
-    lo = np.array([0.0])
-    hi = np.array([1.0])
-    lmax = np.array([0.0])
-    out = []
-    clean_upto = None
+    record = set(ns)
+    n_stop = max(ns)
+    n_c = len(centers)
+    orbits = _orbit_matrix(m, np.asarray(centers, dtype=float),
+                           n_stop * stride + 1)
+    owner = np.arange(n_c)
+    lo = np.zeros(n_c)
+    hi = np.ones(n_c)
+    lmax = np.zeros(n_c)
+    active = np.ones(n_c, dtype=bool)
+    last = np.ones((n_c, len(deltas)))
+    sup_counts = np.ones((len(ns), len(deltas)))
+    row = 0
+    cut = None
     macro = 0
-    for t in range(n_micro):
+    for t in range(n_stop * stride):
         if t % stride == 0:
-            wlo, whi = center[t] - eps, center[t] + eps
-            lo = np.maximum(lo, wlo)
-            hi = np.minimum(hi, whi)
+            center = orbits[t]
+            lo = np.maximum(lo, center[owner] - eps)
+            hi = np.minimum(hi, center[owner] + eps)
             keep = hi - lo > 0
-            lo, hi, lmax = lo[keep], hi[keep], lmax[keep]
-            if lo.size == 0:
-                # the ball always contains the center orbit; reseed with a
-                # degenerate piece when float widths collapse to zero
-                lo = np.array([center[t]])
-                hi = np.array([center[t]])
-                lmax = np.array([0.0])
+            lo, hi, lmax, owner = lo[keep], hi[keep], lmax[keep], owner[keep]
+            bare = active.copy()
+            bare[owner] = False
+            if bare.any():
+                seed = np.nonzero(bare)[0]
+                lo = np.concatenate([lo, center[seed]])
+                hi = np.concatenate([hi, center[seed]])
+                lmax = np.concatenate([lmax, np.zeros(seed.size)])
+                owner = np.concatenate([owner, seed])
             lmax = np.maximum(lmax, hi - lo)
             macro += 1
-            if macro in ns:
-                out.append(lmax.copy())
-                if macro == max(ns):
+            if macro in record:
+                for j, d in enumerate(deltas):
+                    pieces = np.maximum(np.ceil(lmax / (2 * d)), 1.0)
+                    counts = np.bincount(owner, weights=pieces, minlength=n_c)
+                    last[active, j] = counts[active]
+                sup_counts[row] = last.max(axis=0, initial=1.0)
+                row += 1
+                if macro == n_stop:
                     break
         # split at the critical points, then map each monotone piece
         for c in crit:
-            cut = (lo < c) & (hi > c)
-            if np.any(cut):
-                lo = np.concatenate([lo, np.full(cut.sum(), c)])
-                hi = np.concatenate([hi, hi[cut]])
-                lmax = np.concatenate([lmax, lmax[cut]])
-                hi[np.nonzero(cut)[0]] = c
-        fa = m.evaluate_array(lo)
-        fb = m.evaluate_array(hi)
+            split = (lo < c) & (hi > c)
+            if np.any(split):
+                lo = np.concatenate([lo, np.full(split.sum(), c)])
+                hi = np.concatenate([hi, hi[split]])
+                lmax = np.concatenate([lmax, lmax[split]])
+                owner = np.concatenate([owner, owner[split]])
+                hi[np.nonzero(split)[0]] = c
+        ends = m.evaluate_array(np.concatenate([lo, hi]))
+        fa, fb = ends[:lo.size], ends[lo.size:]
         lo, hi = np.minimum(fa, fb), np.maximum(fa, fb)
-        if lo.size > piece_cap:
-            clean_upto = macro
-            break
-    while len(out) < len(ns):
-        out.append(out[-1] if out else np.array([0.0]))
-    return out, clean_upto
+        over = np.bincount(owner, minlength=n_c) > piece_cap
+        if over.any():
+            if cut is None:
+                cut = macro
+            active &= ~over
+            live = active[owner]
+            lo, hi, lmax, owner = lo[live], hi[live], lmax[live], owner[live]
+            if not active.any():
+                break
+    sup_counts[row:] = last.max(axis=0, initial=1.0)
+    return sup_counts, cut
 
 
 def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
@@ -418,33 +460,33 @@ def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
     j=1..4 by default), the estimate taken at the smallest delta with the
     difference to the previous delta as residual.
 
+    All centers are pulled back together (`_tail_counts`): each live center
+    holds at most piece_cap pieces between steps, so the batch holds at
+    most len(centers) * piece_cap pieces.  A center that exceeds the cap is
+    frozen and the fit stops before the first n past the freeze.
+
     `stride` estimates the p-th iterate f^p at the same scale through the
     same machinery, so power-rule comparisons share their bias.
+
+    extra holds "delta_slopes" (slope per delta), "centers" (how many
+    centers were pulled back), "fold_cycle_error" (the text of the error
+    that cut the critical-point and fold-cycle centers short, or None) and
+    "clean_upto" (the index into ns of the first count past the piece-cap
+    freeze, or None; as for `eps_entropy`, the fit uses ns[:clean_upto]).
     """
     if delta_schedule is None:
         delta_schedule = [eps / 2 ** j for j in range(1, 5)]
     if any(d >= eps for d in delta_schedule):
         raise ScaleError("every delta must be smaller than eps")
     ns = sorted(n_range)
-    centers = _tail_centers(m, x_centers, eps=eps)
-    sup_counts = np.ones((len(ns), len(delta_schedule)), dtype=float)
-    clean_upto = None
-    for x in centers:
-        lengths, cut = _ball_piece_lengths(m, x, eps, ns, stride=stride,
-                                           piece_cap=piece_cap)
-        if cut is not None:
-            clean_upto = cut if clean_upto is None else min(clean_upto, cut)
-        for i, lens in enumerate(lengths):
-            if lens.size == 0:
-                raise ResolutionError(
-                    f"empty dynamical ball at x={x:g}, n={ns[i]}, eps={eps:g}")
-            for j, d in enumerate(delta_schedule):
-                c = float(np.sum(np.maximum(np.ceil(lens / (2 * d)), 1.0)))
-                if c > sup_counts[i, j]:
-                    sup_counts[i, j] = c
+    if not ns:
+        raise DomainError("n_range must be nonempty")
+    centers, fold_error = _tail_centers(m, x_centers, eps=eps)
+    sup_counts, cut = _tail_counts(m, centers, eps, ns, delta_schedule,
+                                   stride=stride, piece_cap=piece_cap)
     upto = None
-    if clean_upto is not None:
-        upto = sum(1 for n in ns if n <= clean_upto)
+    if cut is not None:
+        upto = sum(1 for n in ns if n <= cut)
     slopes = []
     for j in range(len(delta_schedule)):
         counts = [int(c) for c in sup_counts[:, j]]
@@ -457,8 +499,10 @@ def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
         method="tail-entropy", map_name=m.name, eps=eps,
         delta=delta_schedule[-1], ns=ns, counts=counts_min, rate=est,
         slope=est, direction="upper-bias", residual=residual,
-        saturated=clean_upto is not None,
-        extra={"delta_slopes": dict(zip(delta_schedule, slopes))})
+        saturated=cut is not None,
+        extra={"delta_slopes": dict(zip(delta_schedule, slopes)),
+               "centers": len(centers), "fold_cycle_error": fold_error,
+               "clean_upto": upto})
 
 
 def branch_product_bound(m: IntervalMap, x, eps, n):

@@ -374,16 +374,26 @@ def _preimages(m: IntervalMap, ys, tol=1e-14):
     return np.sort(np.concatenate(out)) if out else np.empty(0)
 
 
-def _pullback_critical_points(m: IntervalMap, p, point_cap=1 << 17):
-    """Critical points of f^p as pullbacks of crit(f)."""
+def _critical_pullbacks(m: IntervalMap):
+    """Level sets of the critical-point pullback: level 0 is crit(f) and
+    level k + 1 is crit(f) together with the f-preimages of level k, i.e.
+    the critical points of f^(k+1) (sorted, deduplicated from level 1 on).
+    Endless and lazy: a level is computed only when it is asked for, so
+    each caller applies its own cap policy between levels."""
     base = np.array(sorted(m.critical_points), dtype=float)
     cur = base.copy()
-    for _ in range(p - 1):
-        pre = _preimages(m, cur)
-        cur = np.unique(np.concatenate([base, pre]))
-        if cur.size > point_cap:
+    while True:
+        yield cur
+        cur = np.unique(np.concatenate([base, _preimages(m, cur)]))
+
+
+def _pullback_critical_points(m: IntervalMap, p, point_cap=1 << 17):
+    """Critical points of f^p as pullbacks of crit(f)."""
+    for k, cur in enumerate(_critical_pullbacks(m)):
+        if k > 0 and cur.size > point_cap:
             raise ResourceError(f"branch explosion beyond {point_cap} points")
-    return cur.tolist()
+        if k >= p - 1:
+            return cur.tolist()
 
 
 def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
@@ -394,23 +404,17 @@ def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
     """
     if not 0 < eps < 1:
         raise DomainError("need 0 < eps < 1")
-    base = np.array(sorted(m.critical_points), dtype=float)
-    if base.size == 0:
+    if not m.critical_points:
         return p_cap, True
-    cur = base.copy()
-    best = 0
-    for p in range(1, p_cap + 1):
-        pts = np.concatenate([[0.0], cur, [1.0]])
-        length = float(np.min(np.diff(np.unique(pts))))
-        if length > eps:
-            best = p
-        else:
-            return best, False
-        pre = _preimages(m, cur)
-        cur = np.unique(np.concatenate([base, pre]))
-        if cur.size > point_cap:
+    # level k holds crit(f^(k+1)); every level before it had L(f^p) > eps
+    for k, cur in enumerate(_critical_pullbacks(m)):
+        if k > 0 and cur.size > point_cap:
             raise ResourceError(f"branch explosion beyond {point_cap} points")
-    return p_cap, True
+        if k >= p_cap:
+            return p_cap, True
+        pts = np.concatenate([[0.0], cur, [1.0]])
+        if float(np.min(np.diff(np.unique(pts)))) <= eps:
+            return k, False
 
 
 # ---------------------------------------------------------------------------

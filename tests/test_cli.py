@@ -150,6 +150,28 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "speed" in capsys.readouterr().err
 
 
+def test_bad_config_value_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("n_max=abc\n")
+    code = main(["entropy", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: n_max: expected int, got 'abc'\n"
+
+
+def test_bad_env_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TAILENT_THREADS", "x")
+    code = main(["sft", "--p-min", "3", "--p-max", "3",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: threads: expected int, got 'x'\n"
+    # an explicit flag wins, so the variable is not read
+    assert main(["sft", "--p-min", "3", "--p-max", "3", "--threads", "1",
+                 "--out", str(tmp_path / "y.csv")]) == 0
+
+
 def test_env_thread_default(tmp_path, monkeypatch):
     monkeypatch.setenv("TAILENT_THREADS", "2")
     code, text = run_cli(["tail", "--map", "tent", "--eps-count", "1",

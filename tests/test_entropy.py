@@ -5,20 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from tailent.entropy import (_cover_count, _default_grid, _greedy_cover,
-                             _greedy_net, _orbit_matrix, branch_product_bound,
+from tailent import entropy
+from tailent.entropy import (_cover_count, _default_grid, _fold_cycle_centers,
+                             _greedy_cover, _greedy_net, _orbit_matrix,
+                             _tail_centers, _tail_counts, branch_product_bound,
                              bound_quasionedim, bound_wmulti,
                              continuity_modulus, eps_entropy, growth_rate_R,
                              power_bound_check, spanning_count,
                              tail_entropy_estimate)
-from tailent.errors import (DomainError, ResolutionError, ScaleError,
-                            UnsupportedOrderError)
-from tailent.maps import PolynomialMap, identity_map, quadratic_map, tent_map
+from tailent.errors import (DomainError, ResolutionError, ResourceError,
+                            ScaleError, UnsupportedOrderError)
+from tailent.maps import (PolynomialMap, _preimages, identity_map,
+                          quadratic_map, tent_map)
 
 F4 = quadratic_map()
 TENT = tent_map()
 IDENT = identity_map()
 QUARTIC3 = PolynomialMap([0, 0, 16, -40, 25], name="three-branch-quartic")
+F37 = quadratic_map(3.7)
 LOG2 = math.log(2)
 
 
@@ -211,6 +215,207 @@ def test_eps_entropy_nondecreasing_as_eps_shrinks():
 # ---------------------------------------------------------------------------
 # tail entropy
 # ---------------------------------------------------------------------------
+
+def ref_fold_cycle_centers(m, eps, q_max=None, point_cap=1 << 14):
+    """Fold-cycle centers one bracket at a time: a scalar 60-step bisection
+    of f^q(y) - y on each bracket next to a critical point, iterating f^q
+    on a one-point array."""
+    crit = sorted(m.critical_points)
+    if not crit:
+        return []
+    if q_max is None:
+        q_max = min(28, int(abs(math.log(eps)) / math.log(2)) + 6)
+
+    def g(y, q):
+        v = np.array([y])
+        for _ in range(q):
+            v = m.evaluate_array(v)
+        return float(v[0]) - y
+
+    centers = []
+    base = np.asarray(crit, dtype=float)
+    cur = base.copy()
+    for q in range(1, q_max + 1):
+        pts = np.unique(np.concatenate([[0.0], cur, [1.0]]))
+        for c in crit:
+            j = int(np.searchsorted(pts, c))
+            sides = [(float(pts[j - 1]), c)] if j > 0 else []
+            if j + 1 < pts.size:
+                sides.append((c, float(pts[j + 1])))
+            for lo, hi in sides:
+                if hi - lo < 1e-13:
+                    continue
+                glo, ghi = g(lo, q), g(hi, q)
+                if glo == 0.0:
+                    y = lo
+                elif ghi == 0.0:
+                    y = hi
+                elif glo * ghi < 0:
+                    a, b, ga = lo, hi, glo
+                    for _ in range(60):
+                        mid = 0.5 * (a + b)
+                        gm = g(mid, q)
+                        if ga * gm <= 0:
+                            b = mid
+                        else:
+                            a, ga = mid, gm
+                    y = 0.5 * (a + b)
+                else:
+                    continue
+                if abs(y - c) < 0.999 * eps:
+                    centers.append(y)
+        if q < q_max:
+            cur = np.unique(np.concatenate([base, _preimages(m, cur)]))
+            if cur.size > point_cap:
+                break
+    return centers
+
+
+def ref_ball_piece_lengths(m, x, eps, ns, stride, piece_cap):
+    """Piece length-maxima of the balls B_n(f^stride, x, eps) of one
+    center, for each n in ns; returns (lengths per n, cut macro time)."""
+    crit = np.asarray(m.critical_points, dtype=float)
+    n_micro = max(ns) * stride
+    center = _orbit_matrix(m, np.array([x]), n_micro + 1)[:, 0]
+    lo, hi, lmax = np.array([0.0]), np.array([1.0]), np.array([0.0])
+    out = []
+    cut = None
+    macro = 0
+    for t in range(n_micro):
+        if t % stride == 0:
+            lo = np.maximum(lo, center[t] - eps)
+            hi = np.minimum(hi, center[t] + eps)
+            keep = hi - lo > 0
+            lo, hi, lmax = lo[keep], hi[keep], lmax[keep]
+            if lo.size == 0:
+                lo, hi, lmax = center[t:t + 1], center[t:t + 1], np.array([0.0])
+            lmax = np.maximum(lmax, hi - lo)
+            macro += 1
+            if macro in ns:
+                out.append(lmax.copy())
+                if macro == max(ns):
+                    break
+        for c in crit:
+            split = (lo < c) & (hi > c)
+            if np.any(split):
+                lo = np.concatenate([lo, np.full(split.sum(), c)])
+                hi = np.concatenate([hi, hi[split]])
+                lmax = np.concatenate([lmax, lmax[split]])
+                hi[np.nonzero(split)[0]] = c
+        fa, fb = m.evaluate_array(lo), m.evaluate_array(hi)
+        lo, hi = np.minimum(fa, fb), np.maximum(fa, fb)
+        if lo.size > piece_cap:
+            cut = macro
+            break
+    while len(out) < len(ns):
+        out.append(out[-1] if out else np.array([0.0]))
+    return out, cut
+
+
+def ref_tail_counts(m, centers, eps, ns, deltas, stride, piece_cap):
+    """Sup over centers of the per-center pullback counts, one center at a
+    time; returns (sup_counts, earliest cut)."""
+    sup = np.ones((len(ns), len(deltas)))
+    cut = None
+    for x in centers:
+        lengths, c = ref_ball_piece_lengths(m, x, eps, ns, stride, piece_cap)
+        if c is not None:
+            cut = c if cut is None else min(cut, c)
+        for i, lens in enumerate(lengths):
+            for j, d in enumerate(deltas):
+                sup[i, j] = max(sup[i, j],
+                                float(np.sum(np.maximum(np.ceil(lens / (2 * d)), 1.0))))
+    return sup, cut
+
+
+TAIL_MAPS = [TENT, F4, F37, IDENT]
+
+
+@pytest.mark.parametrize("m", TAIL_MAPS + [QUARTIC3], ids=lambda m: m.name)
+def test_fold_cycle_centers_match_scalar_bisection(m):
+    for eps in (2.0 ** -4, 0.0371, 2.0 ** -6):
+        for point_cap in (40, 1 << 14):
+            got = _fold_cycle_centers(m, eps, point_cap=point_cap)
+            assert got == ref_fold_cycle_centers(m, eps, point_cap=point_cap)
+    assert len(_fold_cycle_centers(TENT, 2.0 ** -4)) > 0
+
+
+@pytest.mark.parametrize("m", TAIL_MAPS, ids=lambda m: m.name)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_tail_counts_match_per_center_pullback(m, stride):
+    """The batched pullback against the per-center loop, bit for bit, with
+    piece caps small enough to freeze centers and one that never fires."""
+    ns = list(range(1, 16 // stride + 1))
+    for eps in (2.0 ** -3, 2.0 ** -4):
+        deltas = [eps / 2 ** j for j in range(1, 5)]
+        centers, _ = _tail_centers(m, 40, eps=eps)
+        for piece_cap in (2, 3, 5, 1 << 14):
+            got, cut = _tail_counts(m, centers, eps, ns, deltas, stride=stride,
+                                    piece_cap=piece_cap)
+            want, want_cut = ref_tail_counts(m, centers, eps, ns, deltas,
+                                             stride, piece_cap)
+            assert np.array_equal(got, want)
+            assert cut == want_cut
+            if m is not IDENT and piece_cap <= 5 and eps == 2.0 ** -3:
+                assert cut is not None  # the cap fires
+        assert cut is None
+
+
+def test_tail_counts_partial_ns():
+    """n_range need not start at 1; a cap firing before the first recorded
+    n leaves the frozen center at count 1."""
+    eps = 2.0 ** -5
+    centers, _ = _tail_centers(F4, 20, eps=eps)
+    for ns in ([4, 5, 6, 9], [7]):
+        for piece_cap in (2, 1 << 14):
+            got, cut = _tail_counts(F4, centers, eps, ns, [eps / 4], stride=2,
+                                    piece_cap=piece_cap)
+            want, want_cut = ref_tail_counts(F4, centers, eps, ns, [eps / 4],
+                                             2, piece_cap)
+            assert np.array_equal(got, want) and cut == want_cut
+
+
+def test_tail_counts_reseed_collapsed_balls():
+    """Below the float resolution every window collapses to the center, so
+    each ball is the reseeded degenerate piece and counts stay at 1."""
+    eps = 1e-18
+    centers, _ = _tail_centers(TENT, 8)
+    got, cut = _tail_counts(TENT, centers, eps, [1, 2, 3], [eps / 2], stride=1)
+    want, want_cut = ref_tail_counts(TENT, centers, eps, [1, 2, 3], [eps / 2],
+                                     1, 1 << 14)
+    assert np.array_equal(got, want) and np.all(got == 1.0)
+    assert cut is None and want_cut is None
+
+
+def test_tail_reports_centers_and_knee():
+    eps = 2.0 ** -5
+    est = tail_entropy_estimate(TENT, eps, n_range=range(1, 13))
+    centers, _ = _tail_centers(TENT, 40, eps=eps)
+    assert est.extra["centers"] == len(centers)
+    assert est.extra["fold_cycle_error"] is None
+    assert est.extra["clean_upto"] is None and not est.saturated
+    capped = tail_entropy_estimate(TENT, eps, n_range=range(1, 13), piece_cap=3)
+    knee = capped.extra["clean_upto"]
+    assert capped.saturated and 0 < knee < len(capped.ns)
+    # frozen counts carry forward past the knee
+    assert capped.counts[knee:] == [capped.counts[knee - 1]] * (12 - knee)
+
+
+def test_tail_reports_fold_cycle_error(monkeypatch):
+    def explode(m, eps):
+        raise ResourceError("branch explosion beyond 7 points")
+
+    monkeypatch.setattr(entropy, "_fold_cycle_centers", explode)
+    est = tail_entropy_estimate(F4, 2.0 ** -4, n_range=range(1, 9))
+    assert est.extra["fold_cycle_error"] == "branch explosion beyond 7 points"
+    grid_and_structure, _ = _tail_centers(F4, 40)  # no fold-cycle centers
+    assert est.extra["centers"] == len(grid_and_structure)
+
+
+def test_tail_rejects_empty_n_range():
+    with pytest.raises(DomainError):
+        tail_entropy_estimate(TENT, 0.1, n_range=range(1, 1))
+
 
 def test_tail_identity_zero():
     est = tail_entropy_estimate(IDENT, 0.1)

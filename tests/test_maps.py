@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from tailent import polyalg
-from tailent.errors import (DomainError, NotC1Error, UnsupportedOrderError)
+from tailent.errors import (DomainError, NotC1Error, ResourceError,
+                            UnsupportedOrderError)
 from tailent.maps import (IterateMap, PiecewiseAffineMap, PolynomialMap,
+                          _critical_pullbacks, _pullback_critical_points,
                           build_snake, get_map, get_rate, identity_map,
                           min_branch_length_iterate, quadratic_map, tent_map)
 
@@ -213,6 +215,33 @@ def test_min_branch_length_vs_exact_composition():
                 break
         got, saturated = min_branch_length_iterate(F4, eps, 5)
         assert (got, saturated) == (expected, expected == 5)
+
+
+def test_critical_pullbacks_levels():
+    """Level k holds the critical points of f^(k+1): for the tent map the
+    dyadic points j / 2^(k+1), exactly."""
+    levels = _critical_pullbacks(TENT)
+    for k in range(7):
+        size = 2 ** (k + 1)
+        assert np.array_equal(next(levels), np.arange(1, size) / size)
+    for p in (1, 2, 5):
+        assert _pullback_critical_points(F4, p) == IterateMap(F4, p).critical_points
+    assert next(_critical_pullbacks(QUARTIC3)).tolist() == QUARTIC3.critical_points
+
+
+def test_critical_pullbacks_cap_policies():
+    # F4 level k holds 2^(k+1) - 1 points; only levels a caller asks for
+    # are computed and checked against its cap
+    with pytest.raises(ResourceError):
+        _pullback_critical_points(F4, 7, point_cap=100)
+    assert len(_pullback_critical_points(F4, 6, point_cap=100)) == 63
+    with pytest.raises(ResourceError):
+        min_branch_length_iterate(F4, 0.4, point_cap=2)
+    assert min_branch_length_iterate(F4, 0.4, point_cap=3) == (1, False)
+    # the cap is also checked on the level that follows p_cap
+    with pytest.raises(ResourceError):
+        min_branch_length_iterate(F4, 1e-6, p_cap=6, point_cap=100)
+    assert min_branch_length_iterate(F4, 1e-6, p_cap=5, point_cap=100) == (5, True)
 
 
 def test_tent_dyadic_boundary_is_exact():
