@@ -9,7 +9,6 @@ enters only when a polynomial is evaluated at numeric arguments.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ResourceError
 
@@ -157,10 +156,3 @@ def count_set_partitions(n):
         return 1
     return rec(1, 1)
 
-
-def _self_check():
-    t = BellTable(8)
-    assert t.bell_number(3) == 5
-    assert t.partial_bell(3, 2, (1, 2)) == 6
-    assert t.partial_bell(3, 2, (Fraction(1), Fraction(2))) == 6
-    return True

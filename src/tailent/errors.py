@@ -14,7 +14,8 @@ class UnsupportedOrderError(TailentError):
 
 
 class PrecisionError(TailentError):
-    """Root isolation or refinement could not reach the requested tolerance."""
+    """Root isolation, refinement or power iteration could not reach the
+    requested tolerance."""
 
 
 class ResourceError(TailentError):

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -406,15 +407,15 @@ def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
         raise DomainError("need 0 < eps < 1")
     if not m.critical_points:
         return p_cap, True
-    # level k holds crit(f^(k+1)); every level before it had L(f^p) > eps
-    for k, cur in enumerate(_critical_pullbacks(m)):
+    # level k holds crit(f^(k+1)); every level before it had L(f^p) > eps.
+    # islice stops before level p_cap, which the answer never needs.
+    for k, cur in enumerate(islice(_critical_pullbacks(m), max(p_cap, 0))):
         if k > 0 and cur.size > point_cap:
             raise ResourceError(f"branch explosion beyond {point_cap} points")
-        if k >= p_cap:
-            return p_cap, True
         pts = np.concatenate([[0.0], cur, [1.0]])
         if float(np.min(np.diff(np.unique(pts)))) <= eps:
             return k, False
+    return p_cap, True
 
 
 # ---------------------------------------------------------------------------

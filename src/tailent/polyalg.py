@@ -526,11 +526,6 @@ def _composition_numerators(p_j: Polynomial, p_i: Polynomial, r):
     return out
 
 
-def _vector_faa(bell: BellTable, outer, inner):
-    """Faa di Bruno on per-sample numpy arrays."""
-    return bell.faa_di_bruno(outer, inner)
-
-
 class _GroupBuilder:
     """Shared sampling machinery for one step-2 piece."""
 
@@ -588,11 +583,11 @@ class _GroupBuilder:
             phi_q = []
             for k in range(1, r + 1):
                 phi_q.append(delta ** k * cof[k - 1](u) / dpi ** (2 * k - 1))
-            phi_chain = _vector_faa(self.bell, phi_q, self.qd_vals)
+            phi_chain = self.bell.faa_di_bruno(phi_q, self.qd_vals)
         comp_chains = []
         for j in range(len(self.polys)):
             outer = [d(u) for d in self.p_derivs[j]]
-            comp_chains.append(_vector_faa(self.bell, outer, phi_chain))
+            comp_chains.append(self.bell.faa_di_bruno(outer, phi_chain))
         return phi_chain, comp_chains, u
 
 

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (DegenerateShiftError, DomainError, HypothesisUnmetError,
-                     MixingRequiredError)
+                     MixingRequiredError, PrecisionError)
 
 __all__ = [
     "Sft", "sft_from_forbidden_words", "sft_entropy", "build_Yp",
@@ -43,19 +43,36 @@ def _as_word(w, alphabet):
 
 @dataclass(frozen=True)
 class Sft:
-    """Subshift of finite type over a block alphabet."""
+    """Subshift of finite type over a block alphabet.
+
+    The transition graph is stored as successor lists: succ[i] is the
+    ascending tuple of the states that may follow state i.  A de Bruijn
+    state has at most `alphabet` successors, so the graph takes O(size)
+    memory; `matrix` derives the dense 0/1 rows on demand.
+    """
     alphabet: int
     block_order: int
     states: tuple           # admissible blocks (tuples of symbols)
-    matrix: tuple           # rows of 0/1 ints, indexed like states
+    succ: tuple             # ascending successor indices, indexed like states
     forbidden: tuple
 
     @property
     def size(self):
         return len(self.states)
 
+    @property
+    def matrix(self):
+        """Dense 0/1 transition rows, indexed like states (size^2 entries)."""
+        rows = []
+        for row in self.succ:
+            dense = [0] * self.size
+            for j in row:
+                dense[j] = 1
+            rows.append(tuple(dense))
+        return tuple(rows)
+
     def successors(self):
-        return [np.nonzero(np.asarray(row))[0] for row in self.matrix]
+        return self.succ
 
 
 def _contains_forbidden(window, words):
@@ -82,18 +99,17 @@ def sft_from_forbidden_words(alphabet, words):
     if not states:
         raise DegenerateShiftError("every block is forbidden")
     index = {b: i for i, b in enumerate(states)}
-    rows = []
+    succ = []
     for b in states:
-        row = [0] * len(states)
+        # states are listed in lexicographic order, so ascending s gives
+        # ascending successor indices
+        row = []
         for s in range(alphabet):
-            nxt = b[1:] + (s,)
-            j = index.get(nxt)
-            if j is None:
-                continue
-            if not _contains_forbidden(b + (s,), words):
-                row[j] = 1
-        rows.append(tuple(row))
-    return Sft(alphabet, order, tuple(states), tuple(rows), words)
+            j = index.get(b[1:] + (s,))
+            if j is not None and not _contains_forbidden(b + (s,), words):
+                row.append(j)
+        succ.append(tuple(row))
+    return Sft(alphabet, order, tuple(states), tuple(succ), words)
 
 
 def build_Yp(p):
@@ -119,10 +135,9 @@ def word_count(sft: Sft, n):
         return min(sft.alphabet, sft.size) ** n if sft.block_order == 1 \
             else sft.alphabet ** n
     counts = [1] * sft.size
-    succ = [list(np.nonzero(np.asarray(row))[0]) for row in sft.matrix]
     for _ in range(n - sft.block_order):
         nxt = [0] * sft.size
-        for i, row in enumerate(succ):
+        for i, row in enumerate(sft.succ):
             ci = counts[i]
             for j in row:
                 nxt[j] += ci
@@ -137,28 +152,79 @@ def word_count_entropy(sft: Sft, n_lo=20, n_hi=40):
     return (math.log(b) - math.log(a)) / (n_hi - n_lo)
 
 
+# Below this many states the power iteration runs on Python floats: numpy's
+# float64 sum is a plain left fold up to 7 elements and switches to pairwise
+# blocks from 8 on, so the explicit left folds below give the same bits as
+# the numpy vectors do, without numpy's per-call cost.
+_SMALL_GRAPH = 8
+
+
+def _small_ops(succ):
+    """Step, sum and scale of the power iteration on lists of floats."""
+    def total(v):
+        s = 0.0
+        for x in v:
+            s += x
+        return s
+
+    def step(v):
+        w = []
+        for row in succ:
+            s = 0.0
+            for j in row:
+                s += v[j]
+            w.append(s)
+        return w
+
+    def scale(w, norm):
+        return [x / norm for x in w]
+
+    return [1.0] * len(succ), step, total, scale
+
+
+def _array_ops(succ):
+    """Step, sum and scale of the power iteration on float64 arrays.
+
+    bincount adds the weights into each bin in the order of src, i.e. over
+    ascending successors, starting from 0."""
+    n = len(succ)
+    src = np.array([i for i, row in enumerate(succ) for _ in row], dtype=np.intp)
+    dst = np.array([j for row in succ for j in row], dtype=np.intp)
+
+    def step(v):
+        return np.bincount(src, weights=v[dst], minlength=n)
+
+    def scale(w, norm):
+        return w / norm
+
+    return np.ones(n), step, np.ndarray.sum, scale
+
+
 def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
-    """log of the transition-matrix spectral radius by power iteration."""
+    """log of the transition-matrix spectral radius by power iteration.
+
+    Iterates w = A v from the ones vector, normalized by its sum, until the
+    eigenvalue estimate sum(A v) / sum(v) has moved by at most
+    tol * max(lam, 1) on 10 steps in a row.  Graphs with fewer than 8 states
+    iterate on Python floats, larger ones on numpy arrays; both paths
+    produce the same bits (see _SMALL_GRAPH).  Raises PrecisionError when
+    max_iter steps pass without that test firing (e.g. on a periodic shift,
+    where the estimate oscillates), DegenerateShiftError on an empty or
+    nilpotent graph.
+    """
     succ = sft.successors()
-    pred = [[] for _ in range(sft.size)]
-    for i, row in enumerate(succ):
-        for j in row:
-            pred[j].append(i)
-    flat_src = np.concatenate([np.full(len(row), i) for i, row in enumerate(succ)
-                               if len(row)]) if any(len(r) for r in succ) else None
-    if flat_src is None:
+    if not any(succ):
         raise DegenerateShiftError("empty transition matrix")
-    flat_dst = np.concatenate([np.asarray(row) for row in succ if len(row)])
-    v = np.ones(sft.size)
+    ops = _small_ops if len(succ) < _SMALL_GRAPH else _array_ops
+    v, step, total, scale = ops(succ)
     lam_prev, stable = 0.0, 0
-    for it in range(max_iter):
-        w = np.zeros(sft.size)
-        np.add.at(w, flat_src, v[flat_dst])
-        norm = w.sum()
+    for _ in range(max_iter):
+        w = step(v)
+        norm = total(w)
         if norm == 0.0:
             raise DegenerateShiftError("nilpotent transition matrix")
-        lam = norm / v.sum()
-        v = w / norm
+        lam = norm / total(v)
+        v = scale(w, norm)
         if abs(lam - lam_prev) <= tol * max(lam, 1.0):
             stable += 1
             if stable >= 10:
@@ -166,6 +232,9 @@ def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
         else:
             stable = 0
         lam_prev = lam
+    else:
+        raise PrecisionError(
+            f"power iteration did not converge in {max_iter} steps")
     if lam <= 0:
         raise DegenerateShiftError("spectral radius zero")
     return math.log(lam)
@@ -185,12 +254,11 @@ def power_system(sft: Sft, p):
               if not _contains_forbidden(w, sft.forbidden)]
     if not blocks:
         raise DegenerateShiftError("no admissible power blocks")
-    rows = []
-    for u in blocks:
-        rows.append(tuple(0 if _contains_forbidden(u + v, sft.forbidden) else 1
-                          for v in blocks))
+    succ = tuple(tuple(j for j, v in enumerate(blocks)
+                       if not _contains_forbidden(u + v, sft.forbidden))
+                 for u in blocks)
     states = tuple((i,) for i in range(len(blocks)))
-    return Sft(len(blocks), 1, states, tuple(rows), ())
+    return Sft(len(blocks), 1, states, succ, ())
 
 
 def _mixing_exponent(sft: Sft, cap=64):
@@ -279,7 +347,7 @@ def periodic_shadow(sft: Sft, u, v, n):
     period = 4 * n + 2 * n1
     assert len(cycle) == period, (len(cycle), period)
     for a_st, b_st in zip(cycle, cycle[1:] + cycle[:1]):
-        if sft.matrix[a_st][b_st] != 1:
+        if b_st not in succ[a_st]:
             raise MixingRequiredError("assembled walk not admissible")
     word = tuple(sft.states[s][0] for s in cycle)
     return {"word": word, "period": period, "n1": n1,

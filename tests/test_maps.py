@@ -238,10 +238,11 @@ def test_critical_pullbacks_cap_policies():
     with pytest.raises(ResourceError):
         min_branch_length_iterate(F4, 0.4, point_cap=2)
     assert min_branch_length_iterate(F4, 0.4, point_cap=3) == (1, False)
-    # the cap is also checked on the level that follows p_cap
-    with pytest.raises(ResourceError):
-        min_branch_length_iterate(F4, 1e-6, p_cap=6, point_cap=100)
+    # the level after p_cap is never built, so its size cannot trip the cap
+    assert min_branch_length_iterate(F4, 1e-6, p_cap=6, point_cap=100) == (6, True)
     assert min_branch_length_iterate(F4, 1e-6, p_cap=5, point_cap=100) == (5, True)
+    with pytest.raises(ResourceError):
+        min_branch_length_iterate(F4, 1e-6, p_cap=7, point_cap=100)
 
 
 def test_tent_dyadic_boundary_is_exact():

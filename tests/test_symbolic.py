@@ -1,6 +1,7 @@
 """SFT entropies vs independent oracles, shadowing, thickness, gap lemma."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from tailent.errors import (DegenerateShiftError, DomainError,
-                            HypothesisUnmetError, MixingRequiredError)
+                            HypothesisUnmetError, MixingRequiredError,
+                            PrecisionError, TailentError)
 from tailent.symbolic import (CantorApprox, build_Yp, gap_lemma_check,
                               load_sft_file, middle_cantor, parse_cantor_spec,
                               periodic_shadow, power_system,
@@ -63,7 +65,11 @@ def test_y2_degenerate_counts_and_entropy():
     y2 = build_Yp(2)
     for n in range(1, 11):
         assert word_count(y2, n) == n + 1
-    assert sft_entropy(y2) < 1e-4
+    h = sft_entropy(y2)
+    assert h < 1e-4
+    # the value the dense reference reaches after 1,000,061 steps (seconds
+    # to rerun), pinned instead of recomputed
+    assert h == 9.999365041502865e-07
 
 
 def test_yp_entropy_monotone_and_asymptotic():
@@ -136,6 +142,145 @@ def test_load_sft_file(tmp_path):
     path.write_text("2\n11\n")
     sft = load_sft_file(str(path))
     assert sft.matrix == GOLDEN.matrix
+
+
+def test_successor_lists_match_matrix():
+    for sft in (GOLDEN, FULL, build_Yp(4), sft_from_forbidden_words(3, ["01", "22"]),
+                power_system(build_Yp(3), 3)):
+        assert len(sft.succ) == sft.size
+        for row, dense in zip(sft.succ, sft.matrix):
+            assert list(row) == sorted(set(row))
+            assert dense == tuple(int(j in row) for j in range(sft.size))
+    assert GOLDEN.succ == ((0, 1), (0,))
+
+
+# ---------------------------------------------------------------------------
+# power iteration against the dense reference
+# ---------------------------------------------------------------------------
+
+def ref_sft_entropy(sft, tol=1e-12, max_iter=5_000_000):
+    """The np.add.at power iteration over the dense matrix that sft_entropy
+    replaced.  It stops silently at max_iter, so it returns
+    (log lam, converged)."""
+    succ = [np.nonzero(np.asarray(row))[0] for row in sft.matrix]
+    if not any(len(row) for row in succ):
+        raise DegenerateShiftError("empty transition matrix")
+    flat_src = np.concatenate([np.full(len(row), i) for i, row in enumerate(succ)
+                               if len(row)])
+    flat_dst = np.concatenate([row for row in succ if len(row)])
+    v = np.ones(sft.size)
+    lam_prev, stable, converged = 0.0, 0, False
+    for _ in range(max_iter):
+        w = np.zeros(sft.size)
+        np.add.at(w, flat_src, v[flat_dst])
+        norm = w.sum()
+        if norm == 0.0:
+            raise DegenerateShiftError("nilpotent transition matrix")
+        lam = norm / v.sum()
+        v = w / norm
+        if abs(lam - lam_prev) <= tol * max(lam, 1.0):
+            stable += 1
+            if stable >= 10:
+                converged = True
+                break
+        else:
+            stable = 0
+        lam_prev = lam
+    if lam <= 0:
+        raise DegenerateShiftError("spectral radius zero")
+    return math.log(lam), converged
+
+
+def assert_matches_reference(sft, **kw):
+    """sft_entropy equals the reference bit for bit where the reference
+    converges, raises PrecisionError where it does not, and raises the
+    same error type where it raises."""
+    try:
+        want, converged = ref_sft_entropy(sft, **kw)
+    except TailentError as exc:
+        with pytest.raises(type(exc)):
+            sft_entropy(sft, **kw)
+        return
+    if converged:
+        assert sft_entropy(sft, **kw) == want
+    else:
+        with pytest.raises(PrecisionError):
+            sft_entropy(sft, **kw)
+
+
+@pytest.mark.parametrize("p", range(3, 14))
+def test_sft_entropy_matches_reference_yp(p):
+    assert_matches_reference(build_Yp(p))
+
+
+def test_sft_entropy_matches_reference_single_words():
+    words = ["".join(w) for n in range(3, 8) for w in product("01", repeat=n)]
+    assert len(words) == 248
+    for word in words:
+        assert_matches_reference(sft_from_forbidden_words(2, [word]))
+
+
+def test_sft_entropy_matches_reference_power_systems():
+    sizes = set()
+    for sft in (GOLDEN, build_Yp(3)):
+        for p in (2, 3, 4):
+            power = power_system(sft, p)
+            sizes.add(power.size)
+            assert_matches_reference(power)
+    assert min(sizes) < 8 <= max(sizes)
+
+
+def test_sft_entropy_matches_reference_random_shifts():
+    rng = random.Random(20140)
+    sizes = []
+    for _ in range(120):
+        alphabet = rng.choice((3, 4))
+        words = ["".join(str(rng.randrange(alphabet)) for _ in range(rng.choice((2, 3))))
+                 for _ in range(rng.randint(1, 5))]
+        try:
+            sft = sft_from_forbidden_words(alphabet, words)
+        except DegenerateShiftError:
+            continue
+        sizes.append(sft.size)
+        assert_matches_reference(sft, max_iter=20_000)
+    assert sum(n < 8 for n in sizes) >= 20 and sum(n >= 8 for n in sizes) >= 20
+
+
+def test_sft_entropy_matches_reference_nilpotent():
+    # only strictly increasing symbol sequences: no cycle, on both paths
+    for alphabet in (4, 9):
+        words = [f"{a}{b}" for a in range(alphabet) for b in range(a + 1)]
+        sft = sft_from_forbidden_words(alphabet, words)
+        assert sft.size == alphabet
+        with pytest.raises(DegenerateShiftError):
+            ref_sft_entropy(sft)
+        assert_matches_reference(sft)
+
+
+def test_numpy_sum_is_left_fold_below_8():
+    # the premise of the Python-float path of sft_entropy: numpy sums
+    # float64 arrays of up to 7 elements left to right
+    rng = np.random.default_rng(7)
+    reorders = 0
+    for n in range(1, 8):
+        for _ in range(300):
+            a = rng.random(n) * 10.0 ** rng.integers(-8, 9, n)
+            fold = 0.0
+            for x in a.tolist():
+                fold += x
+            assert np.sum(a) == fold and a.sum() == fold
+            back = 0.0
+            for x in a.tolist()[::-1]:
+                back += x
+            reorders += back != fold
+    assert reorders > 0  # the data can tell one summation order from another
+
+
+def test_sft_entropy_refuses_unconverged_estimate():
+    # period 2: 0 -> {1, 2} -> 0; the estimate oscillates and never settles
+    period2 = sft_from_forbidden_words(3, ["00", "11", "12", "21", "22"])
+    with pytest.raises(PrecisionError):
+        sft_entropy(period2, max_iter=10_000)
 
 
 # ---------------------------------------------------------------------------
