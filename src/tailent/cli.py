@@ -64,6 +64,11 @@ class ExperimentConfig:
             raise ConfigError("n-max", "must be >= 1")
         return range(1, self.n_max + 1)
 
+    def checked_grid_bits(self):
+        if self.grid_bits < 1:
+            raise ConfigError("grid-bits", "must be >= 1")
+        return self.grid_bits
+
     def semantic_items(self):
         skip = {"threads", "out"}
         return sorted((k, v) for k, v in self.__dict__.items() if k not in skip)
@@ -158,7 +163,8 @@ def run_entropy(cfg):
     w = CsvWriter(cfg.out, ["method", "map", "n", "eps", "delta", "count",
                             "rate", "slope", "direction"], cfg)
     ests = _parallel(
-        lambda eps: eps_entropy(m, eps, n_range=ns, grid_bits=cfg.grid_bits),
+        lambda eps: eps_entropy(m, eps, n_range=ns,
+                                grid_bits=cfg.checked_grid_bits()),
         cfg.eps_schedule(), cfg.threads)
     for est in ests:
         for n, count in zip(est.ns, est.counts):
@@ -288,7 +294,7 @@ def run_modulus(cfg):
     for eps in cfg.eps_schedule():
         p_eps, n_eps, bound, capped = continuity_modulus(
             m, eps, cfg.m0, lambda t: 1.0 / abs(math.log(t)),
-            grid_bits=cfg.grid_bits)
+            grid_bits=cfg.checked_grid_bits())
         w.add(m.name, eps, cfg.m0, p_eps, n_eps, bound, capped)
     w.write()
     return w

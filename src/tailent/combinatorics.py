@@ -106,21 +106,56 @@ class BellTable:
             total = total + term
         return total
 
-    def faa_di_bruno(self, outer_derivs, inner_derivs):
+    def partial_bells(self, inner):
+        """Every B_k^l(inner), as rows: table[k-1][l-1] for 1 <= l <= k <= r.
+
+        r = len(inner).  Each power inner[i] ** j is computed once and
+        shared by all the terms and all the (k, l) that use it; each entry
+        is then summed exactly as `partial_bell(k, l, inner[:k-l+1])` sums
+        it, so it has the same value, bit for bit on floats and arrays.
+        Build one table per inner sequence and pass it to `faa_di_bruno`
+        for every outer sequence composed with it.
+        """
+        r = len(inner)
+        self._check_order(max(r, 1))
+        powers = {}
+        table = []
+        for k in range(1, r + 1):
+            row = []
+            for l in range(1, k + 1):
+                total = 0
+                for js, coeff in self._coeffs[(k, l)].items():
+                    term = coeff
+                    for i, j in enumerate(js):
+                        if j == 0:
+                            continue
+                        p = powers.get((i, j))
+                        if p is None:
+                            p = powers[(i, j)] = inner[i] ** j
+                        term = term * p
+                    total = total + term
+                row.append(total)
+            table.append(row)
+        return table
+
+    def faa_di_bruno(self, outer_derivs, inner_derivs, bells=None):
         """Derivatives 1..r of f(g(x)) from those of f at g(x) and of g at x.
 
         (f o g)^(k) = sum_{l=1}^k f^(l)(g(x)) * B_k^l(g', ..., g^(k-l+1)).
+        `bells` is `partial_bells(inner_derivs)` when the caller already
+        holds it; otherwise it is built here.
         """
         if len(outer_derivs) != len(inner_derivs):
             raise ValueError("outer and inner derivative sequences must have equal length")
         r = len(outer_derivs)
         self._check_order(max(r, 1))
+        if bells is None:
+            bells = self.partial_bells(inner_derivs)
         out = []
         for k in range(1, r + 1):
             acc = 0
             for l in range(1, k + 1):
-                acc = acc + outer_derivs[l - 1] * self.partial_bell(
-                    k, l, inner_derivs[: k - l + 1])
+                acc = acc + outer_derivs[l - 1] * bells[k - 1][l - 1]
             out.append(acc)
         return out
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, ScaleError, TailentError
+from .errors import (DomainError, ResolutionError, ResourceError, ScaleError,
+                     TailentError)
 from .maps import IntervalMap, _critical_pullbacks
 
 __all__ = [
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 _DEFAULT_GRID_BITS = 14
+# Largest orbit matrix a grid estimate may allocate: 2^27 float64 cells.
+_ORBIT_BYTE_CAP = 1 << 30
 _DEFAULT_N_RANGE = range(1, 25)
 
 
@@ -175,12 +178,19 @@ def _default_grid(grid_bits):
 
 def _grid_orbits(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS):
     """Column-store orbits of length n of the grid (the dyadic grid of
-    2^grid_bits cells unless `grid` is given), after checking that the grid
-    resolves scale eps."""
+    2^grid_bits cells unless `grid` is given), after checking, before any
+    allocation, that the orbit matrix stays under _ORBIT_BYTE_CAP bytes
+    (ResourceError) and then that the grid resolves scale eps."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if eps <= 0:
         raise DomainError("eps must be positive")
+    size = (1 << grid_bits) + 1 if grid is None else len(grid)
+    if n * size * 8 > _ORBIT_BYTE_CAP:
+        raise ResourceError(
+            f"orbit matrix of {n} x {size} float64 cells needs "
+            f"{n * size * 8 / 2 ** 30:.3g} GiB, over the "
+            f"{_ORBIT_BYTE_CAP / 2 ** 30:g} GiB cap")
     xs = _default_grid(grid_bits) if grid is None else np.asarray(grid, float)
     if eps * (xs.size - 1) < 8:
         raise ResolutionError(

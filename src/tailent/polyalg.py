@@ -17,6 +17,14 @@ Root isolation is exact: primitive integer coefficients, Descartes/VCA
 sign-variation bisection on the square-free part, dyadic refinement to 1e-13,
 floats only at the very end.  Norm certificates are sampled (4096 points per
 chart group) and reported as "sampled", never as proved bounds.
+
+Step 3 dominates the cost.  Its work is shared where the inputs repeat: one
+partial Bell table for the Q_r-derivative samples per atlas and one for each
+piece's phi chain (shared by the m compositions), one family of inverse
+cofactors per inverting polynomial (shared with step 2), and inside each
+inverse-branch solve the top of the bisection tree, common to all lanes.
+Every shortcut keeps the float operations of the plain per-call code, so the
+atlas is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -353,8 +361,8 @@ def isolate_roots(p: Polynomial, lo=0, hi=1, tol=1e-13):
         return []
     if p.degree == 0:
         return []
-    # map [lo, hi] to [0, 1]
-    q = p.compose_affine(lo_f, hi_f - lo_f)
+    # map [lo, hi] to [0, 1]; on [0, 1] itself that map is the identity
+    q = p if (lo_f, hi_f) == (0, 1) else p.compose_affine(lo_f, hi_f - lo_f)
     cs = _int_coeffs(q)
     roots = []
     while cs and cs[0] == 0:          # deflate roots at 0
@@ -526,10 +534,47 @@ def _composition_numerators(p_j: Polynomial, p_i: Polynomial, r):
     return out
 
 
-class _GroupBuilder:
-    """Shared sampling machinery for one step-2 piece."""
+def _horner(cs, x):
+    """Float value at the array x of the polynomial with float coefficients
+    cs (ascending, degree >= 1), in place, by the multiplies and adds of
+    Polynomial.__call__.  That starts from 0 + cs[-1], which is cs[-1]
+    itself, the leading coefficient being nonzero."""
+    v = x * cs[-1]
+    v += cs[-2]
+    for c in cs[-3::-1]:
+        v *= x
+        v += c
+    return v
 
-    def __init__(self, polys, r, bell, n_samples):
+
+def _bisection_top(cs, a, b, depth):
+    """The first `depth` levels of the bisection tree of [a, b].
+
+    Returns the polynomial's values at the 2^depth - 1 midpoints, in x
+    order, and the (lo, hi) brackets of the 2^depth leaves.  The midpoints
+    are computed as the lanes of `_GroupBuilder.u_of_q` compute them."""
+    lo, hi = np.array([a]), np.array([b])
+    mids = np.empty((1 << depth) - 1)
+    for level in range(depth):
+        mid = 0.5 * (lo + hi)
+        stride = 1 << (depth - level)
+        mids[stride // 2 - 1::stride] = mid
+        lo = np.stack([lo, mid], axis=1).ravel()
+        hi = np.stack([mid, hi], axis=1).ravel()
+    return _horner(cs, mids), lo, hi
+
+
+class _GroupBuilder:
+    """Sampling machinery shared by every step-2 piece of one atlas.
+
+    What does not depend on the piece is computed once here: the Q_r samples
+    and their derivatives, the derivatives of every P_j, and the partial Bell
+    table of the Q_r-derivative samples, which is the inner sequence of every
+    inverse-branch composition phi o Q_r.  The inverse cofactors of each
+    inverting P_i come from the caller, which shares them with step 2.
+    """
+
+    def __init__(self, polys, r, bell, n_samples, inverse_cofactors):
         self.polys = polys
         self.r = r
         self.bell = bell
@@ -539,34 +584,80 @@ class _GroupBuilder:
         self.tau = np.linspace(0.0, 1.0, n_samples)
         self.q_vals = self.q_poly(self.tau)
         self.qd_vals = [d(self.tau) for d in self.q_derivs]
-        self._inv_cof = {}
+        self.inverse_cofactors = inverse_cofactors
         self.p_derivs = [[p.diff(k) for k in range(1, r + 1)] for p in polys]
 
-    def inverse_cofactors(self, i):
-        if i not in self._inv_cof:
-            self._inv_cof[i] = _inverse_cofactors(self.polys[i], self.r)
-        return self._inv_cof[i]
+    @cached_property
+    def qd_bells(self):
+        return self.bell.partial_bells(self.qd_vals)
 
     def u_of_q(self, i, a, b, qv):
-        """Invert P_i on [a, b] at P_i(a) + qv*(P_i(b)-P_i(a)) by bisection."""
+        """Invert P_i on [a, b] at P_i(a) + qv*(P_i(b)-P_i(a)) by bisection.
+
+        Each lane (one entry of qv) runs 60 halvings of [a, b], going right
+        where the float value of P_i at the midpoint lies before its target,
+        and returns the midpoint of its last bracket.  Three shortcuts give
+        the same bits:
+
+        - The first `depth` levels, with 2^depth <= lanes, are the same tree
+          of midpoints for every lane.  P_i is evaluated there once; when
+          those values are monotone in x, the midpoints where a lane goes
+          right are a prefix, so one binary search of the target places
+          every lane at its leaf.  Otherwise all lanes start from [a, b].
+        - A lane's step depends on its own (lo, hi) alone, so a lane whose
+          (lo, hi) did not move in a step never moves again: it is written
+          out and dropped, and the loop ends when no lane is left.  No lane
+          can settle while its bracket is wider than four ulps of
+          max(|a|, |b|), so the test starts after that many halvings.
+        - P_i is evaluated by Horner's rule in place (`_horner`).
+        """
         p = self.polys[i]
         pa, pb = p.eval_exact(a), p.eval_exact(b)
         target = float(pa) + qv * (float(pb) - float(pa))
-        lo = np.full_like(qv, float(a))
-        hi = np.full_like(qv, float(b))
+        fa, fb = float(a), float(b)
         increasing = pb > pa
-        for _ in range(60):
+        cs = p.float_coeffs()
+        depth = max(qv.size.bit_length() - 1, 0)
+        vals, leaf_lo, leaf_hi = _bisection_top(cs, fa, fb, depth)
+        key, tkey = (vals, target) if increasing else (-vals, -target)
+        if np.all(key[1:] >= key[:-1]):
+            leaf = np.searchsorted(key, tkey, side="left")
+            lo, hi, first = leaf_lo[leaf], leaf_hi[leaf], depth
+        else:
+            lo, hi, first = np.full_like(qv, fa), np.full_like(qv, fb), 0
+        settle_from = first
+        if fb > fa:
+            settle_from = max(first, int(math.log2(
+                (fb - fa) / (4 * math.ulp(max(abs(fa), abs(fb)))))))
+        out = np.empty_like(qv)
+        lane = np.arange(qv.size)
+        for step in range(first, 60):
             mid = 0.5 * (lo + hi)
-            v = p(mid)
+            v = _horner(cs, mid)
             go_right = (v < target) if increasing else (v > target)
+            if step < settle_from:
+                lo = np.where(go_right, mid, lo)
+                hi = np.where(go_right, hi, mid)
+                continue
+            settled = np.where(go_right, lo, hi) == mid
             lo = np.where(go_right, mid, lo)
             hi = np.where(go_right, hi, mid)
-        return 0.5 * (lo + hi)
+            if settled.any():
+                out[lane[settled]] = 0.5 * (lo[settled] + hi[settled])
+                moving = ~settled
+                lane, lo, hi, target = (lane[moving], lo[moving], hi[moving],
+                                        target[moving])
+                if not lane.size:
+                    return out
+        out[lane] = 0.5 * (lo + hi)
+        return out
 
     def chain_derivatives(self, kind, inv_index, a, b):
         """Derivative samples of phi o Q_r and of every P_j o phi o Q_r.
 
         Returns (phi_chain, comp_chains) as lists of arrays, orders 1..r.
+        The partial Bell table of phi_chain is built once and shared by the
+        m compositions.
         """
         r = self.r
         if kind == "affine":
@@ -577,18 +668,47 @@ class _GroupBuilder:
             i = inv_index
             u = self.u_of_q(i, a, b, self.q_vals)
             p_i = self.polys[i]
-            dpi = p_i.diff()(u)
+            dpi = self.p_derivs[i][0](u)
             delta = float(p_i.eval_exact(b) - p_i.eval_exact(a))
             cof = self.inverse_cofactors(i)
-            phi_q = []
-            for k in range(1, r + 1):
-                phi_q.append(delta ** k * cof[k - 1](u) / dpi ** (2 * k - 1))
-            phi_chain = self.bell.faa_di_bruno(phi_q, self.qd_vals)
+            phi_chain = self.bell.faa_di_bruno(
+                [delta ** k * cof[k - 1](u) / dpi ** (2 * k - 1)
+                 for k in range(1, r + 1)], self.qd_vals, self.qd_bells)
+        phi_bells = self.bell.partial_bells(phi_chain)
         comp_chains = []
         for j in range(len(self.polys)):
             outer = [d(u) for d in self.p_derivs[j]]
-            comp_chains.append(self.bell.faa_di_bruno(outer, phi_chain))
-        return phi_chain, comp_chains, u
+            comp_chains.append(self.bell.faa_di_bruno(outer, phi_chain,
+                                                      phi_bells))
+        return phi_chain, comp_chains
+
+    def build_group(self, kind, inv_index, a, b, tol):
+        """The step-3 group of one step-2 piece: subdivision count, sampled
+        norms and chart-image boundaries.  Only the per-order sample sups of
+        the chains are kept, so a piece's samples are freed before the next
+        piece's are built."""
+        r = self.r
+        phi_chain, comp_chains = self.chain_derivatives(kind, inv_index, a, b)
+        sups = [[float(np.max(np.abs(d))) for d in chain]
+                for chain in [phi_chain, *comp_chains]]
+        del phi_chain, comp_chains
+        maxima = [(k, max(sup[k - 1] for sup in sups)) for k in range(1, r + 1)]
+        n3 = _choose_n3(r, maxima, tol=tol)
+        # certified (sampled) norms of the final charts
+        lens = 1.0 / n3
+        norm_phi = max(sups[0][k - 1] * lens ** k for k in range(1, r + 1))
+        norm_comp = max(sup[k - 1] * lens ** k
+                        for sup in sups[1:] for k in range(1, r + 1))
+        # chart image boundaries at tau = q/n3; float evaluation of Q_r can
+        # wobble below its coefficient scale, so enforce monotone boundaries
+        qb = self.q_poly(np.linspace(0.0, 1.0, n3 + 1))
+        if kind == "affine":
+            imgs = float(a) + qb * float(b - a)
+        else:
+            imgs = self.u_of_q(inv_index, a, b, qb)
+        imgs[0], imgs[-1] = float(a), float(b)
+        imgs = np.maximum.accumulate(np.clip(imgs, float(a), float(b)))
+        return _Group(kind, inv_index, a, b, n3, norm_phi, norm_comp, imgs)
 
 
 def _choose_n3(r, maxima, tol=1e-6, c_cap=1 << 20):
@@ -676,13 +796,19 @@ def reparametrize_1d(polys, r, *, n_samples=4096, tol=1e-6, bell=None):
             sign_roots_affine[j] = acc
         return sign_roots_affine[j]
 
+    @lru_cache(maxsize=None)
+    def inverse_cofactors(i):
+        """B_1..B_{r+1} of P_i: step 2 cuts at the roots of B_2..B_{r+1},
+        step 3 evaluates B_1..B_r."""
+        return _inverse_cofactors(polys[i], r + 1)
+
     inv_cut_cache = {}
 
     def inverse_cut_roots(i):
         if i not in inv_cut_cache:
             acc = []
             # identity cofactors control ||phi||, A-numerators control P_j o phi
-            for kpoly in _inverse_cofactors(polys[i], r + 1)[1:]:
+            for kpoly in inverse_cofactors(i)[1:]:
                 if not kpoly.is_zero() and kpoly.degree >= 1:
                     acc.extend(isolate_roots(kpoly, 0, 1))
             for j in range(m):
@@ -709,36 +835,10 @@ def reparametrize_1d(polys, r, *, n_samples=4096, tol=1e-6, bell=None):
     step2_count = len(pieces)
 
     # ---- step 3: compose with Q_r, sample norms, choose subdivision
-    builder = _GroupBuilder(polys, r, bell, n_samples)
-    groups = []
-    step3_count = 0
-    for a, b, kind, inv in pieces:
-        phi_chain, comp_chains, u = builder.chain_derivatives(kind, inv, a, b)
-        maxima = []
-        for k in range(1, r + 1):
-            dk = np.max(np.abs(phi_chain[k - 1]))
-            for chain in comp_chains:
-                dk = max(dk, np.max(np.abs(chain[k - 1])))
-            maxima.append((k, float(dk)))
-        n3 = _choose_n3(r, maxima, tol=tol)
-        # certified (sampled) norms of the final charts
-        lens = 1.0 / n3
-        norm_phi = max(float(np.max(np.abs(phi_chain[k - 1]))) * lens ** k
-                       for k in range(1, r + 1))
-        norm_comp = max(float(np.max(np.abs(chain[k - 1]))) * lens ** k
-                        for chain in comp_chains for k in range(1, r + 1))
-        # chart image boundaries at tau = q/n3; float evaluation of Q_r can
-        # wobble below its coefficient scale, so enforce monotone boundaries
-        tau_b = np.linspace(0.0, 1.0, n3 + 1)
-        qb = builder.q_poly(tau_b)
-        if kind == "affine":
-            imgs = float(a) + qb * float(b - a)
-        else:
-            imgs = builder.u_of_q(inv, a, b, qb)
-        imgs[0], imgs[-1] = float(a), float(b)
-        imgs = np.maximum.accumulate(np.clip(imgs, float(a), float(b)))
-        groups.append(_Group(kind, inv, a, b, n3, norm_phi, norm_comp, imgs))
-        step3_count += n3
+    builder = _GroupBuilder(polys, r, bell, n_samples, inverse_cofactors)
+    groups = [builder.build_group(kind, inv, a, b, tol)
+              for a, b, kind, inv in pieces]
+    step3_count = sum(g.n3 for g in groups)
 
     return Atlas(polys, r, m, step1_count, step2_count, step3_count,
                  groups, n_samples)

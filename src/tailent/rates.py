@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DegenerateWeightError, DomainError, HypothesisUnmetError, ScaleError
 
@@ -27,11 +27,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Weight (M_k) given through k -> log M_k."""
+    """Weight (M_k) given through k -> log M_k.
+
+    concave_hypothesis is the advisory check of `weight_from_rate` (is
+    1/a(e^-x) concave?), None for weights not made from a rate."""
     log_m: object                 # callable int -> float
     name: str = "weight"
     log_convex: bool | None = None
-    cache: dict = field(default_factory=dict, repr=False)
+    cache: dict = field(default_factory=dict, repr=False)  # k -> log M_k
+    concave_hypothesis: bool | None = None
 
     def log_weight(self, k):
         if k < 0:
@@ -208,6 +212,8 @@ def weight_from_rate(a, log_dt, k_max=200, big_b=1.0, big_d=1.0,
     if not is_log_convex(w, k_max=min(k_max, 120)):
         raise HypothesisUnmetError(
             "produced weight is not logarithmically convex")
+    # the same log_m and log cache, with the advisory flag set
+    w = replace(w, concave_hypothesis=concave_side())
     companion_name = "fromrate-companion"
 
     def log_m_tilde(k):
@@ -218,8 +224,6 @@ def weight_from_rate(a, log_dt, k_max=200, big_b=1.0, big_d=1.0,
 
     companion = WeightSequence(log_m=log_m_tilde, name=companion_name,
                                log_convex=True)
-    # advisory flag; the string key cannot collide with the integer log cache
-    w.cache["concave_hypothesis"] = concave_side()
     return w, companion
 
 

@@ -12,6 +12,7 @@ decisions are exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -179,7 +180,7 @@ def _small_ops(succ):
     def scale(w, norm):
         return [x / norm for x in w]
 
-    return [1.0] * len(succ), step, total, scale
+    return [1.0] * len(succ), step, total, scale, operator.eq
 
 
 def _array_ops(succ):
@@ -197,7 +198,7 @@ def _array_ops(succ):
     def scale(w, norm):
         return w / norm
 
-    return np.ones(n), step, np.ndarray.sum, scale
+    return np.ones(n), step, np.ndarray.sum, scale, np.array_equal
 
 
 def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
@@ -208,22 +209,41 @@ def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
     tol * max(lam, 1) on 10 steps in a row.  Graphs with fewer than 8 states
     iterate on Python floats, larger ones on numpy arrays; both paths
     produce the same bits (see _SMALL_GRAPH).  Raises PrecisionError when
-    max_iter steps pass without that test firing (e.g. on a periodic shift,
-    where the estimate oscillates), DegenerateShiftError on an empty or
-    nilpotent graph.
+    max_iter steps pass without that test firing, DegenerateShiftError on
+    an empty or nilpotent graph.
+
+    On a periodic shift the normalized iterate can cycle with period 2, so
+    the estimate oscillates for ever.  At steps 3, 8, 18, 38, ... (each
+    two after a snapshot at 1, 6, 16, 36, ...) the iterate is compared
+    with the one two steps earlier; when they are equal and the test failed
+    on both of the last two steps, every later step repeats one of those
+    two failures, so PrecisionError is raised at once.
     """
     succ = sft.successors()
     if not any(succ):
         raise DegenerateShiftError("empty transition matrix")
     ops = _small_ops if len(succ) < _SMALL_GRAPH else _array_ops
-    v, step, total, scale = ops(succ)
+    v, step, total, scale, same = ops(succ)
     lam_prev, stable = 0.0, 0
-    for _ in range(max_iter):
+    probe, snap = 1, None
+    for it in range(max_iter):
         w = step(v)
         norm = total(w)
         if norm == 0.0:
             raise DegenerateShiftError("nilpotent transition matrix")
         lam = norm / total(v)
+        if it == probe:
+            if snap is None:
+                snap, probe = v, it + 2
+            else:
+                d = abs(lam - lam_prev)
+                if (d > tol * max(lam, 1.0) and d > tol * max(lam_prev, 1.0)
+                        and same(v, snap)):
+                    raise PrecisionError(
+                        f"power iteration oscillates with period 2 (estimate "
+                        f"{lam_prev!r} <-> {lam!r}) and cannot converge; "
+                        f"stopped at step {it}")
+                snap, probe = None, 2 * it
         v = scale(w, norm)
         if abs(lam - lam_prev) <= tol * max(lam, 1.0):
             stable += 1
@@ -400,15 +420,27 @@ class CantorApprox:
         return self.levels[depth]
 
     def scaled(self, a, b):
-        """Affine image of the construction onto [a, b]."""
+        """Affine image of the construction onto [a, b].
+
+        The map x -> offset + slope * x is exact on rationals, so it equals
+        a + (b - a)(x - h0)/span.  Every gap and bridge endpoint is also an
+        endpoint of some level, so each distinct endpoint is mapped once and
+        its image reused.
+        """
         a, b = Fraction(a), Fraction(b)
         h0, h1 = self.hull()
         span = h1 - h0
         if span == 0:
             raise ValueError("degenerate hull")
+        slope = (b - a) / span
+        offset = a - slope * h0
+        image = {}
 
         def mv(x):
-            return a + (b - a) * (x - h0) / span
+            y = image.get(x)
+            if y is None:
+                y = image[x] = offset + slope * x
+            return y
 
         levels = [[(mv(lo), mv(hi)) for lo, hi in lv] for lv in self.levels]
         gaps = [GapRecord(g.level, (mv(g.gap[0]), mv(g.gap[1])),
@@ -430,10 +462,10 @@ def middle_cantor(remove_ratio, depth, hull=(0, 1)):
     for level in range(1, depth + 1):
         nxt = []
         for a, b in levels[-1]:
-            w = b - a
-            l_int = (a, a + keep * w)
-            r_int = (b - keep * w, b)
-            gap = (a + keep * w, b - keep * w)
+            kw = keep * (b - a)
+            gap = (a + kw, b - kw)
+            l_int = (a, gap[0])
+            r_int = (gap[1], b)
             gaps.append(GapRecord(level, gap, l_int, r_int))
             nxt.extend([l_int, r_int])
         levels.append(nxt)

@@ -195,3 +195,67 @@ def test_console_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": "src"})
     assert proc.returncode == 0
     assert out.read_text().startswith("schema,config")
+
+
+@pytest.mark.parametrize("experiment", ["entropy", "modulus"])
+@pytest.mark.parametrize("bits", ["0", "-3"])
+def test_grid_bits_below_one_exits_2(tmp_path, capsys, experiment, bits):
+    code = main([experiment, "--grid-bits", bits, "--eps-count", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid-bits:") and "Traceback" not in err
+
+
+@pytest.fixture
+def no_grid_allocation(monkeypatch):
+    """Fail the test if a grid or an orbit matrix is built."""
+    from tailent import entropy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(entropy, "_default_grid", refuse)
+    monkeypatch.setattr(entropy, "_orbit_matrix", refuse)
+
+
+@pytest.mark.parametrize("experiment", ["entropy", "modulus"])
+def test_grid_bits_over_orbit_cap_exits_3(tmp_path, capsys, no_grid_allocation,
+                                         experiment):
+    code = main([experiment, "--grid-bits", "50", "--eps-count", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "cap" in err and "Traceback" not in err
+
+
+class _UnbuiltGrid:
+    """A grid of the given length that fails when turned into an array."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("grid allocated")
+
+
+def test_orbit_cap_boundary_without_allocating(no_grid_allocation):
+    from tailent import entropy
+    from tailent.errors import ResourceError
+    from tailent.maps import tent_map
+    cells = entropy._ORBIT_BYTE_CAP // 8
+    # 2^27 float64 cells fit; one more row or column does not
+    for n, size in ((1, cells), (2, cells // 2), (8, cells // 8)):
+        with pytest.raises(AssertionError, match="grid allocated"):
+            entropy._grid_orbits(tent_map(), n, 0.1, grid=_UnbuiltGrid(size))
+        with pytest.raises(ResourceError):
+            entropy._grid_orbits(tent_map(), n, 0.1, grid=_UnbuiltGrid(size + 1))
+        with pytest.raises(ResourceError):
+            entropy._grid_orbits(tent_map(), n + 1, 0.1, grid=_UnbuiltGrid(size))
+    with pytest.raises(ResourceError):
+        entropy._grid_orbits(tent_map(), 24, 0.1, grid_bits=23)
+    with pytest.raises(AssertionError, match="grid allocated"):
+        entropy._grid_orbits(tent_map(), 7, 0.1, grid_bits=23)

@@ -1,7 +1,9 @@
 """Bell table tests against brute-force partition oracles."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tailent.combinatorics import (BellTable, count_set_partitions,
@@ -126,3 +128,74 @@ def test_faa_associativity_three_maps():
     right = TABLE.faa_di_bruno(f_at, gh)         # f o (g o h)
     for a, b in zip(left, right):
         assert a == pytest.approx(b, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the shared Bell table against the per-call evaluation
+# ---------------------------------------------------------------------------
+
+def ref_faa_di_bruno(table, outer, inner):
+    """Faa di Bruno with one partial_bell call per (k, l)."""
+    out = []
+    for k in range(1, len(outer) + 1):
+        acc = 0
+        for l in range(1, k + 1):
+            acc = acc + outer[l - 1] * table.partial_bell(k, l, inner[: k - l + 1])
+        out.append(acc)
+    return out
+
+
+def _bits(x):
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    return type(x), x
+
+
+def _random_sequences(rng, r, kind):
+    if kind == "array":
+        # mixed signs and scales, with zeros of both signs
+        seq = [rng.standard_normal(257) * 10.0 ** rng.integers(-3, 4, 257)
+               for _ in range(r)]
+        for s in seq:
+            s[:3] = (0.0, -0.0, 1.0)
+        return seq
+    if kind == "float":
+        return [float(rng.standard_normal()) * 10.0 ** int(rng.integers(-3, 4))
+                for _ in range(r)]
+    if kind == "fraction":
+        return [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9)))
+                for _ in range(r)]
+    return [int(rng.integers(-9, 10)) for _ in range(r)]
+
+
+@pytest.mark.parametrize("kind", ["array", "float", "fraction", "int"])
+def test_partial_bells_match_partial_bell(kind):
+    rng = np.random.default_rng(41)
+    for r in range(0, 13):
+        inner = _random_sequences(rng, r, kind)
+        table = TABLE.partial_bells(inner)
+        assert [len(row) for row in table] == list(range(1, r + 1))
+        for k in range(1, r + 1):
+            for l in range(1, k + 1):
+                want = TABLE.partial_bell(k, l, inner[: k - l + 1])
+                assert _bits(table[k - 1][l - 1]) == _bits(want)
+
+
+@pytest.mark.parametrize("kind", ["array", "float", "fraction", "int"])
+def test_faa_di_bruno_matches_per_call_reference(kind):
+    rng = np.random.default_rng(43)
+    for r in range(0, 13):
+        inner = _random_sequences(rng, r, kind)
+        bells = TABLE.partial_bells(inner)
+        for _ in range(3):
+            outer = _random_sequences(rng, r, kind)
+            want = [_bits(x) for x in ref_faa_di_bruno(TABLE, outer, inner)]
+            assert [_bits(x) for x in TABLE.faa_di_bruno(outer, inner)] == want
+            assert [_bits(x) for x in TABLE.faa_di_bruno(outer, inner, bells)] == want
+
+
+def test_partial_bells_beyond_table():
+    with pytest.raises(ResourceError):
+        TABLE.partial_bells([1.0] * 16)

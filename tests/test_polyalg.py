@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, Q_r pipeline, and the reparametrizer."""
 
+import hashlib
 import io
 import math
 import random
@@ -8,6 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tailent import polyalg
+from tailent.acceptance import fixed_reparam_system, random_reparam_system
+from tailent.combinatorics import BellTable
 from tailent.polyalg import (Polynomial, isolate_roots, q_polynomial,
                              q_derivative_factorization, reparametrize_1d,
                              verify_atlas, serialize_atlas)
@@ -239,3 +243,218 @@ def test_atlas_serialization_roundtrip_format():
 def test_reparam_rejects_degree_above_r():
     with pytest.raises(ValueError):
         reparametrize_1d([Polynomial([0, 0, 1])], 1)
+
+
+# ---------------------------------------------------------------------------
+# step 3 against the per-call code it replaced
+# ---------------------------------------------------------------------------
+
+def ref_u_of_q(p, a, b, qv):
+    """The 60-step bisection of every lane, through Polynomial.__call__."""
+    pa, pb = p.eval_exact(a), p.eval_exact(b)
+    target = float(pa) + qv * (float(pb) - float(pa))
+    lo = np.full_like(qv, float(a))
+    hi = np.full_like(qv, float(b))
+    increasing = pb > pa
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        v = p(mid)
+        go_right = (v < target) if increasing else (v > target)
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def builder_for(p, r=2, n_samples=64):
+    return polyalg._GroupBuilder(
+        [p], r, BellTable(r), n_samples,
+        lambda i: polyalg._inverse_cofactors(p, r + 1))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("coeffs,a,b", [
+    ([0, 3], 0, Fraction(1, 3)),                              # increasing
+    ([1, -3], 0, Fraction(1, 3)),                             # decreasing
+    ([Fraction(-1, 2), 0, 0, 64, -192, 192, -64], Fraction(1, 8),
+     Fraction(3, 8)),
+    ([Fraction(7, 8), -5, Fraction(3, 2), 9, -4], Fraction(3, 5), 1),
+])
+@pytest.mark.parametrize("size", [1, 2, 3, 17, 4096])
+def test_u_of_q_matches_reference(coeffs, a, b, size):
+    p = Polynomial(coeffs)
+    qv = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.37])
+    got = builder_for(p).u_of_q(0, Fraction(a), Fraction(b), qv)
+    assert_same_bits(got, ref_u_of_q(p, Fraction(a), Fraction(b), qv))
+
+
+def test_u_of_q_endpoint_lanes_take_all_60_steps():
+    # the q = 0 lane of P(x) = 3x on [0, 1/3] keeps lo = 0 and halves hi 60
+    # times: it never settles, so the loop must run to the end for it
+    p, a, b = Polynomial([0, 3]), Fraction(0), Fraction(1, 3)
+    qv = np.array([0.0, 0.25, 1.0, 1e-300, 0.5])
+    got = builder_for(p).u_of_q(0, a, b, qv)
+    assert_same_bits(got, ref_u_of_q(p, a, b, qv))
+    assert got[0] == float(b) * 2.0 ** -61
+
+
+def test_u_of_q_non_monotone_values_take_the_plain_path():
+    # 10x^3 - 15x^2 + 6x rises, dips between 0.28 and 0.72 and rises again:
+    # the midpoints where a lane goes right are no prefix of the shared tree
+    # top, so it must be refused and the lanes bisect from [a, b]
+    p = Polynomial([0, 6, -15, 10])
+    vals, _, _ = polyalg._bisection_top(p.float_coeffs(), 0.0, 1.0, 6)
+    assert np.any(np.diff(vals) < 0)
+    qv = np.linspace(0.0, 1.0, 300)
+    for a, b in ((Fraction(0), Fraction(1)), (Fraction(1, 5), Fraction(9, 10)),
+                 (Fraction(1), Fraction(0))):
+        got = builder_for(p).u_of_q(0, a, b, qv)
+        assert_same_bits(got, ref_u_of_q(p, a, b, qv))
+
+
+def test_u_of_q_random_polynomials():
+    rng = random.Random(2024)
+    for _ in range(60):
+        deg = rng.randrange(1, 9)
+        p = Polynomial([Fraction(rng.randrange(-2 << 12, (2 << 12) + 1), 1 << 10)
+                        for _ in range(deg + 1)])
+        if p.degree < 1:
+            continue
+        x0 = Fraction(rng.randrange(0, 1 << 20), 1 << 20)
+        a, b = sorted((x0, x0 + Fraction(rng.randrange(1, 1 << 20), 1 << 22)))
+        size = rng.choice((2, 5, 64, 1000, 4096))
+        qv = np.sort(np.array([rng.random() for _ in range(size)]))
+        qv[0], qv[-1] = 0.0, 1.0
+        got = builder_for(p).u_of_q(0, a, b, qv)
+        assert_same_bits(got, ref_u_of_q(p, a, b, qv))
+
+
+def test_isolate_roots_unit_interval_skips_the_identity_composition(monkeypatch):
+    rng = random.Random(17)
+    polys = [Polynomial([Fraction(rng.randrange(-64, 65), 16)
+                         for _ in range(rng.randrange(2, 8))]) for _ in range(40)]
+    polys.append(Polynomial([0, 1]) * Polynomial([-1, 1]) * Polynomial([Fraction(-1, 2), 1]))
+    composed = [p.compose_affine(0, 1) for p in polys]
+    # the composition with x -> 0 + 1*x returns the same coefficients, so
+    # isolating the roots of p itself is what the composed path computed
+    assert all(q.coeffs == p.coeffs for p, q in zip(polys, composed))
+    calls = []
+    orig = Polynomial.compose_affine
+    monkeypatch.setattr(Polynomial, "compose_affine",
+                        lambda self, a, b: calls.append((a, b)) or orig(self, a, b))
+    for p, q in zip(polys, composed):
+        assert isolate_roots(p, 0, 1) == isolate_roots(q, Fraction(0), Fraction(1))
+    assert calls == []
+    isolate_roots(polys[0], 0, Fraction(1, 2))
+    assert len(calls) == 1
+
+
+def atlas_digest(atlas):
+    """Step counts, chart count, sampled norms, coverage and a hash of every
+    group's kind, base interval, subdivision, norms and chart images."""
+    rep = verify_atlas(atlas, 10000)
+    h = hashlib.sha256()
+    for g in atlas.groups:
+        h.update(f"{g.kind},{g.inv_index},{g.x_lo},{g.x_hi},{g.n3},"
+                 f"{g.norm_phi!r},{g.norm_comp!r}".encode())
+        h.update(g.tau_images.tobytes())
+    return (atlas.step1_count, atlas.step2_count, atlas.chart_count,
+            repr(rep.max_norm_comp), repr(rep.max_norm_phi),
+            rep.coverage_defect, rep.members, h.hexdigest())
+
+
+# Digests of the atlases built with one partial_bell call per (k, l) and
+# term, the full 60-step bisection of every lane through Polynomial.__call__,
+# and isolate_roots composing with x -> x on [0, 1].
+FIXED_ATLASES = {
+    (1, 2): (4, 4, 36, '0.75', '0.75', 0, 10000, 'a351cee618470a1b391d87b792788e4cd83eb8e11ab56790e10576cef657a165'),
+    (1, 3): (7, 8, 656, '0.022434263124428432', '0.004731473005240362', 0, 10000, 'f63387475f4b6dbecfe0b6e551e7956731095b1b269e80c6723286ce73879285'),
+    (1, 4): (10, 14, 3598, '0.008450375816304546', '0.001268025367992312', 0, 10000, 'f78411e52080c2bf827041321c5222b33f0aa7acd5e11de411f5b7eab4ed5771'),
+    (1, 5): (13, 18, 11268, '0.003918432048142484', '0.0004675220484391588', 0, 10000, '0e3410b21e7fa8323f0d7f9ff3e9fa0c24ffa1ad28e831a57c2d2fefc6deb7c2'),
+    (1, 6): (14, 26, 33722, '0.0020836874008370505', '0.00021007377596097548', 0, 10000, '4a54deac9e6ea9992b141cbcfe630aa6462671f5d3212f69fc5bdb08d0003e7a'),
+    (1, 7): (19, 30, 72060, '0.001219774331453147', '0.00015665404547934232', 0, 10000, 'd7424ddde89f1b5294a1ab8e8baf5b47f51c25caabb7ed5dc27204803594ddc6'),
+    (1, 8): (20, 44, 180268, '0.0007664976757057558', '5.827439442877453e-05', 0, 10000, '030afc0c17e93cf0b7bf5a9129b506e79e51a0f0691009704a0660928ca8110e'),
+    (2, 2): (4, 4, 36, '0.75', '0.75', 0, 8944, 'c32457bd9c77a68866dd660878bc7dbebe1cf87eea8574e77c9ee1e44b0da707'),
+    (2, 3): (5, 6, 492, '0.01829268074510827', '0.004281534268662692', 0, 7129, 'b072f9688febdcc48e7ebe6d93c6b266e230bf109c3c6e0a7486271b77a464c6'),
+    (2, 4): (8, 12, 3084, '0.006748041490506945', '0.000995713608771123', 0, 7434, '6adce4d8c5d050576e10e3175514cd7d40666083a6d6fa769913b507d09244b6'),
+    (2, 5): (9, 14, 8764, '0.003144967300932303', '0.0004675220484391588', 0, 7077, 'f373ed43ca4ba4559ea7f2e4aa9676a01ccdafa967c12af8c1a1061435477a8e'),
+    (2, 6): (10, 22, 28534, '0.0016662578799677302', '0.00021007377596097548', 0, 7214, '81f61a82bf3235ea05ac71b53af8112865ab110d398760c9df974a00e26c8a1d'),
+    (2, 7): (13, 23, 55246, '0.0009767247754218472', '0.00013358442472487798', 0, 7063, '5073e9fe05f62cd4c0bf91194701963f83068091456311e9b8d3dfee4ae33539'),
+    (2, 8): (16, 40, 163880, '0.0006131128315704122', '5.51745135390266e-05', 0, 7142, '1c59c4a0baecb42624721bc74343e9154992592fff056ffba40d277c0bd16f54'),
+    (3, 2): (4, 4, 36, '0.75', '0.75', 0, 7746, '743feae564f84f1eb810d018a6a9a7ef4593bd32263d1da833bd0fb64f9a24dd'),
+    (3, 3): (5, 6, 492, '0.013719510558831001', '0.004281534268662692', 0, 5671, 'b882d3d1675888859b6ac9df23fd1915e89c5357a5df29eb115e7369b2e4ed7f'),
+    (3, 4): (8, 12, 3084, '0.00504570716470527', '0.000995713608771123', 0, 6062, 'f8072aa6e04960a1a4da504dec6a2afdbeceace5e10c3ca2cbe8d5af9289f5c3'),
+    (3, 5): (9, 14, 8764, '0.0023587254757010943', '0.0004675220484391588', 0, 5651, '2e753cfc698703c20334678d1ffd6efc497a413b5ffa10f20022926a1bad4580'),
+    (3, 6): (10, 22, 28534, '0.001248828359094019', '0.00021007377596097548', 0, 5820, '195701cfe5565e10dcc59aad3208dfc1e00467658b6b67133febc22cee00362a'),
+    (3, 7): (13, 23, 55246, '0.000732543581566099', '0.00011147507196256764', 0, 5647, '1d6df63c03842f82374d9ad5ad8507845a18506cf33e3e76083220adef9b8a6b'),
+    (3, 8): (16, 40, 163880, '0.0004597279874332385', '5.51745135390266e-05', 0, 5738, '32c0a7fd561c3814b27c6dc15b1a29d1571d35bc4983a30298610e0aa88546ad'),
+}
+
+# random_reparam_system(random.Random(5)), the first six draws
+RANDOM_ATLASES = [
+    (1, 2, 164, '0.005937624055822901', '0.00862568055764749', 0, 3965, '4085848235548bd3d1af2ffb0be1d3097e6272f0f69579e470fdf8cd82b212ed'),
+    (1, 2, 514, '0.0031978127309752716', '0.001580993161538894', 0, 2011, '0b1c824014a67e93af6220b40a126019455ba861ae544559df6b3e4b8ac1a052'),
+    (2, 3, 1878, '0.0008179362001506636', '0.0016885458283923465', 0, 7109, '53478e25a763f77ad77f5fe25fcfef8243c2cd633bc07d706eeab675561f6345'),
+    (1, 1, 257, '0.00200323521737276', '0.0014363344904691595', 0, 1690, '3923607a35bc2c2760c4597789e8a11ab587c1bdb8eaf3b00b4ae341baf1bb84'),
+    (1, 1, 626, '0.003931209126166697', '0.0005598989232528703', 0, 1425, 'a867c456fe015fd649198292d40a30b9f0fcc3d95788c5b18423cb618514cd44'),
+    (1, 3, 12291, '0.0001963161694165133', '8.324996354140457e-05', 0, 1579, 'c7f7496ca58f6e5df2dd5c11fd591573c435ce7f0f2cf2bdd07c269e927e599b'),
+]
+
+
+@pytest.fixture
+def checked_u_of_q(monkeypatch):
+    """Run every u_of_q call of the test against ref_u_of_q as well; yields
+    the set of directions (increasing or not) seen."""
+    seen = set()
+    orig = polyalg._GroupBuilder.u_of_q
+
+    def checked(self, i, a, b, qv):
+        got = orig(self, i, a, b, qv)
+        p = self.polys[i]
+        assert_same_bits(got, ref_u_of_q(p, a, b, qv))
+        seen.add(p.eval_exact(b) > p.eval_exact(a))
+        return got
+
+    monkeypatch.setattr(polyalg._GroupBuilder, "u_of_q", checked)
+    return seen
+
+
+@pytest.mark.parametrize("m,r", sorted(FIXED_ATLASES))
+def test_fixed_atlas_matches_per_call_code(m, r, checked_u_of_q):
+    atlas = reparametrize_1d(fixed_reparam_system(m, r), r)
+    assert atlas_digest(atlas) == FIXED_ATLASES[(m, r)]
+
+
+def test_random_atlases_match_per_call_code(checked_u_of_q):
+    rng = random.Random(5)
+    for want in RANDOM_ATLASES:
+        polys, r = random_reparam_system(rng)
+        assert atlas_digest(reparametrize_1d(polys, r)) == want
+    assert checked_u_of_q == {True, False}
+
+
+def test_step3_shares_bell_tables_and_cofactors(monkeypatch):
+    counts = {"bells": 0, "cofactors": 0}
+    orig_bells = BellTable.partial_bells
+    orig_cof = polyalg._inverse_cofactors
+
+    def bells(self, inner):
+        counts["bells"] += 1
+        return orig_bells(self, inner)
+
+    def cofactors(p, r):
+        counts["cofactors"] += 1
+        return orig_cof(p, r)
+
+    monkeypatch.setattr(BellTable, "partial_bells", bells)
+    monkeypatch.setattr(polyalg, "_inverse_cofactors", cofactors)
+    atlas = reparametrize_1d(fixed_reparam_system(2, 5), 5)
+    inverting = {g.inv_index for g in atlas.groups if g.inv_index >= 0}
+    assert inverting
+    # one table per step-2 piece (its phi chain) plus one for the Q_r
+    # derivatives; one cofactor family per inverting polynomial
+    assert counts["bells"] == atlas.step2_count + 1
+    assert counts["cofactors"] == len(inverting)

@@ -198,3 +198,17 @@ def test_parse_weight_errors():
         parse_weight("gevrey:2")
     with pytest.raises(ValueError):
         parse_weight("const:0.5")
+
+
+def test_weight_from_rate_concave_hypothesis_is_a_field():
+    # 1/a(e^-x) is x^(1/7)-like for a power rate (not concave enough to pass
+    # the advisory check) and exactly x for a = 1/|log t|
+    w, companion = weight_from_rate(lambda e: e ** (1.0 / 7), 1.0)
+    assert w.concave_hypothesis is False
+    w_log, _ = weight_from_rate(lambda t: 1.0 / abs(math.log(t)), 1.0)
+    assert w_log.concave_hypothesis is True
+    # the log cache holds log M_k per integer k and nothing else
+    assert w.cache and all(type(k) is int for k in w.cache)
+    assert w.log_weight(7) == w.cache[7]
+    assert companion.concave_hypothesis is None
+    assert KPOW2.concave_hypothesis is None

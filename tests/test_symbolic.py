@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +12,7 @@ import pytest
 from tailent.errors import (DegenerateShiftError, DomainError,
                             HypothesisUnmetError, MixingRequiredError,
                             PrecisionError, TailentError)
-from tailent.symbolic import (CantorApprox, build_Yp, gap_lemma_check,
+from tailent.symbolic import (CantorApprox, GapRecord, build_Yp, gap_lemma_check,
                               load_sft_file, middle_cantor, parse_cantor_spec,
                               periodic_shadow, power_system,
                               sft_from_forbidden_words, sft_entropy, thickness,
@@ -344,3 +345,120 @@ def test_parse_cantor_spec():
     assert c.depth == 12 and thickness(c) == 1
     with pytest.raises(ValueError):
         parse_cantor_spec("remove-edges 1/3 depth 2")
+
+
+def test_sft_entropy_stops_at_a_period_2_cycle():
+    # the normalized iterate alternates [1/2, 1/4, 1/4] <-> [1/3, 1/3, 1/3]
+    # and the estimate 4/3 <-> 3/2, so no step count could make it converge
+    period2 = sft_from_forbidden_words(3, ["00", "11", "12", "21", "22"])
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="oscillates with period 2"):
+        sft_entropy(period2)
+    assert time.perf_counter() - start < 0.5
+    # the reference runs into max_iter on the same shift
+    want, converged = ref_sft_entropy(period2, max_iter=1000)
+    assert not converged
+
+
+def test_sft_entropy_period_2_cycle_on_the_array_path():
+    # 0 -> {1..8} -> 0: 9 states, iterated on numpy arrays
+    words = ["00"] + [f"{a}{b}" for a in range(1, 9) for b in range(1, 9)]
+    shift = sft_from_forbidden_words(9, words)
+    assert shift.size >= 8
+    with pytest.raises(PrecisionError, match="oscillates with period 2"):
+        sft_entropy(shift)
+
+
+# ---------------------------------------------------------------------------
+# Cantor constructions against the code they replaced
+# ---------------------------------------------------------------------------
+
+def ref_middle_cantor(remove_ratio, depth, hull=(0, 1)):
+    r = Fraction(remove_ratio)
+    keep = (1 - r) / 2
+    lo, hi = Fraction(hull[0]), Fraction(hull[1])
+    levels = [[(lo, hi)]]
+    gaps = []
+    for level in range(1, depth + 1):
+        nxt = []
+        for a, b in levels[-1]:
+            w = b - a
+            l_int = (a, a + keep * w)
+            r_int = (b - keep * w, b)
+            gap = (a + keep * w, b - keep * w)
+            gaps.append((level, gap, l_int, r_int))
+            nxt.extend([l_int, r_int])
+        levels.append(nxt)
+    return levels, gaps
+
+
+def ref_scaled(c, a, b):
+    a, b = Fraction(a), Fraction(b)
+    h0, h1 = c.hull()
+    span = h1 - h0
+
+    def mv(x):
+        return a + (b - a) * (x - h0) / span
+
+    levels = [[(mv(lo), mv(hi)) for lo, hi in lv] for lv in c.levels]
+    gaps = [(g.level, (mv(g.gap[0]), mv(g.gap[1])),
+             (mv(g.left[0]), mv(g.left[1])),
+             (mv(g.right[0]), mv(g.right[1]))) for g in c.gaps]
+    return levels, gaps
+
+
+def cantor_parts(c):
+    return c.levels, [(g.level, g.gap, g.left, g.right) for g in c.gaps]
+
+
+def assert_fractions(parts):
+    levels, gaps = parts
+    for lv in levels:
+        for iv in lv:
+            assert all(type(x) is Fraction for x in iv)
+    for g in gaps:
+        assert all(type(x) is Fraction for iv in g[1:] for x in iv)
+
+
+@pytest.mark.parametrize("ratio", [Fraction(1, 3), Fraction(1, 5), Fraction(1, 2),
+                                   Fraction(2, 7), Fraction(9, 10)])
+def test_middle_cantor_and_scaled_match_reference(ratio):
+    for hull in ((0, 1), (Fraction(1, 3), Fraction(13, 10)), (-2, Fraction(5, 7))):
+        for depth in (0, 1, 2, 5, 8):
+            c = middle_cantor(ratio, depth, hull)
+            assert cantor_parts(c) == ref_middle_cantor(ratio, depth, hull)
+            assert_fractions(cantor_parts(c))
+            for a, b in ((Fraction(2, 7), Fraction(9, 5)), (0, 1), (3, -1),
+                         (Fraction(1, 1000), Fraction(1, 1000)),
+                         (Fraction(87, 1000), Fraction(613, 1000))):
+                s = c.scaled(a, b)
+                assert cantor_parts(s) == ref_scaled(c, a, b)
+                assert_fractions(cantor_parts(s))
+
+
+def test_scaled_endpoints_with_equal_values_in_distinct_objects():
+    # the image cache is keyed by value, so equal endpoints that are
+    # distinct objects (here built by hand) map to the same image
+    lv0 = [(Fraction(0), Fraction(1))]
+    lv1 = [(Fraction(0), Fraction(2, 5)), (Fraction(6, 10), Fraction(1))]
+    gap = GapRecord(1, (Fraction(4, 10), Fraction(3, 5)), lv1[0], lv1[1])
+    c = CantorApprox([lv0, lv1], [gap])
+    s = c.scaled(Fraction(1, 7), Fraction(3, 2))
+    assert cantor_parts(s) == ref_scaled(c, Fraction(1, 7), Fraction(3, 2))
+    assert thickness(s) == thickness(c) == 2
+
+
+def test_gap_lemma_on_scaled_pairs_matches_reference_construction():
+    rng = random.Random(987654)
+    for _ in range(6):
+        a1 = Fraction(rng.randrange(0, 100), 1000)
+        b1 = a1 + Fraction(rng.randrange(400, 700), 1000)
+        a2 = a1 + Fraction(rng.randrange(100, 300), 1000)
+        b2 = b1 + Fraction(rng.randrange(100, 300), 1000)
+        base = middle_cantor(Fraction(1, 5), 6)
+        k, f = base.scaled(a1, b1), base.scaled(a2, b2)
+        rk, rf = ref_scaled(base, a1, b1), ref_scaled(base, a2, b2)
+        assert cantor_parts(k) == rk and cantor_parts(f) == rf
+        res = gap_lemma_check(k, f)
+        assert res["alternative"] == "intersect"
+        assert res["interior_nonempty_all_levels"]
