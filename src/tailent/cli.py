@@ -19,12 +19,16 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import ConfigError, TailentError
+from .errors import ConfigError, ResourceError, TailentError
 
 SCHEMA_VERSION = "1"
 
 EXPERIMENTS = ("entropy", "tail", "bounds", "reparam", "sft", "thickness",
                "weights", "snake", "modulus", "verify")
+
+# Size caps, checked before anything is built (ResourceError, exit 3); Y_p
+# has 2^(p-1) states and takes about 0.8 s and 75 MB at p = 18.
+_EPS_COUNT_CAP, _SFT_P_CAP = 256, 20
 
 
 @dataclass
@@ -52,6 +56,9 @@ class ExperimentConfig:
     def eps_schedule(self):
         if self.eps_count < 1:
             raise ConfigError("eps-count", "schedule must be nonempty")
+        if self.eps_count > _EPS_COUNT_CAP:
+            raise ResourceError(f"eps-count {self.eps_count} is over the cap "
+                                f"{_EPS_COUNT_CAP}")
         if not 0 < self.eps_ratio < 1:
             raise ConfigError("eps-ratio", "ratio must be in (0,1)")
         if not 0 < self.eps_start < 1:
@@ -68,6 +75,16 @@ class ExperimentConfig:
         if self.grid_bits < 1:
             raise ConfigError("grid-bits", "must be >= 1")
         return self.grid_bits
+
+    def p_range(self):
+        if self.p_min < 2:
+            raise ConfigError("p-min", "must be >= 2")
+        if self.p_max < self.p_min:
+            raise ConfigError("p-max", "must be >= p-min")
+        if self.p_max > _SFT_P_CAP:
+            raise ResourceError(f"p-max {self.p_max} (2^{self.p_max - 1} "
+                                f"states) is over the cap {_SFT_P_CAP}")
+        return range(self.p_min, self.p_max + 1)
 
     def semantic_items(self):
         skip = {"threads", "out"}
@@ -150,7 +167,9 @@ def _map_for(cfg):
 
 
 def _parallel(fn, items, threads):
-    if threads <= 1:
+    if threads < 1:
+        raise ConfigError("threads", "must be >= 1")
+    if threads == 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
@@ -234,7 +253,7 @@ def run_sft(cfg):
         sft = load_sft_file(cfg.sft_spec)
         w.add(cfg.sft_spec, "", sft_entropy(sft), "")
     else:
-        for p in range(cfg.p_min, cfg.p_max + 1):
+        for p in cfg.p_range():
             h = sft_entropy(build_Yp(p))
             w.add(f"Y_{p}", p, h, math.log(2 ** p - 1) / p)
     w.write()
@@ -245,7 +264,7 @@ def run_thickness(cfg):
     from .symbolic import parse_cantor_spec, thickness
     try:
         c = parse_cantor_spec(cfg.cantor_spec)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("cantor", str(exc))
     w = CsvWriter(cfg.out, ["spec", "depth", "thickness"], cfg)
     t = thickness(c)
@@ -260,6 +279,8 @@ def run_weights(cfg):
         weight = parse_weight(cfg.weight_spec)
     except (KeyError, ValueError) as exc:
         raise ConfigError("weight", str(exc))
+    if cfg.k_max < 0:
+        raise ConfigError("k-max", "must be >= 0")
     w = CsvWriter(cfg.out, ["weight", "k", "log_m", "a_k", "log_convex"], cfg)
     convex = is_log_convex(weight, min(cfg.k_max, 120))
     for k in range(0, cfg.k_max + 1):
@@ -272,12 +293,15 @@ def run_snake(cfg):
     from .maps import build_snake, get_rate
     try:
         rate = get_rate(cfg.rate_spec)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError("rate", str(exc))
     w = CsvWriter(cfg.out, ["eps", "P", "N", "M", "R", "window", "osc",
                             "profile_d1", "profile_d2", "profile_d3"], cfg)
     for eps in cfg.eps_schedule():
-        params, sm = build_snake(rate, eps, cfg.lambda_u)
+        try:
+            params, sm = build_snake(rate, eps, cfg.lambda_u)
+        except ValueError as exc:
+            raise ConfigError("snake", str(exc))
         w.add(eps, params.P, params.N, params.M, params.R, params.ell,
               sm.oscillation_count(),
               sm.profile_derivative_sup(1), sm.profile_derivative_sup(2),

@@ -25,7 +25,8 @@ center), so each time step is a fixed number of array operations over all
 centers, and at most len(centers) * piece_cap pieces are held between
 steps.  Per-center counts are sums of integer-valued floats gathered with
 np.bincount, exact in any order.  Fold-cycle centers likewise bisect all
-their (period, critical point, side) brackets in one array pass.
+their (period, critical point, side) brackets in one `polyalg._bisect`
+call, cut from the pullback levels that the map keeps across scales.
 
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
@@ -42,6 +43,7 @@ import numpy as np
 from .errors import (DomainError, ResolutionError, ResourceError, ScaleError,
                      TailentError)
 from .maps import IntervalMap, _critical_pullbacks
+from .polyalg import _bisect
 
 __all__ = [
     "EntropyEstimate", "spanning_count", "eps_entropy", "tail_entropy_estimate",
@@ -50,8 +52,9 @@ __all__ = [
 ]
 
 _DEFAULT_GRID_BITS = 14
-# Largest orbit matrix a grid estimate may allocate: 2^27 float64 cells.
-_ORBIT_BYTE_CAP = 1 << 30
+# Largest orbit matrix a grid estimate may allocate: 2^27 float64 cells, so
+# the dyadic grid has at most 2^26 cells.
+_ORBIT_BYTE_CAP, _GRID_BITS_CAP = 1 << 30, 26
 _DEFAULT_N_RANGE = range(1, 25)
 
 
@@ -179,12 +182,15 @@ def _default_grid(grid_bits):
 def _grid_orbits(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS):
     """Column-store orbits of length n of the grid (the dyadic grid of
     2^grid_bits cells unless `grid` is given), after checking, before any
-    allocation, that the orbit matrix stays under _ORBIT_BYTE_CAP bytes
+    allocation, that grid_bits and the orbit matrix stay under their caps
     (ResourceError) and then that the grid resolves scale eps."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if eps <= 0:
         raise DomainError("eps must be positive")
+    if grid is None and grid_bits > _GRID_BITS_CAP:
+        raise ResourceError(
+            f"grid-bits {grid_bits} is over the cap {_GRID_BITS_CAP}")
     size = (1 << grid_bits) + 1 if grid is None else len(grid)
     if n * size * 8 > _ORBIT_BYTE_CAP:
         raise ResourceError(
@@ -304,9 +310,9 @@ def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
     which generic centers never see.
 
     The brackets of all (q, c, side) come from the critical-point pullback
-    (stopped once a level holds more than point_cap points); their
-    endpoints are then evaluated in one pass and every sign-change bracket
-    is bisected at once, 60 halvings each.
+    (stopped once a level holds more than point_cap points; levels are
+    cached on the map); their endpoints are then evaluated in one pass and
+    every sign-change bracket is bisected at once, 60 halvings each.
     """
     crit = sorted(m.critical_points)
     if not crit:
@@ -336,15 +342,9 @@ def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
     ghi = ends[1::2] - hi
     y = np.where(glo == 0.0, lo, hi)
     bisect = glo * ghi < 0
-    a, b, ga, qb = lo[bisect], hi[bisect], glo[bisect], qs[bisect]
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        gm = _iterate_periods(m, mid, qb) - mid
-        left = ga * gm <= 0
-        b = np.where(left, mid, b)
-        a = np.where(left, a, mid)
-        ga = np.where(left, ga, gm)
-    y[bisect] = 0.5 * (a + b)
+    qb = qs[bisect]
+    y[bisect] = _bisect(lambda x, lane: _iterate_periods(m, x, qb[lane]) - x,
+                        lo[bisect], hi[bisect], 0.0, glo[bisect] < 0, 60)
     solved = (glo == 0.0) | (ghi == 0.0) | bisect
     return y[solved & (np.abs(y - cs) < 0.999 * eps)].tolist()
 
@@ -608,8 +608,8 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
     is not reached below s_hi the result is capped at s_hi (capped=True):
     the true N(eps) is larger, so the returned bound is a lower surrogate.
     """
-    if m0 < 2:
-        raise DomainError("m0 must be >= 2")
+    if not 2 <= m0 < math.inf:
+        raise DomainError("m0 must be finite and >= 2")
     # the hypothesis is monotone decay at small scales
     probe = np.geomspace(1e-6, min(eps, 0.06), 12)
     vals = [hloc_g(t) for t in probe]

@@ -3,8 +3,10 @@ single-bump oscillation ("snake") family, with derivatives, monotone
 structure, and a string registry used by the CLI.
 
 All map objects are immutable after construction; caches (critical points,
-monotone partition) are built lazily from exact root isolation for the
-polynomial kind and from sampled sign changes elsewhere.
+monotone partition, critical-point pullback levels) are built lazily.
+Critical points come from exact root isolation for the polynomial kind and
+from sampled sign changes elsewhere, refined by the lane-array bisection
+`polyalg._bisect`, which also solves f(x) = y on each monotone branch.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
+from threading import Lock
 
 import numpy as np
 
@@ -23,12 +26,13 @@ from .errors import (DomainError, NotC1Error, ResourceError,
 
 __all__ = [
     "IntervalMap", "PolynomialMap", "PiecewiseAffineMap", "SnakeMap",
-    "IterateMap", "SnakeParams", "build_snake", "get_map", "get_rate",
+    "SnakeParams", "build_snake", "get_map", "get_rate",
     "min_branch_length_iterate", "quadratic_map", "tent_map", "identity_map",
 ]
 
 _GRID_BITS_SUP = 14      # dense grid for sup-norm estimates on non-polynomials
 _GRID_BITS_CRIT = 16     # sampled sign changes for closed-form critical points
+_PULLBACK_LOCK = Lock()  # guards the growth of every map's pullback levels
 
 
 def _as_array(x):
@@ -45,6 +49,7 @@ class IntervalMap:
     def __init__(self):
         self._crit = None
         self._branches = None
+        self._pullbacks = []    # levels of _critical_pullbacks built so far
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, x):
@@ -82,26 +87,15 @@ class IntervalMap:
         return self._crit
 
     def _find_critical_points(self):
-        # sampled sign changes of f' plus local bisection
+        # sampled sign changes of f', each bracket bisected 60 times
         n = 1 << _GRID_BITS_CRIT
         xs = np.linspace(0.0, 1.0, n + 1)
         d = self._deriv_array(xs, 1)
         s = np.sign(d)
         idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-        roots = []
-        for i in idx:
-            lo, hi = xs[i], xs[i + 1]
-            flo = d[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = float(self._deriv_array(np.array([mid]), 1)[0])
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-        roots.extend(xs[1:-1][d[1:-1] == 0.0])
-        return sorted(set(roots))
+        roots = polyalg._bisect(lambda x, lane: self._deriv_array(x, 1),
+                                xs[idx], xs[idx + 1], 0.0, d[idx] < 0, 60)
+        return sorted(set(roots.tolist() + xs[1:-1][d[1:-1] == 0.0].tolist()))
 
     def _sign_change_points(self):
         """Critical points where f' actually changes sign."""
@@ -169,9 +163,6 @@ class IntervalMap:
             seg = d[i:i + k + 1]
             w = max(w, float(seg.max() - seg.min()))
         return w
-
-    def iterate(self, p):
-        return IterateMap(self, p)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -306,72 +297,25 @@ class PiecewiseAffineMap(IntervalMap):
         return np.sort(np.concatenate(out)) if out else np.empty(0)
 
 
-class IterateMap(IntervalMap):
-    """p-fold composition f^p of a base map."""
-
-    def __init__(self, base, p):
-        super().__init__()
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        self.base = base
-        self.p = int(p)
-        self.k_max = 1
-        self.smooth = base.smooth
-        self.name = f"{base.name}^{p}"
-
-    def _eval_array(self, xs):
-        v = np.clip(xs, 0.0, 1.0)
-        for _ in range(self.p):
-            v = np.clip(self.base._eval_array(v), 0.0, 1.0)
-        return v
-
-    def _deriv_array(self, xs, order):
-        if order != 1:
-            raise UnsupportedOrderError("iterated maps expose order 1 only")
-        v = np.clip(xs, 0.0, 1.0)
-        acc = np.ones_like(v)
-        for _ in range(self.p):
-            acc = acc * self.base._deriv_array(v, 1)
-            v = np.clip(self.base._eval_array(v), 0.0, 1.0)
-        return acc
-
-    def _find_critical_points(self):
-        pts = _pullback_critical_points(self.base, self.p)
-        return [x for x in pts if 0 < x < 1]
-
-    def _sign_change_points(self):
-        return self._find_critical_points()
-
-
 # ---------------------------------------------------------------------------
 # branch pullback and the p_eps scale
 # ---------------------------------------------------------------------------
 
-def _preimages(m: IntervalMap, ys, tol=1e-14):
-    """Solutions of f(x) = y over all monotone branches, for an array ys."""
+def _preimages(m: IntervalMap, ys):
+    """Solutions of f(x) = y over all monotone branches, for an array ys:
+    52 halvings per branch."""
     if isinstance(m, PiecewiseAffineMap):
         return m.branch_preimages(np.asarray(ys, dtype=float))
     branches, _, _ = m.monotone_partition()
     ys = np.asarray(ys, dtype=float)
     out = []
     for a, b in branches:
-        fa = float(m.evaluate_array(np.array([a]))[0])
-        fb = float(m.evaluate_array(np.array([b]))[0])
-        lo_v, hi_v = min(fa, fb), max(fa, fb)
-        sel = (ys >= lo_v) & (ys <= hi_v)
-        tgt = ys[sel]
-        if tgt.size == 0:
-            continue
-        lo = np.full_like(tgt, a)
-        hi = np.full_like(tgt, b)
-        increasing = fb > fa
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            v = m.evaluate_array(mid)
-            go_right = (v < tgt) if increasing else (v > tgt)
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-        out.append(0.5 * (lo + hi))
+        fa, fb = m.evaluate_array(np.array([a, b])).tolist()
+        tgt = ys[(ys >= min(fa, fb)) & (ys <= max(fa, fb))]
+        if tgt.size:
+            out.append(polyalg._bisect(
+                lambda x, lane: m.evaluate_array(x), np.full_like(tgt, a),
+                np.full_like(tgt, b), tgt, fb > fa, 52))
     return np.sort(np.concatenate(out)) if out else np.empty(0)
 
 
@@ -379,22 +323,23 @@ def _critical_pullbacks(m: IntervalMap):
     """Level sets of the critical-point pullback: level 0 is crit(f) and
     level k + 1 is crit(f) together with the f-preimages of level k, i.e.
     the critical points of f^(k+1) (sorted, deduplicated from level 1 on).
-    Endless and lazy: a level is computed only when it is asked for, so
-    each caller applies its own cap policy between levels."""
-    base = np.array(sorted(m.critical_points), dtype=float)
-    cur = base.copy()
-    while True:
-        yield cur
-        cur = np.unique(np.concatenate([base, _preimages(m, cur)]))
 
-
-def _pullback_critical_points(m: IntervalMap, p, point_cap=1 << 17):
-    """Critical points of f^p as pullbacks of crit(f)."""
-    for k, cur in enumerate(_critical_pullbacks(m)):
-        if k > 0 and cur.size > point_cap:
-            raise ResourceError(f"branch explosion beyond {point_cap} points")
-        if k >= p - 1:
-            return cur.tolist()
+    Endless and lazy: a level is built only when it is asked for, so each
+    caller applies its own cap policy between levels.  Built levels are
+    kept on the map, read-only, for every later walk; they grow under a
+    lock, since threads may share the map.
+    """
+    levels = m._pullbacks
+    for k in count():
+        if k == len(levels):
+            with _PULLBACK_LOCK:
+                if k == len(levels):
+                    nxt = (np.unique(np.concatenate(
+                        [levels[0], _preimages(m, levels[-1])])) if levels
+                        else np.array(sorted(m.critical_points), dtype=float))
+                    nxt.flags.writeable = False
+                    levels.append(nxt)
+        yield levels[k]
 
 
 def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
@@ -551,8 +496,8 @@ def build_snake(rate, eps, lambda_u, big_c=1.0):
     if not 0 < eps < 1:
         raise DomainError("need 0 < eps < 1")
     a_eps = float(rate(eps))
-    if a_eps <= 0 or lambda_u <= 0:
-        raise ValueError("need a(eps) > 0 and lambda_u > 0")
+    if not (a_eps > 0 and 0 < lambda_u < math.inf):
+        raise ValueError("need a(eps) > 0 and a finite lambda_u > 0")
     if big_c <= eps:
         raise ValueError("need C > eps so that R > M")
     P = -math.log(eps) / a_eps

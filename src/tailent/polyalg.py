@@ -146,8 +146,10 @@ class Polynomial:
         return self._fcoeffs
 
     def __call__(self, x):
-        """Float evaluation, scalar or numpy array."""
+        """Float evaluation, scalar or numpy array (through `_horner`)."""
         cs = self.float_coeffs()
+        if np.ndim(x) and cs.size > 1:
+            return _horner(cs, np.asarray(x, dtype=float))
         if cs.size == 0:
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
         acc = np.zeros_like(np.asarray(x, dtype=float)) + cs[-1] if np.ndim(x) else cs[-1]
@@ -535,16 +537,61 @@ def _composition_numerators(p_j: Polynomial, p_i: Polynomial, r):
 
 
 def _horner(cs, x):
-    """Float value at the array x of the polynomial with float coefficients
-    cs (ascending, degree >= 1), in place, by the multiplies and adds of
-    Polynomial.__call__.  That starts from 0 + cs[-1], which is cs[-1]
-    itself, the leading coefficient being nonzero."""
+    """Float value at the float array x of the polynomial with float
+    coefficients cs (ascending, degree >= 1) by Horner's rule, in place:
+    v = cs[-1] * x + cs[-2], then v = v * x + c for the rest."""
     v = x * cs[-1]
     v += cs[-2]
     for c in cs[-3::-1]:
         v *= x
         v += c
     return v
+
+
+def _bisect(evaluate, lo, hi, target, increasing, steps):
+    """Solve evaluate(x) = target in every lane by `steps` midpoint halvings.
+
+    Lane j goes right (lo = mid = 0.5 * (lo + hi)) where evaluate(mid, lane)
+    lies before target[j] (below it if the lane is increasing, above it if
+    not), else left, and returns the midpoint of its last bracket.  `lane`
+    holds the indices of the running lanes, for per-lane data; `increasing`
+    is one bool or one per lane, and a scalar target serves every lane.
+
+    A lane whose bracket did not move is final, so it is written out and
+    dropped; no bracket stops moving while wider than four ulps of its
+    endpoints, so that test starts once the narrowest bracket could be.
+    The bits are those of all lanes running all steps.
+    """
+    out = np.empty_like(lo)
+    if not lo.size:
+        return out
+    target = np.full_like(lo, target) if np.ndim(target) == 0 else target
+    if np.ndim(increasing):     # compare sign * v with sign * target, exact
+        sign, before = np.where(increasing, 1.0, -1.0), np.less
+        target = sign * target
+    else:
+        sign, before = None, np.less if increasing else np.greater
+    width = float(np.min(hi - lo))
+    top = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    settle_from = int(math.log2(width / (4 * math.ulp(top)))) if width > 0 else 0
+    lane = np.arange(lo.size)
+    for step in range(steps):
+        mid = 0.5 * (lo + hi)
+        v = evaluate(mid, lane)
+        go_right = before(v if sign is None else sign * v, target)
+        settled = np.where(go_right, lo, hi) == mid if step >= settle_from else None
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+        if settled is not None and settled.any():
+            out[lane[settled]] = 0.5 * (lo[settled] + hi[settled])
+            keep = ~settled
+            lane, lo, hi, target = lane[keep], lo[keep], hi[keep], target[keep]
+            if sign is not None:
+                sign = sign[keep]
+            if not lane.size:
+                return out
+    out[lane] = 0.5 * (lo + hi)
+    return out
 
 
 def _bisection_top(cs, a, b, depth):
@@ -594,22 +641,15 @@ class _GroupBuilder:
     def u_of_q(self, i, a, b, qv):
         """Invert P_i on [a, b] at P_i(a) + qv*(P_i(b)-P_i(a)) by bisection.
 
-        Each lane (one entry of qv) runs 60 halvings of [a, b], going right
-        where the float value of P_i at the midpoint lies before its target,
-        and returns the midpoint of its last bracket.  Three shortcuts give
-        the same bits:
-
-        - The first `depth` levels, with 2^depth <= lanes, are the same tree
-          of midpoints for every lane.  P_i is evaluated there once; when
-          those values are monotone in x, the midpoints where a lane goes
-          right are a prefix, so one binary search of the target places
-          every lane at its leaf.  Otherwise all lanes start from [a, b].
-        - A lane's step depends on its own (lo, hi) alone, so a lane whose
-          (lo, hi) did not move in a step never moves again: it is written
-          out and dropped, and the loop ends when no lane is left.  No lane
-          can settle while its bracket is wider than four ulps of
-          max(|a|, |b|), so the test starts after that many halvings.
-        - P_i is evaluated by Horner's rule in place (`_horner`).
+        Each lane (one entry of qv) runs 60 halvings of [a, b] in `_bisect`,
+        with P_i evaluated by Horner's rule in place (`_horner`).  The first
+        `depth` levels, with 2^depth <= lanes, are the same tree of
+        midpoints for every lane.  P_i is evaluated there once; when those
+        values are monotone in x, the midpoints where a lane goes right are
+        a prefix, so one binary search of the target places every lane at
+        its leaf and `_bisect` runs the remaining 60 - depth halvings.
+        Otherwise all lanes start from [a, b].  The bits are those of 60
+        plain halvings.
         """
         p = self.polys[i]
         pa, pb = p.eval_exact(a), p.eval_exact(b)
@@ -625,32 +665,8 @@ class _GroupBuilder:
             lo, hi, first = leaf_lo[leaf], leaf_hi[leaf], depth
         else:
             lo, hi, first = np.full_like(qv, fa), np.full_like(qv, fb), 0
-        settle_from = first
-        if fb > fa:
-            settle_from = max(first, int(math.log2(
-                (fb - fa) / (4 * math.ulp(max(abs(fa), abs(fb)))))))
-        out = np.empty_like(qv)
-        lane = np.arange(qv.size)
-        for step in range(first, 60):
-            mid = 0.5 * (lo + hi)
-            v = _horner(cs, mid)
-            go_right = (v < target) if increasing else (v > target)
-            if step < settle_from:
-                lo = np.where(go_right, mid, lo)
-                hi = np.where(go_right, hi, mid)
-                continue
-            settled = np.where(go_right, lo, hi) == mid
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-            if settled.any():
-                out[lane[settled]] = 0.5 * (lo[settled] + hi[settled])
-                moving = ~settled
-                lane, lo, hi, target = (lane[moving], lo[moving], hi[moving],
-                                        target[moving])
-                if not lane.size:
-                    return out
-        out[lane] = 0.5 * (lo + hi)
-        return out
+        return _bisect(lambda x, lane: _horner(cs, x), lo, hi, target,
+                       increasing, 60 - first)
 
     def chain_derivatives(self, kind, inv_index, a, b):
         """Derivative samples of phi o Q_r and of every P_j o phi o Q_r.

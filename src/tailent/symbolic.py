@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (DegenerateShiftError, DomainError, HypothesisUnmetError,
-                     MixingRequiredError, PrecisionError)
+                     MixingRequiredError, PrecisionError, ResourceError)
 
 __all__ = [
     "Sft", "sft_from_forbidden_words", "sft_entropy", "build_Yp",
@@ -544,9 +544,16 @@ def gap_lemma_check(k: CantorApprox, f: CantorApprox, depth=None):
             "interior_nonempty_all_levels": interior_ok}
 
 
+_CANTOR_DEPTH_CAP = 16  # 2^16 intervals: about 2 s and 60 MB of Fractions
+
+
 def parse_cantor_spec(spec):
-    """CantorApprox spec string: 'remove-middle 1/3 depth 12'."""
+    """CantorApprox spec string: 'remove-middle 1/3 depth 12'.  A depth over
+    _CANTOR_DEPTH_CAP raises ResourceError before anything is built."""
     toks = spec.split()
     if len(toks) != 4 or toks[0] != "remove-middle" or toks[2] != "depth":
         raise ValueError(f"bad Cantor spec {spec!r}")
+    if int(toks[3]) > _CANTOR_DEPTH_CAP:
+        raise ResourceError(f"Cantor depth {toks[3]} is over the cap "
+                            f"{_CANTOR_DEPTH_CAP}")
     return middle_cantor(Fraction(toks[1]), int(toks[3]))

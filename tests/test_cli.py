@@ -1,11 +1,15 @@
 """CLI subcommands, config handling, CSV schema, determinism."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailent.cli import ExperimentConfig, load_config, main
 
@@ -259,3 +263,159 @@ def test_orbit_cap_boundary_without_allocating(no_grid_allocation):
         entropy._grid_orbits(tent_map(), 24, 0.1, grid_bits=23)
     with pytest.raises(AssertionError, match="grid allocated"):
         entropy._grid_orbits(tent_map(), 7, 0.1, grid_bits=23)
+
+
+# ---------------------------------------------------------------------------
+# size caps and refused flag values
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Fail the test if an SFT, a Cantor set or an estimate is built."""
+    from tailent import entropy, symbolic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(symbolic, "build_Yp", refuse)
+    monkeypatch.setattr(symbolic, "middle_cantor", refuse)
+    monkeypatch.setattr(entropy, "tail_entropy_estimate", refuse)
+
+
+@pytest.mark.parametrize("args", [
+    ["sft", "--p-max", "21"],
+    ["sft", "--p-min", "3", "--p-max", "1000000"],
+    ["thickness", "--cantor", "remove-middle 1/3 depth 17"],
+    ["thickness", "--cantor", "remove-middle 1/3 depth 100000000000"],
+    ["tail", "--eps-count", "257"],
+    ["tail", "--eps-count", "10000000000"],
+])
+def test_size_over_cap_exits_3_before_building(tmp_path, capsys, nothing_built,
+                                               args):
+    code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric/resource error:") and "cap" in err
+
+
+def test_size_caps_boundaries(nothing_built):
+    from tailent import cli, symbolic
+    from tailent.errors import ResourceError
+    cfg = ExperimentConfig(name="sft", p_min=2, p_max=cli._SFT_P_CAP)
+    assert cfg.p_range() == range(2, cli._SFT_P_CAP + 1)
+    cfg.p_max += 1
+    with pytest.raises(ResourceError):
+        cfg.p_range()
+    cfg = ExperimentConfig(name="tail", eps_count=cli._EPS_COUNT_CAP)
+    assert len(cfg.eps_schedule()) == cli._EPS_COUNT_CAP
+    cfg.eps_count += 1
+    with pytest.raises(ResourceError):
+        cfg.eps_schedule()
+    depth = symbolic._CANTOR_DEPTH_CAP
+    with pytest.raises(AssertionError, match="built"):
+        symbolic.parse_cantor_spec(f"remove-middle 1/3 depth {depth}")
+    with pytest.raises(ResourceError):
+        symbolic.parse_cantor_spec(f"remove-middle 1/3 depth {depth + 1}")
+
+
+def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
+    from tailent import entropy
+    from tailent.errors import ResourceError
+    from tailent.maps import tent_map
+    bits = entropy._GRID_BITS_CAP
+    with pytest.raises(AssertionError, match="grid allocated"):
+        entropy._grid_orbits(tent_map(), 1, 0.1, grid_bits=bits)
+    # 2^(10^12) would not fit in memory as an int, let alone as a grid
+    for over in (bits + 1, 10 ** 12):
+        with pytest.raises(ResourceError, match="grid-bits"):
+            entropy._grid_orbits(tent_map(), 1, 0.1, grid_bits=over)
+
+
+@pytest.mark.parametrize("args,field", [
+    (["sft", "--p-min", "1"], "p-min"),
+    (["sft", "--p-min", "5", "--p-max", "4"], "p-max"),
+    (["weights", "--k-max=-1"], "k-max"),
+    (["tail", "--threads", "0"], "threads"),
+    (["snake", "--lambda-u", "nan"], "snake"),
+    (["snake", "--rate", "pow:1e"], "rate"),
+    (["thickness", "--cantor", "remove-middle 1/0 depth 3"], "cantor"),
+    (["thickness", "--cantor", "remove-middle 1/3 depth 1.5"], "cantor"),
+])
+def test_refused_values_exit_2(tmp_path, capsys, nothing_built, args, field):
+    code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_NON_NUMERIC = st.text(max_size=12).filter(lambda s: not _parses_as_float(s))
+_NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"])
+
+
+def _floats(**kwargs):
+    return st.floats(allow_nan=False, allow_infinity=False, **kwargs).map(repr)
+
+
+def _ints(**kwargs):
+    return st.integers(**kwargs).map(str)
+
+
+# For each numeric flag, the subcommand that reads it and values it must
+# refuse: the flag's type rejects text, and the program rejects non-finite
+# values, values at or below zero where the flag must be positive, and sizes
+# over the caps.  No valid value is drawn, so no estimate runs.
+_REFUSED = {
+    "--eps-start": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                      _floats(max_value=0.0),
+                                      _floats(min_value=1.0))),
+    "--eps-ratio": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                      _floats(max_value=0.0),
+                                      _floats(min_value=1.0))),
+    "--eps-count": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                      _ints(max_value=0),
+                                      _ints(min_value=257))),
+    "--n-max": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                  _ints(max_value=0))),
+    "--threads": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                    _ints(max_value=0))),
+    "--grid-bits": ("entropy", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                         _ints(max_value=0),
+                                         _ints(min_value=27))),
+    "--lambda-u": ("snake", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                      _floats(max_value=0.0))),
+    "--m0": ("modulus", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                  _floats(max_value=1.9999999999999998))),
+    "--p-min": ("sft", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                 _ints(max_value=1))),
+    "--p-max": ("sft", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                 _ints(max_value=2), _ints(min_value=21))),
+    "--k-max": ("weights", st.one_of(_NON_NUMERIC, _NOT_FINITE,
+                                     _ints(max_value=-1))),
+}
+
+
+@st.composite
+def _refused_flag(draw):
+    flag = draw(st.sampled_from(sorted(_REFUSED)))
+    experiment, values = _REFUSED[flag]
+    return [experiment, f"{flag}={draw(values)}"]
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True)
+@given(_refused_flag())
+def test_refused_flag_values_exit_2_or_3_without_traceback(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(args + ["--out", os.devnull])
+        except SystemExit as exc:      # argparse refuses a value of bad type
+            code = exc.code
+    assert code in (2, 3), (args, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

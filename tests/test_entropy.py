@@ -15,8 +15,9 @@ from tailent.entropy import (_cover_count, _default_grid, _fold_cycle_centers,
                              tail_entropy_estimate)
 from tailent.errors import (DomainError, ResolutionError, ResourceError,
                             ScaleError, UnsupportedOrderError)
-from tailent.maps import (PolynomialMap, _preimages, identity_map,
-                          quadratic_map, tent_map)
+from tailent import maps
+from tailent.maps import (PiecewiseAffineMap, PolynomialMap, _preimages,
+                          identity_map, quadratic_map, tent_map)
 
 F4 = quadratic_map()
 TENT = tent_map()
@@ -216,6 +217,43 @@ def test_eps_entropy_nondecreasing_as_eps_shrinks():
 # tail entropy
 # ---------------------------------------------------------------------------
 
+def ref_preimages(m, ys):
+    """Solutions of f(x) = y branch by branch: all lanes of a branch run
+    52 halvings, with no lane dropped."""
+    if isinstance(m, PiecewiseAffineMap):
+        return m.branch_preimages(np.asarray(ys, dtype=float))
+    branches, _, _ = m.monotone_partition()
+    ys = np.asarray(ys, dtype=float)
+    out = []
+    for a, b in branches:
+        fa = float(m.evaluate_array(np.array([a]))[0])
+        fb = float(m.evaluate_array(np.array([b]))[0])
+        tgt = ys[(ys >= min(fa, fb)) & (ys <= max(fa, fb))]
+        if tgt.size == 0:
+            continue
+        lo = np.full_like(tgt, a)
+        hi = np.full_like(tgt, b)
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            v = m.evaluate_array(mid)
+            go_right = (v < tgt) if fb > fa else (v > tgt)
+            lo = np.where(go_right, mid, lo)
+            hi = np.where(go_right, hi, mid)
+        out.append(0.5 * (lo + hi))
+    return np.sort(np.concatenate(out)) if out else np.empty(0)
+
+
+@pytest.mark.parametrize("m", [F4, F37, QUARTIC3], ids=lambda m: m.name)
+def test_preimages_match_per_branch_loop(m):
+    rng = np.random.default_rng(3)
+    ys = np.concatenate([np.linspace(0.0, 1.0, 513), rng.random(300),
+                         m.evaluate_array(np.array([0.0, 1.0])),
+                         np.asarray(m.critical_points)])
+    got = _preimages(m, ys)
+    want = ref_preimages(m, ys)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def ref_fold_cycle_centers(m, eps, q_max=None, point_cap=1 << 14):
     """Fold-cycle centers one bracket at a time: a scalar 60-step bisection
     of f^q(y) - y on each bracket next to a critical point, iterating f^q
@@ -265,7 +303,7 @@ def ref_fold_cycle_centers(m, eps, q_max=None, point_cap=1 << 14):
                 if abs(y - c) < 0.999 * eps:
                     centers.append(y)
         if q < q_max:
-            cur = np.unique(np.concatenate([base, _preimages(m, cur)]))
+            cur = np.unique(np.concatenate([base, ref_preimages(m, cur)]))
             if cur.size > point_cap:
                 break
     return centers
@@ -338,6 +376,67 @@ def test_fold_cycle_centers_match_scalar_bisection(m):
             got = _fold_cycle_centers(m, eps, point_cap=point_cap)
             assert got == ref_fold_cycle_centers(m, eps, point_cap=point_cap)
     assert len(_fold_cycle_centers(TENT, 2.0 ** -4)) > 0
+
+
+@pytest.mark.parametrize("m", [F4, QUARTIC3], ids=lambda m: m.name)
+def test_fold_cycle_evaluate_reads_each_lane_period(monkeypatch, m):
+    """Every bracket bisected alone, last lane first, gives the batched
+    answer: the evaluate callback reads each lane's period through the
+    lane indices it is given, not through the lanes' positions."""
+    from tailent import polyalg
+    batched = _fold_cycle_centers(m, 2.0 ** -6)
+
+    def lane_by_lane(evaluate, lo, hi, target, increasing, steps):
+        out = np.empty_like(lo)
+        for j in reversed(range(lo.size)):
+            out[j:j + 1] = polyalg._bisect(
+                lambda x, lane: evaluate(x, lane + j), lo[j:j + 1],
+                hi[j:j + 1], target, increasing[j:j + 1], steps)
+        return out
+
+    monkeypatch.setattr(entropy, "_bisect", lane_by_lane)
+    assert _fold_cycle_centers(m, 2.0 ** -6) == batched
+
+
+@pytest.fixture
+def preimage_calls(monkeypatch):
+    """Count the _preimages calls that build pullback levels."""
+    calls = []
+    orig = maps._preimages
+
+    def counted(m, ys):
+        calls.append(ys.size)
+        return orig(m, ys)
+
+    monkeypatch.setattr(maps, "_preimages", counted)
+    return calls
+
+
+def test_fold_cycle_centers_reuse_cached_pullback_levels(preimage_calls):
+    m = quadratic_map(3.9)
+    coarse = _fold_cycle_centers(m, 2.0 ** -4)
+    built = len(preimage_calls)
+    assert built == len(m._pullbacks) - 1 > 0
+    # the same eps again builds no level
+    assert _fold_cycle_centers(m, 2.0 ** -4) == coarse
+    assert len(preimage_calls) == built
+    # a smaller eps asks for more periods and builds only the missing levels
+    fine = _fold_cycle_centers(m, 2.0 ** -7)
+    assert len(preimage_calls) - built == len(m._pullbacks) - 1 - built > 0
+    # a fresh map builds the same levels from scratch, byte for byte
+    fresh = quadratic_map(3.9)
+    assert _fold_cycle_centers(fresh, 2.0 ** -7) == fine
+    assert len(fresh._pullbacks) == len(m._pullbacks)
+    for cached, new in zip(m._pullbacks, fresh._pullbacks):
+        assert cached.tobytes() == new.tobytes()
+
+
+def test_cached_pullback_levels_are_read_only():
+    m = quadratic_map(3.9)
+    _fold_cycle_centers(m, 2.0 ** -4)
+    for level in m._pullbacks:
+        with pytest.raises(ValueError):
+            level[0] = 0.25
 
 
 @pytest.mark.parametrize("m", TAIL_MAPS, ids=lambda m: m.name)

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ import pytest
 from tailent import polyalg
 from tailent.errors import (DomainError, NotC1Error, ResourceError,
                             UnsupportedOrderError)
-from tailent.maps import (IterateMap, PiecewiseAffineMap, PolynomialMap,
-                          _critical_pullbacks, _pullback_critical_points,
-                          build_snake, get_map, get_rate, identity_map,
+from tailent.maps import (IntervalMap, PiecewiseAffineMap, PolynomialMap,
+                          _critical_pullbacks, _preimages, build_snake,
+                          get_map, get_rate, identity_map,
                           min_branch_length_iterate, quadratic_map, tent_map)
 
 F4 = quadratic_map()
@@ -217,6 +218,33 @@ def test_min_branch_length_vs_exact_composition():
         assert (got, saturated) == (expected, expected == 5)
 
 
+class IterateMap(IntervalMap):
+    """p-fold composition f^p of a base map, with the chain-rule derivative.
+    Its critical points come from the base class's sampled root finder, so
+    they are found without any pullback."""
+
+    def __init__(self, base, p):
+        super().__init__()
+        self.base = base
+        self.p = p
+        self.k_max = 1
+        self.name = f"{base.name}^{p}"
+
+    def _eval_array(self, xs):
+        v = np.clip(xs, 0.0, 1.0)
+        for _ in range(self.p):
+            v = np.clip(self.base._eval_array(v), 0.0, 1.0)
+        return v
+
+    def _deriv_array(self, xs, order):
+        v = np.clip(xs, 0.0, 1.0)
+        acc = np.ones_like(v)
+        for _ in range(self.p):
+            acc = acc * self.base._deriv_array(v, 1)
+            v = np.clip(self.base._eval_array(v), 0.0, 1.0)
+        return acc
+
+
 def test_critical_pullbacks_levels():
     """Level k holds the critical points of f^(k+1): for the tent map the
     dyadic points j / 2^(k+1), exactly."""
@@ -224,17 +252,22 @@ def test_critical_pullbacks_levels():
     for k in range(7):
         size = 2 ** (k + 1)
         assert np.array_equal(next(levels), np.arange(1, size) / size)
-    for p in (1, 2, 5):
-        assert _pullback_critical_points(F4, p) == IterateMap(F4, p).critical_points
     assert next(_critical_pullbacks(QUARTIC3)).tolist() == QUARTIC3.critical_points
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_critical_pullbacks_match_sampled_iterate(p):
+    """Level p - 1 of the F4 pullback against the sampled sign changes of
+    (f^p)' = prod f'(f^t x), found with no pullback at all."""
+    level = next(islice(_critical_pullbacks(F4), p - 1, None))
+    sampled = np.array(IterateMap(F4, p).critical_points)
+    assert level.size == sampled.size == 2 ** p - 1
+    assert np.max(np.abs(level - sampled)) <= 1e-12
 
 
 def test_critical_pullbacks_cap_policies():
     # F4 level k holds 2^(k+1) - 1 points; only levels a caller asks for
     # are computed and checked against its cap
-    with pytest.raises(ResourceError):
-        _pullback_critical_points(F4, 7, point_cap=100)
-    assert len(_pullback_critical_points(F4, 6, point_cap=100)) == 63
     with pytest.raises(ResourceError):
         min_branch_length_iterate(F4, 0.4, point_cap=2)
     assert min_branch_length_iterate(F4, 0.4, point_cap=3) == (1, False)
@@ -299,6 +332,39 @@ def test_snake_map_image_and_smoothness():
         sm.derivative_array(xs[:5], 4)
 
 
+def ref_sampled_critical_points(m):
+    """Sampled sign changes of f', each bracket bisected by a scalar
+    60-step loop that keeps the derivative value at its left end."""
+    xs = np.linspace(0.0, 1.0, (1 << 16) + 1)
+    d = m._deriv_array(xs, 1)
+    s = np.sign(d)
+    roots = []
+    for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
+        lo, hi = xs[i], xs[i + 1]
+        flo = d[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = float(m._deriv_array(np.array([mid]), 1)[0])
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        roots.append(0.5 * (lo + hi))
+    roots.extend(xs[1:-1][d[1:-1] == 0.0])
+    return sorted(set(roots))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_snake_critical_points_match_scalar_bisection(eps):
+    _, sm = build_snake(RATE, eps, 1.0)
+    got = np.array(sm.critical_points)
+    want = np.array(ref_sampled_critical_points(sm))
+    assert got.tobytes() == want.tobytes()
+    # cos(pi N t) turns at t = 1/N, ..., (N-1)/N inside the window, besides
+    # the exact zeros of the flat part
+    assert np.sum((got > sm.params.c) & (got < sm.params.d)) >= sm.params.N - 1
+
+
 def test_snake_rejects_bad_configs():
     with pytest.raises(DomainError):
         build_snake(RATE, 1.5, 1.0)
@@ -307,16 +373,8 @@ def test_snake_rejects_bad_configs():
 
 
 # ---------------------------------------------------------------------------
-# iterates and registry
+# registry
 # ---------------------------------------------------------------------------
-
-def test_iterate_map_chain_rule():
-    it = IterateMap(F4, 2)
-    xs = np.linspace(0.05, 0.95, 7)
-    manual = F4.derivative_array(F4.evaluate_array(xs), 1) * F4.derivative_array(xs, 1)
-    assert np.allclose(it.derivative_array(xs, 1), manual, rtol=1e-12)
-    assert it.evaluate(0.3) == pytest.approx(F4.evaluate(F4.evaluate(0.3)))
-
 
 def test_registry_round_trip():
     assert get_map("tent").name == "tent"

@@ -34,6 +34,36 @@ def test_polynomial_arithmetic_exact():
         p.eval_exact(Fraction(3, 4))
 
 
+def ref_poly_call(p, x):
+    """Polynomial.__call__ before it shared `_horner`: Horner's rule from
+    0 + cs[-1], two fresh arrays per degree."""
+    cs = p.float_coeffs()
+    if cs.size == 0:
+        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+    acc = np.zeros_like(np.asarray(x, dtype=float)) + cs[-1] if np.ndim(x) else cs[-1]
+    for c in cs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("coeffs", [
+    [], [Fraction(2, 3)], [0, 1], [1, -3], [0, 4, -4],
+    [Fraction(-1, 2), 0, 0, 64, -192, 192, -64],
+    [Fraction(7, 8), -5, Fraction(3, 2), 9, -4],
+])
+def test_polynomial_call_matches_reference(coeffs):
+    p = Polynomial(coeffs)
+    rng = np.random.default_rng(11)
+    for x in (np.linspace(-0.5, 1.5, 257), rng.random((3, 5)),
+              np.arange(-3, 4), [0.1, 0.7], np.array([], dtype=float)):
+        got, want = p(x), ref_poly_call(p, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for x in (0.3, -2.0, 1, np.float64(0.625)):
+        assert p(x) == ref_poly_call(p, x)
+        assert type(p(x)) is type(ref_poly_call(p, x))
+
+
 def test_isolate_roots_simple():
     p = Polynomial([Fraction(-1, 2), 0, 0, 64, -192, 192, -64])  # 64x^3(1-x)^3 - 1/2
     roots = isolate_roots(p)
@@ -289,6 +319,109 @@ def test_u_of_q_matches_reference(coeffs, a, b, size):
     qv = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.37])
     got = builder_for(p).u_of_q(0, Fraction(a), Fraction(b), qv)
     assert_same_bits(got, ref_u_of_q(p, Fraction(a), Fraction(b), qv))
+
+
+def ref_bisect(evaluate, lo, hi, target, increasing, steps):
+    """`steps` halvings of every lane, none dropped; the direction of each
+    lane picks its comparison."""
+    target = np.broadcast_to(target, lo.shape)
+    increasing = np.broadcast_to(increasing, lo.shape)
+    lane = np.arange(lo.size)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        v = evaluate(mid, lane)
+        go_right = np.where(increasing, v < target, v > target)
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class LaneLog:
+    """An evaluate callback that records how many lanes each call saw."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.sizes = []
+
+    def __call__(self, x, lane):
+        assert x.shape == lane.shape
+        self.sizes.append(lane.size)
+        return self.fn(x, lane)
+
+
+def test_bisect_empty_lane_set():
+    log = LaneLog(lambda x, lane: x)
+    got = polyalg._bisect(log, np.empty(0), np.empty(0), 0.5, True, 60)
+    assert got.shape == (0,) and got.dtype == float and log.sizes == []
+
+
+def test_bisect_endpoint_targets_use_all_steps():
+    # a lane whose target sits at (or within 2^-60 of) the end 0 moves hi
+    # in every halving, so it runs all steps while the others settle
+    lo, hi = np.zeros(5), np.ones(5)
+    target = np.array([0.0, 0.3, 1.0, 0.5, 1e-300])
+    log = LaneLog(lambda x, lane: x)
+    got = polyalg._bisect(log, lo, hi, target, True, 60)
+    assert_same_bits(got, ref_bisect(lambda x, lane: x, lo, hi, target,
+                                     True, 60))
+    assert len(log.sizes) == 60 and log.sizes[0] == 5 and log.sizes[-1] == 2
+    assert got[0] == got[4] == 2.0 ** -61
+
+
+def test_bisect_decreasing_scalar_direction():
+    p = Polynomial([1, -3, 0, 2])           # decreasing on [0, 1/sqrt(2)]
+    cs = p.float_coeffs()
+    qv = np.linspace(0.0, 1.0, 33)
+    target = 1.0 - qv * (1.0 - float(p(0.7)))
+    lo, hi = np.zeros(33), np.full(33, 0.7)
+    log = LaneLog(lambda x, lane: polyalg._horner(cs, x))
+    got = polyalg._bisect(log, lo, hi, target, False, 60)
+    assert_same_bits(got, ref_bisect(lambda x, lane: p(x), lo, hi, target,
+                                     False, 60))
+    assert min(log.sizes) < 33              # lanes were dropped
+
+
+def test_bisect_mixed_per_lane_directions():
+    # f(x) = sin(5x) - 0.3: lane j solves f = 0 on its own bracket, going
+    # right below zero where f increases and above zero where it decreases
+    lo = np.array([0.0, 0.5, 1.5, 2.2, 0.05])
+    hi = np.array([0.3, 0.7, 2.0, 2.6, 0.2])
+    f = lambda x: np.sin(5.0 * x) - 0.3
+    increasing = f(lo) < 0
+    assert increasing.any() and not increasing.all()
+    log = LaneLog(lambda x, lane: f(x))
+    got = polyalg._bisect(log, lo, hi, 0.0, increasing, 60)
+    assert_same_bits(got, ref_bisect(lambda x, lane: f(x), lo, hi, 0.0,
+                                     increasing, 60))
+    assert np.all(np.abs(f(got)) < 1e-14)
+
+
+def test_bisect_per_lane_data_follows_dropped_lanes():
+    # lane j solves x^k[j] = t with its own exponent; the indices passed to
+    # evaluate must stay aligned with the lanes left after drops
+    k = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    t = np.array([0.5, 0.0, 0.25, 1.0, 0.125, 0.7])
+    lo, hi = np.zeros(6), np.ones(6)
+    log = LaneLog(lambda x, lane: x ** k[lane])
+    got = polyalg._bisect(log, lo, hi, t, np.ones(6, bool), 60)
+    assert_same_bits(got, ref_bisect(lambda x, lane: x ** k[lane], lo, hi,
+                                     t, True, 60))
+    assert len(set(log.sizes)) > 1
+
+
+def test_bisect_exact_ties_at_dyadic_midpoints():
+    # tent values at dyadic midpoints are exact, so v == target happens
+    # on both branches; a tie goes left
+    from tailent.maps import tent_map
+    tent = tent_map()
+    t = np.array([0.5, 0.25, 0.75, 0.125, 1.0, 0.0])
+    for a, b, inc in ((0.0, 0.5, True), (0.5, 1.0, False)):
+        lo, hi = np.full(6, a), np.full(6, b)
+        ev = lambda x, lane: tent.evaluate_array(x)
+        got = polyalg._bisect(ev, lo, hi, t, inc, 60)
+        assert_same_bits(got, ref_bisect(ev, lo, hi, t, inc, 60))
+        per_lane = polyalg._bisect(ev, lo, hi, t, np.full(6, inc), 60)
+        assert_same_bits(per_lane, got)
 
 
 def test_u_of_q_endpoint_lanes_take_all_60_steps():
