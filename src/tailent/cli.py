@@ -127,6 +127,8 @@ def load_config(name, path=None, overrides=None):
         if value is None:
             continue
         setattr(cfg, key, value)
+    if cfg.threads < 1:
+        raise ConfigError("threads", "must be >= 1")
     return cfg
 
 
@@ -167,8 +169,6 @@ def _map_for(cfg):
 
 
 def _parallel(fn, items, threads):
-    if threads < 1:
-        raise ConfigError("threads", "must be >= 1")
     if threads == 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -52,9 +52,10 @@ __all__ = [
 ]
 
 _DEFAULT_GRID_BITS = 14
-# Largest orbit matrix a grid estimate may allocate: 2^27 float64 cells, so
-# the dyadic grid has at most 2^26 cells.
-_ORBIT_BYTE_CAP, _GRID_BITS_CAP = 1 << 30, 26
+# Largest orbit matrix a grid estimate may allocate (2^27 float64 cells), and
+# the largest grid_bits whose 2^grid_bits + 1 points fit in one orbit row (26).
+_ORBIT_BYTE_CAP = 1 << 30
+_GRID_BITS_CAP = (_ORBIT_BYTE_CAP // 8 - 1).bit_length() - 1
 _DEFAULT_N_RANGE = range(1, 25)
 
 
@@ -190,7 +191,8 @@ def _grid_orbits(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS
         raise DomainError("eps must be positive")
     if grid is None and grid_bits > _GRID_BITS_CAP:
         raise ResourceError(
-            f"grid-bits {grid_bits} is over the cap {_GRID_BITS_CAP}")
+            f"grid-bits {grid_bits} is over the cap {_GRID_BITS_CAP}, the "
+            f"largest whose orbit rows fit in {_ORBIT_BYTE_CAP / 2 ** 30:g} GiB")
     size = (1 << grid_bits) + 1 if grid is None else len(grid)
     if n * size * 8 > _ORBIT_BYTE_CAP:
         raise ResourceError(

@@ -148,14 +148,10 @@ class Polynomial:
     def __call__(self, x):
         """Float evaluation, scalar or numpy array (through `_horner`)."""
         cs = self.float_coeffs()
-        if np.ndim(x) and cs.size > 1:
-            return _horner(cs, np.asarray(x, dtype=float))
-        if cs.size == 0:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        acc = np.zeros_like(np.asarray(x, dtype=float)) + cs[-1] if np.ndim(x) else cs[-1]
-        for c in cs[-2::-1]:
-            acc = acc * x + c
-        return acc
+        if cs.size < 2:
+            c = cs[0] if cs.size else 0.0
+            return np.zeros_like(np.asarray(x, dtype=float)) + c if np.ndim(x) else c
+        return _horner(cs, np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailent.cli import ExperimentConfig, load_config, main
+from tailent.entropy import _GRID_BITS_CAP
 
 
 def run_cli(args, tmp_path, name="out.csv", env=None):
@@ -323,6 +324,9 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
     from tailent.errors import ResourceError
     from tailent.maps import tent_map
     bits = entropy._GRID_BITS_CAP
+    # the largest grid whose 2^bits + 1 points fit in one orbit row
+    assert (2 ** bits + 1) * 8 <= entropy._ORBIT_BYTE_CAP
+    assert (2 ** (bits + 1) + 1) * 8 > entropy._ORBIT_BYTE_CAP
     with pytest.raises(AssertionError, match="grid allocated"):
         entropy._grid_orbits(tent_map(), 1, 0.1, grid_bits=bits)
     # 2^(10^12) would not fit in memory as an int, let alone as a grid
@@ -335,12 +339,14 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
     (["sft", "--p-min", "1"], "p-min"),
     (["sft", "--p-min", "5", "--p-max", "4"], "p-max"),
     (["weights", "--k-max=-1"], "k-max"),
-    (["tail", "--threads", "0"], "threads"),
     (["snake", "--lambda-u", "nan"], "snake"),
     (["snake", "--rate", "pow:1e"], "rate"),
     (["thickness", "--cantor", "remove-middle 1/0 depth 3"], "cantor"),
     (["thickness", "--cantor", "remove-middle 1/3 depth 1.5"], "cantor"),
-])
+] + [([experiment, "--threads", threads], "threads")
+     for experiment in ("entropy", "tail", "bounds", "reparam", "sft",
+                        "thickness", "weights", "snake", "modulus")
+     for threads in ("0", "-2")])
 def test_refused_values_exit_2(tmp_path, capsys, nothing_built, args, field):
     code = main(args + ["--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -385,9 +391,9 @@ _REFUSED = {
                                   _ints(max_value=0))),
     "--threads": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                     _ints(max_value=0))),
-    "--grid-bits": ("entropy", st.one_of(_NON_NUMERIC, _NOT_FINITE,
-                                         _ints(max_value=0),
-                                         _ints(min_value=27))),
+    "--grid-bits": ("entropy", st.one_of(
+        _NON_NUMERIC, _NOT_FINITE, _ints(max_value=0),
+        _ints(min_value=_GRID_BITS_CAP + 1))),
     "--lambda-u": ("snake", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                       _floats(max_value=0.0))),
     "--m0": ("modulus", st.one_of(_NON_NUMERIC, _NOT_FINITE,
