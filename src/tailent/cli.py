@@ -27,8 +27,11 @@ EXPERIMENTS = ("entropy", "tail", "bounds", "reparam", "sft", "thickness",
                "weights", "snake", "modulus", "verify")
 
 # Size caps, checked before anything is built (ResourceError, exit 3); Y_p
-# has 2^(p-1) states and takes about 0.8 s and 75 MB at p = 18.
+# has 2^(p-1) states and takes about 0.8 s and 75 MB at p = 18.  `tail` on
+# quadratic:4 with 3 scales takes about 11 s at --n-max 1536, and `weights`
+# about 1 s and 84 MB at --k-max 10^5 (660 MB at 10^6).
 _EPS_COUNT_CAP, _SFT_P_CAP = 256, 20
+_TAIL_N_MAX_CAP, _K_MAX_CAP = 1024, 100_000
 
 
 @dataclass
@@ -66,10 +69,20 @@ class ExperimentConfig:
         return [self.eps_start * self.eps_ratio ** k
                 for k in range(self.eps_count)]
 
-    def n_range(self):
+    def n_range(self, cap=None):
         if self.n_max < 1:
             raise ConfigError("n-max", "must be >= 1")
+        if cap is not None and self.n_max > cap:
+            raise ResourceError(f"n-max {self.n_max} is over the cap {cap}")
         return range(1, self.n_max + 1)
+
+    def k_range(self):
+        if self.k_max < 0:
+            raise ConfigError("k-max", "must be >= 0")
+        if self.k_max > _K_MAX_CAP:
+            raise ResourceError(f"k-max {self.k_max} is over the cap "
+                                f"{_K_MAX_CAP}")
+        return range(self.k_max + 1)
 
     def checked_grid_bits(self):
         if self.grid_bits < 1:
@@ -195,14 +208,15 @@ def run_entropy(cfg):
 
 def run_tail(cfg):
     from .entropy import tail_entropy_estimate
+    ns = cfg.n_range(_TAIL_N_MAX_CAP)
+    schedule = cfg.eps_schedule()
     m = _map_for(cfg)
-    ns = cfg.n_range()
     w = CsvWriter(cfg.out, ["method", "map", "eps", "delta", "count", "rate",
                             "slope", "direction", "residual",
                             "bound_log2", "bound_log4"], cfg)
     ests = _parallel(
         lambda eps: tail_entropy_estimate(m, eps, n_range=ns),
-        cfg.eps_schedule(), cfg.threads)
+        schedule, cfg.threads)
     for est in ests:
         alog = abs(math.log(est.eps))
         w.add(est.method, est.map_name, est.eps, est.delta, est.counts[-1],
@@ -274,16 +288,15 @@ def run_thickness(cfg):
 
 
 def run_weights(cfg):
-    from .rates import parse_weight, g_inverse, is_log_convex
+    from .rates import parse_weight, is_log_convex
+    ks = cfg.k_range()
     try:
         weight = parse_weight(cfg.weight_spec)
     except (KeyError, ValueError) as exc:
         raise ConfigError("weight", str(exc))
-    if cfg.k_max < 0:
-        raise ConfigError("k-max", "must be >= 0")
     w = CsvWriter(cfg.out, ["weight", "k", "log_m", "a_k", "log_convex"], cfg)
     convex = is_log_convex(weight, min(cfg.k_max, 120))
-    for k in range(0, cfg.k_max + 1):
+    for k in ks:
         w.add(weight.name, k, weight.log_weight(k), weight.a(k), convex)
     w.write()
     return w

@@ -13,7 +13,11 @@ The reparametrizer follows a three-step pipeline:
    into n3 = c*r^4 + 1 equal pieces, doubling c until the sampled C^r norms
    drop below 1 + tolerance.
 
-Root isolation is exact: primitive integer coefficients, Descartes/VCA
+A Polynomial stores integer numerators over one positive denominator and
+its arithmetic, exact evaluation and affine composition run on integers;
+Fractions appear only where the API returns them (`coeffs`, `eval_exact`),
+and the float coefficients are int/int quotients, correctly rounded.  Root
+isolation is exact: the primitive part of the numerators, Descartes/VCA
 sign-variation bisection on the square-free part, dyadic refinement to 1e-13,
 floats only at the very end.  Norm certificates are sampled (4096 points per
 chart group) and reported as "sampled", never as proved bounds.
@@ -33,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -44,39 +49,66 @@ __all__ = [
     "Atlas", "Chart", "reparametrize_1d", "verify_atlas", "serialize_atlas",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # exact polynomials
 # ---------------------------------------------------------------------------
 
-class Polynomial:
-    """Univariate polynomial with exact rational coefficients (ascending)."""
+def _numerators(values, den):
+    """Numerators over den of Fractions whose denominators divide den."""
+    return [x.numerator * (den // x.denominator) for x in values]
 
-    __slots__ = ("coeffs", "_fcoeffs")
+
+class Polynomial:
+    """Univariate polynomial with exact rational coefficients (ascending).
+
+    Stored as integer numerators over one positive denominator: coefficient
+    i is nums[i] / den, with no trailing zero and gcd(den, *nums) = 1, so
+    equal polynomials have equal (nums, den).  Every operation works on the
+    integers and normalizes its result once; `coeffs` builds the Fractions
+    on request.
+    """
+
+    __slots__ = ("nums", "den", "_fcoeffs")
 
     def __init__(self, coeffs):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._fcoeffs = None
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set(_numerators(cs, den), den)
+
+    def _set(self, nums, den):
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+        self.nums, self.den, self._fcoeffs = tuple(nums), den, None
+
+    @classmethod
+    def _over(cls, nums, den):
+        """The polynomial with coefficients nums[i] / den (den > 0)."""
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
 
     # -- basic structure ----------------------------------------------------
     @property
+    def coeffs(self):
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -84,13 +116,14 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
         other = other if isinstance(other, Polynomial) else Polynomial([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [_ZERO] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return Polynomial._over(
+            [x * sa + y * sb for x, y in zip_longest(self.nums, other.nums,
+                                                     fillvalue=0)], den)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._over([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         other = other if isinstance(other, Polynomial) else Polynomial([other])
@@ -98,33 +131,44 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return Polynomial([c * Fraction(other) for c in self.coeffs])
+            c = Fraction(other)
+            return Polynomial._over([n * c.numerator for n in self.nums],
+                                    self.den * c.denominator)
         if self.is_zero() or other.is_zero():
             return Polynomial([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._over(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def diff(self, order=1):
-        cs = self.coeffs
+        nums = self.nums
         for _ in range(order):
-            cs = tuple(i * c for i, c in enumerate(cs))[1:]
-        return Polynomial(cs)
+            nums = [i * n for i, n in enumerate(nums)][1:]
+        return Polynomial._over(list(nums), self.den)
 
     def compose_affine(self, a, b):
-        """p(a + b*X) exactly."""
+        """p(a + b*X) exactly.  With a = alpha/d and b = beta/d, Horner's
+        rule in integers gives den * d^deg * p(a + b*X) =
+        sum_i nums[i] d^(deg - i) (alpha + beta X)^i."""
+        if not self.nums:
+            return Polynomial([])
         a, b = Fraction(a), Fraction(b)
-        out = Polynomial([])
-        lin = Polynomial([a, b])
-        for c in reversed(self.coeffs):
-            out = out * lin + Polynomial([c])
-        return out
+        d = math.lcm(a.denominator, b.denominator)
+        alpha, beta = _numerators((a, b), d)
+        out, dpow = [], 1
+        for n in reversed(self.nums):
+            nxt = [c * alpha for c in out] + [0]
+            for k, c in enumerate(out):
+                nxt[k + 1] += c * beta
+            nxt[0] += n * dpow
+            out, dpow = nxt, dpow * d
+        return Polynomial._over(out, self.den * dpow // d)
 
     def compose(self, other):
         out = Polynomial([])
@@ -134,15 +178,24 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
     def eval_exact(self, x):
+        """p(x) for a rational x = num/q: Horner's rule in integers on
+        q^deg * den * p(x), and one Fraction."""
+        if not self.nums:
+            return Fraction(0)
         x = Fraction(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        num, q = x.numerator, x.denominator
+        acc, qpow = self.nums[-1], 1
+        for n in self.nums[-2::-1]:
+            qpow *= q
+            acc = acc * num + n * qpow
+        return Fraction(acc, self.den * qpow)
 
     def float_coeffs(self):
+        """nums[i] / den as floats: int/int true division is correctly
+        rounded, so each equals float(coeffs[i])."""
         if self._fcoeffs is None:
-            self._fcoeffs = np.array([float(c) for c in self.coeffs], dtype=float)
+            self._fcoeffs = np.array([n / self.den for n in self.nums],
+                                     dtype=float)
         return self._fcoeffs
 
     def __call__(self, x):
@@ -159,17 +212,10 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 def _int_coeffs(p: Polynomial):
-    """Primitive integer coefficient list (ascending), sign preserved."""
-    if p.is_zero():
-        return []
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints]
+    """Primitive integer coefficient list (ascending), sign preserved: the
+    numerators of p over their content."""
+    g = math.gcd(*p.nums)
+    return [n // g for n in p.nums]
 
 
 def _sign_variations(cs):
@@ -258,24 +304,30 @@ def _int_poly_squarefree(cs):
 
 
 def _poly_div_exact(a, b):
-    """Exact quotient of integer polynomials (a divisible by b up to content)."""
-    pa = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(pa) >= len(b) and any(pa):
-        if pa[-1] == 0:
-            pa.pop()
+    """Exact quotient of integer polynomials (a divisible by b up to content),
+    as the numerators of the rational quotient over their least common
+    denominator.
+
+    Long division in integers: before a step whose leading remainder
+    coefficient top is not divisible by lb = b[-1], the remainder and the
+    quotient so far are multiplied by m = |lb| / gcd(top, lb).  The new
+    quotient entry top * m / lb is prime to m, so the quotient stays in
+    lowest terms over the product of the m's.
+    """
+    lb = b[-1]
+    rem, out = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(out) - 1, -1, -1):
+        top = rem[shift + len(b) - 1]
+        if top == 0:
             continue
-        shift = len(pa) - len(b)
-        f = pa[-1] / b[-1]
+        m = abs(lb) // math.gcd(top, lb)
+        if m != 1:
+            rem, out = [c * m for c in rem], [c * m for c in out]
+        f = top * m // lb
         out[shift] = f
         for i, bc in enumerate(b):
-            pa[shift + i] -= f * bc
-        while pa and pa[-1] == 0:
-            pa.pop()
-    denom = 1
-    for c in out:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return [int(c * denom) for c in out]
+            rem[shift + i] -= f * bc
+    return out
 
 
 def _synthetic_div_at_1(cs):
@@ -411,7 +463,7 @@ def q_polynomial(r):
     if r > 25:
         raise ResourceError("q_polynomial capped at r = 25")
     b_r = math.factorial(2 * r - 1) // math.factorial(r - 1) ** 2
-    coeffs = [_ZERO] * (2 * r)
+    coeffs = [0] * (2 * r)
     for j in range(r):
         c = Fraction(b_r * math.comb(r - 1, j) * (-1) ** j, r + j)
         coeffs[r + j] = c

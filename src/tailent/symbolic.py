@@ -4,9 +4,11 @@ shadowing) and Cantor-set thickness with the gap-lemma trichotomy.
 SFTs are realized by de Bruijn higher-block coding: states are admissible
 blocks of length max(forbidden word length) - 1 and transitions check the
 one-longer window.  Words are counted in one-sided admissible-word
-semantics; the entropies agree with the two-sided shift.  Cantor sets are
-stored with exact rational endpoints so thickness ratios and gap-lemma
-decisions are exact.
+semantics; the entropies agree with the two-sided shift.  Cantor sets store
+their endpoints as integer numerators over one common denominator, so
+thickness ratios and gap-lemma decisions are exact integer comparisons;
+Fractions are built only where the API returns them (`levels`, `gaps`,
+`hull`, `intervals`, `thickness`).
 """
 
 from __future__ import annotations
@@ -396,112 +398,176 @@ class GapRecord:
     right: tuple
 
 
-@dataclass
+def _numerators(values, den):
+    """Numerators over den of Fractions whose denominators divide den."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 class CantorApprox:
     """Nested finite unions of closed intervals with recorded gaps.
 
-    levels[i] is the list of (lo, hi) Fraction pairs of K_i; gaps hold the
-    removed open interval and its two flanking bridges, in removal order.
+    The endpoints are integer numerators over one positive denominator
+    `den`.  `ends[i]` lists lo_0, hi_0, lo_1, hi_1, ... of K_i; gap j was
+    removed at level `gap_cols[0][j]`, and `gap_cols[1:]` hold the
+    numerators of its lo and hi and of the lo and hi of its left and right
+    flanking bridges, one list each.  `levels`, `gaps`, `hull()` and
+    `intervals()` build the Fractions on request; the constructor takes them.
     """
-    levels: list
-    gaps: list
+
+    def __init__(self, levels, gaps):
+        """levels[i] is the list of (lo, hi) pairs of K_i; gaps are
+        GapRecords in removal order."""
+        levels = [[Fraction(x) for iv in lv for x in iv] for lv in levels]
+        flat = [Fraction(x) for g in gaps for x in (*g.gap, *g.left, *g.right)]
+        cols = [flat[k::6] for k in range(6)]
+        den = math.lcm(*(x.denominator for v in levels + cols for x in v))
+        self.den = den
+        self.ends = [_numerators(lv, den) for lv in levels]
+        self.gap_cols = ([g.level for g in gaps],
+                         *(_numerators(v, den) for v in cols))
+
+    @classmethod
+    def _over(cls, den, ends, gap_cols):
+        c = cls.__new__(cls)
+        c.den, c.ends, c.gap_cols = den, ends, gap_cols
+        return c
 
     @property
     def depth(self):
-        return len(self.levels) - 1
+        return len(self.ends) - 1
+
+    def _fractions(self, nums):
+        return [Fraction(x, self.den) for x in nums]
+
+    @property
+    def levels(self):
+        return [self._pairs(lv) for lv in self.ends]
+
+    def _pairs(self, nums):
+        xs = self._fractions(nums)
+        return list(zip(xs[::2], xs[1::2]))
+
+    @property
+    def gaps(self):
+        level, *cols = self.gap_cols
+        g0, g1, l0, l1, r0, r1 = map(self._fractions, cols)
+        return [GapRecord(*rec) for rec in zip(
+            level, zip(g0, g1), zip(l0, l1), zip(r0, r1))]
 
     def hull(self):
-        k0 = self.levels[0]
-        return k0[0][0], k0[-1][1]
+        k0 = self.ends[0]
+        return Fraction(k0[0], self.den), Fraction(k0[-1], self.den)
 
-    def intervals(self, depth):
+    def check_depth(self, depth):
+        if depth < 0:
+            raise DomainError(f"depth {depth} is negative")
         if depth > self.depth:
             raise DomainError(f"depth {depth} beyond truncation {self.depth}")
-        return self.levels[depth]
+
+    def intervals(self, depth):
+        self.check_depth(depth)
+        return self._pairs(self.ends[depth])
 
     def scaled(self, a, b):
-        """Affine image of the construction onto [a, b].
+        """Affine image of the construction onto [a, b], x -> a + (b - a)(x -
+        h0)/span.
 
-        The map x -> offset + slope * x is exact on rationals, so it equals
-        a + (b - a)(x - h0)/span.  Every gap and bridge endpoint is also an
-        endpoint of some level, so each distinct endpoint is mapped once and
-        its image reused.
+        With a = A/L and b = B/L over L = lcm(den a, den b), and the hull
+        numerators H0, H1 with S = H1 - H0, the image of X/den is
+        (A S + (B - A)(X - H0)) / (L S): an integer affine map of the
+        numerators over the new denominator L |S|.
         """
         a, b = Fraction(a), Fraction(b)
-        h0, h1 = self.hull()
+        h0, h1 = self.ends[0][0], self.ends[0][-1]
         span = h1 - h0
         if span == 0:
             raise ValueError("degenerate hull")
-        slope = (b - a) / span
-        offset = a - slope * h0
-        image = {}
+        den = math.lcm(a.denominator, b.denominator)
+        lo, hi = _numerators((a, b), den)
+        slope, offset = hi - lo, lo * span - (hi - lo) * h0
+        if span < 0:
+            slope, offset, span = -slope, -offset, -span
 
-        def mv(x):
-            y = image.get(x)
-            if y is None:
-                y = image[x] = offset + slope * x
-            return y
+        def mv(nums):
+            return [offset + slope * x for x in nums]
 
-        levels = [[(mv(lo), mv(hi)) for lo, hi in lv] for lv in self.levels]
-        gaps = [GapRecord(g.level, (mv(g.gap[0]), mv(g.gap[1])),
-                          (mv(g.left[0]), mv(g.left[1])),
-                          (mv(g.right[0]), mv(g.right[1]))) for g in self.gaps]
-        return CantorApprox(levels, gaps)
+        return CantorApprox._over(den * span, [mv(lv) for lv in self.ends],
+                                   (self.gap_cols[0],
+                                    *map(mv, self.gap_cols[1:])))
 
 
 def middle_cantor(remove_ratio, depth, hull=(0, 1)):
     """Self-similar Cantor set removing the central `remove_ratio` of every
-    interval at each stage; exact rational endpoints."""
+    interval at each stage; exact rational endpoints.
+
+    With keep = (1 - remove_ratio)/2 = kn/kd, the endpoints are numerators
+    over den = lcm(hull denominators) * kd^depth.  An interval of level i
+    has a width divisible by kd^(depth - i), so its bridge width
+    width // kd * kn is exact."""
     r = Fraction(remove_ratio)
     if not 0 < r < 1:
         raise ValueError("remove ratio must be in (0,1)")
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     keep = (1 - r) / 2
+    kn, kd = keep.numerator, keep.denominator
     lo, hi = Fraction(hull[0]), Fraction(hull[1])
-    levels = [[(lo, hi)]]
-    gaps = []
+    den = math.lcm(lo.denominator, hi.denominator) * kd ** depth
+    ends = [_numerators((lo, hi), den)]
+    gap_cols = ([], [], [], [], [], [], [])
+    level_col, g0, g1, l0, l1, r0, r1 = gap_cols
     for level in range(1, depth + 1):
         nxt = []
-        for a, b in levels[-1]:
-            kw = keep * (b - a)
-            gap = (a + kw, b - kw)
-            l_int = (a, gap[0])
-            r_int = (gap[1], b)
-            gaps.append(GapRecord(level, gap, l_int, r_int))
-            nxt.extend([l_int, r_int])
-        levels.append(nxt)
-    return CantorApprox(levels, gaps)
+        for a, b in zip(ends[-1][::2], ends[-1][1::2]):
+            kw = (b - a) // kd * kn
+            nxt += (a, a + kw, b - kw, b)
+        level_col += [level] * (len(nxt) // 4)
+        g0 += nxt[1::4]
+        g1 += nxt[2::4]
+        l0 += nxt[0::4]
+        l1 += nxt[1::4]
+        r0 += nxt[2::4]
+        r1 += nxt[3::4]
+        ends.append(nxt)
+    return CantorApprox._over(den, ends, gap_cols)
 
 
 def thickness(c: CantorApprox, depth=None):
     """inf over recorded gaps (up to depth) of min bridge/gap length ratio.
 
     Computed for the given defining sequence only; +inf sentinel when no
-    gap has been recorded.
+    gap has been recorded.  The ratios share the denominator, so the least
+    is picked by cross-multiplying numerators and one Fraction is built.
     """
     if depth is None:
         depth = c.depth
-    if depth > c.depth:
-        raise DomainError(f"depth {depth} beyond truncation {c.depth}")
+    c.check_depth(depth)
     best = None
-    for g in c.gaps:
-        if g.level > depth:
+    for level, g0, g1, l0, l1, r0, r1 in zip(*c.gap_cols):
+        if level > depth:
             continue
-        gap_len = g.gap[1] - g.gap[0]
-        ratio = min(g.left[1] - g.left[0], g.right[1] - g.right[0]) / gap_len
-        best = ratio if best is None else min(best, ratio)
-    return math.inf if best is None else best
+        num, gap_len = min(l1 - l0, r1 - r0), g1 - g0
+        if gap_len < 0:
+            num, gap_len = -num, -gap_len
+        elif gap_len == 0:
+            raise ZeroDivisionError(f"gap of length 0 at level {level}")
+        if best is None or num * best[1] < best[0] * gap_len:
+            best = num, gap_len
+    return math.inf if best is None else Fraction(*best)
 
 
 def _interval_list_intersection(a, b):
-    """Pairwise intersections of two sorted lists of closed intervals."""
+    """Pairwise intersections of two sorted lists of closed intervals, with
+    endpoints of any one ordered type (ints or Fractions)."""
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
+        (alo, ahi), (blo, bhi) = a[i], b[j]
+        lo = alo if alo > blo else blo
+        hi = ahi if ahi < bhi else bhi
         if lo <= hi:
             out.append((lo, hi))
-        if a[i][1] < b[j][1]:
+        if ahi < bhi:
             i += 1
         else:
             j += 1
@@ -513,30 +579,39 @@ def gap_lemma_check(k: CantorApprox, f: CantorApprox, depth=None):
 
     Requires thickness(k)*thickness(f) > 1 (exact rationals).  Returns a
     dict with the alternative tag and, for the intersection case, the
-    per-level verification that Int(K_i intersect F_i) is nonempty.
+    per-level verification that Int(K_i intersect F_i) is nonempty.  Both
+    sets are compared as numerators over lcm(k.den, f.den).
     """
     if depth is None:
         depth = min(k.depth, f.depth)
+    if depth < 0:
+        raise DomainError(f"depth {depth} is negative")
     tk, tf = thickness(k, min(depth, k.depth)), thickness(f, min(depth, f.depth))
     if not (tk == math.inf or tf == math.inf) and tk * tf <= 1:
         raise HypothesisUnmetError(f"thickness product {float(tk * tf):g} <= 1")
-    hk, hf = k.hull(), f.hull()
+    den = math.lcm(k.den, f.den)
+    sk, sf = den // k.den, den // f.den
 
-    def inside_gap(hull, other):
-        lo, hi = hull
-        olo, ohi = other.hull()
+    def inside_gap(c, s, other, so):
+        lo, hi = c.ends[0][0] * s, c.ends[0][-1] * s
+        olo, ohi = other.ends[0][0] * so, other.ends[0][-1] * so
         if hi <= olo or lo >= ohi:
             return True  # unbounded gap closure
-        return any(g.gap[0] <= lo and hi <= g.gap[1] for g in other.gaps)
+        _, g0, g1, *_ = other.gap_cols
+        return any(a * so <= lo and hi <= b * so for a, b in zip(g0, g1))
 
-    if inside_gap(hk, f):
+    if inside_gap(k, sk, f, sf):
         return {"alternative": "K-in-gap-of-F", "levels_checked": 0}
-    if inside_gap(hf, k):
+    if inside_gap(f, sf, k, sk):
         return {"alternative": "F-in-gap-of-K", "levels_checked": 0}
+
+    def pairs(c, s, i):
+        nums = c.ends[min(i, c.depth)]
+        return list(zip([x * s for x in nums[::2]], [x * s for x in nums[1::2]]))
+
     interior_ok = True
     for i in range(depth + 1):
-        cap = _interval_list_intersection(k.intervals(min(i, k.depth)),
-                                          f.intervals(min(i, f.depth)))
+        cap = _interval_list_intersection(pairs(k, sk, i), pairs(f, sf, i))
         if not any(hi > lo for lo, hi in cap):
             interior_ok = False
             break
@@ -544,16 +619,20 @@ def gap_lemma_check(k: CantorApprox, f: CantorApprox, depth=None):
             "interior_nonempty_all_levels": interior_ok}
 
 
-_CANTOR_DEPTH_CAP = 16  # 2^16 intervals: about 2 s and 60 MB of Fractions
+_CANTOR_DEPTH_CAP = 16  # 2^16 intervals: about 0.05 s and 10 MB of ints
 
 
 def parse_cantor_spec(spec):
-    """CantorApprox spec string: 'remove-middle 1/3 depth 12'.  A depth over
-    _CANTOR_DEPTH_CAP raises ResourceError before anything is built."""
+    """CantorApprox spec string: 'remove-middle 1/3 depth 12'.  A negative
+    depth raises ValueError and a depth over _CANTOR_DEPTH_CAP raises
+    ResourceError, before anything is built."""
     toks = spec.split()
     if len(toks) != 4 or toks[0] != "remove-middle" or toks[2] != "depth":
         raise ValueError(f"bad Cantor spec {spec!r}")
-    if int(toks[3]) > _CANTOR_DEPTH_CAP:
-        raise ResourceError(f"Cantor depth {toks[3]} is over the cap "
+    depth = int(toks[3])
+    if depth < 0:
+        raise ValueError(f"Cantor depth {depth} is negative")
+    if depth > _CANTOR_DEPTH_CAP:
+        raise ResourceError(f"Cantor depth {depth} is over the cap "
                             f"{_CANTOR_DEPTH_CAP}")
-    return middle_cantor(Fraction(toks[1]), int(toks[3]))
+    return middle_cantor(Fraction(toks[1]), depth)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailent.cli import ExperimentConfig, load_config, main
+from tailent.cli import (_K_MAX_CAP, _TAIL_N_MAX_CAP, ExperimentConfig,
+                         load_config, main)
 from tailent.entropy import _GRID_BITS_CAP
+from tailent.symbolic import _CANTOR_DEPTH_CAP
 
 
 def run_cli(args, tmp_path, name="out.csv", env=None):
@@ -272,8 +274,9 @@ def test_orbit_cap_boundary_without_allocating(no_grid_allocation):
 
 @pytest.fixture
 def nothing_built(monkeypatch):
-    """Fail the test if an SFT, a Cantor set or an estimate is built."""
-    from tailent import entropy, symbolic
+    """Fail the test if a map, a weight, an SFT, a Cantor set or an
+    estimate is built."""
+    from tailent import cli, entropy, rates, symbolic
 
     def refuse(*args, **kwargs):
         raise AssertionError("built")
@@ -281,6 +284,8 @@ def nothing_built(monkeypatch):
     monkeypatch.setattr(symbolic, "build_Yp", refuse)
     monkeypatch.setattr(symbolic, "middle_cantor", refuse)
     monkeypatch.setattr(entropy, "tail_entropy_estimate", refuse)
+    monkeypatch.setattr(cli, "_map_for", refuse)
+    monkeypatch.setattr(rates, "parse_weight", refuse)
 
 
 @pytest.mark.parametrize("args", [
@@ -290,6 +295,10 @@ def nothing_built(monkeypatch):
     ["thickness", "--cantor", "remove-middle 1/3 depth 100000000000"],
     ["tail", "--eps-count", "257"],
     ["tail", "--eps-count", "10000000000"],
+    ["tail", "--n-max", "1025"],
+    ["tail", "--n-max", "10000000000"],
+    ["weights", "--k-max", "100001"],
+    ["weights", "--k-max", "10000000000"],
 ])
 def test_size_over_cap_exits_3_before_building(tmp_path, capsys, nothing_built,
                                                args):
@@ -312,6 +321,17 @@ def test_size_caps_boundaries(nothing_built):
     cfg.eps_count += 1
     with pytest.raises(ResourceError):
         cfg.eps_schedule()
+    cfg = ExperimentConfig(name="tail", n_max=cli._TAIL_N_MAX_CAP)
+    assert cfg.n_range(cli._TAIL_N_MAX_CAP) == range(1, cli._TAIL_N_MAX_CAP + 1)
+    cfg.n_max += 1
+    with pytest.raises(ResourceError):
+        cfg.n_range(cli._TAIL_N_MAX_CAP)
+    assert cfg.n_range() == range(1, cli._TAIL_N_MAX_CAP + 2)
+    cfg = ExperimentConfig(name="weights", k_max=cli._K_MAX_CAP)
+    assert cfg.k_range() == range(cli._K_MAX_CAP + 1)
+    cfg.k_max += 1
+    with pytest.raises(ResourceError):
+        cfg.k_range()
     depth = symbolic._CANTOR_DEPTH_CAP
     with pytest.raises(AssertionError, match="built"):
         symbolic.parse_cantor_spec(f"remove-middle 1/3 depth {depth}")
@@ -346,7 +366,9 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
 ] + [([experiment, "--threads", threads], "threads")
      for experiment in ("entropy", "tail", "bounds", "reparam", "sft",
                         "thickness", "weights", "snake", "modulus")
-     for threads in ("0", "-2")])
+     for threads in ("0", "-2")] + [
+    (["thickness", "--cantor", "remove-middle 1/3 depth -1"], "cantor"),
+])
 def test_refused_values_exit_2(tmp_path, capsys, nothing_built, args, field):
     code = main(args + ["--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -376,7 +398,8 @@ def _ints(**kwargs):
 # For each numeric flag, the subcommand that reads it and values it must
 # refuse: the flag's type rejects text, and the program rejects non-finite
 # values, values at or below zero where the flag must be positive, and sizes
-# over the caps.  No valid value is drawn, so no estimate runs.
+# over the caps; for the Cantor spec, negative depths and depths over the
+# cap.  No valid value is drawn, so no estimate runs.
 _REFUSED = {
     "--eps-start": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                       _floats(max_value=0.0),
@@ -388,7 +411,8 @@ _REFUSED = {
                                       _ints(max_value=0),
                                       _ints(min_value=257))),
     "--n-max": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
-                                  _ints(max_value=0))),
+                                  _ints(max_value=0),
+                                  _ints(min_value=_TAIL_N_MAX_CAP + 1))),
     "--threads": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                     _ints(max_value=0))),
     "--grid-bits": ("entropy", st.one_of(
@@ -403,7 +427,13 @@ _REFUSED = {
     "--p-max": ("sft", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                  _ints(max_value=2), _ints(min_value=21))),
     "--k-max": ("weights", st.one_of(_NON_NUMERIC, _NOT_FINITE,
-                                     _ints(max_value=-1))),
+                                     _ints(max_value=-1),
+                                     _ints(min_value=_K_MAX_CAP + 1))),
+    "--cantor": ("thickness", st.builds(
+        "remove-middle {} depth {}".format,
+        st.sampled_from(["1/3", "1/5", "1/2", "9/10"]),
+        st.one_of(st.integers(max_value=-1),
+                  st.integers(min_value=_CANTOR_DEPTH_CAP + 1)))),
 }
 
 

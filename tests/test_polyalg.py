@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailent import polyalg
 from tailent.acceptance import fixed_reparam_system, random_reparam_system
@@ -591,3 +593,143 @@ def test_step3_shares_bell_tables_and_cofactors(monkeypatch):
     # derivatives; one cofactor family per inverting polynomial
     assert counts["bells"] == atlas.step2_count + 1
     assert counts["cofactors"] == len(inverting)
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials against the Fraction code they replaced
+# ---------------------------------------------------------------------------
+
+class FracPoly:
+    """The Fraction-based Polynomial: a tuple of Fraction coefficients,
+    every operation in Fraction arithmetic."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
+        return FracPoly([x + y for x, y in zip(a, b)])
+
+    def __neg__(self):
+        return FracPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FracPoly):
+            return FracPoly([c * Fraction(other) for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return FracPoly([])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPoly(out)
+
+    def diff(self, order=1):
+        cs = self.coeffs
+        for _ in range(order):
+            cs = tuple(i * c for i, c in enumerate(cs))[1:]
+        return FracPoly(cs)
+
+    def compose_affine(self, a, b):
+        a, b = Fraction(a), Fraction(b)
+        out = FracPoly([])
+        lin = FracPoly([a, b])
+        for c in reversed(self.coeffs):
+            out = out * lin + FracPoly([c])
+        return out
+
+    def eval_exact(self, x):
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def float_coeffs(self):
+        return np.array([float(c) for c in self.coeffs], dtype=float)
+
+
+def frac_int_coeffs(p):
+    if not p.coeffs:
+        return []
+    denom = 1
+    for c in p.coeffs:
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in p.coeffs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return [v // g for v in ints]
+
+
+def frac_poly_div_exact(a, b):
+    pa = [Fraction(c) for c in a]
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    while len(pa) >= len(b) and any(pa):
+        if pa[-1] == 0:
+            pa.pop()
+            continue
+        shift = len(pa) - len(b)
+        f = pa[-1] / b[-1]
+        out[shift] = f
+        for i, bc in enumerate(b):
+            pa[shift + i] -= f * bc
+        while pa and pa[-1] == 0:
+            pa.pop()
+    denom = 1
+    for c in out:
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    return [int(c * denom) for c in out]
+
+
+def same_poly(p, ref):
+    assert p.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.float_coeffs().tobytes() == ref.float_coeffs().tobytes()
+    assert polyalg._int_coeffs(p) == frac_int_coeffs(ref)
+    # (nums, den) is canonical: a polynomial rebuilt from its coefficients
+    # is equal, with the same hash
+    q = Polynomial(ref.coeffs)
+    assert q == p and hash(q) == hash(p)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                       st.sampled_from([1, 2, 3, 7, 16, 1 << 16, 3 ** 11, 10 ** 9 + 7]))
+_COEFFS = st.lists(_RATIONALS, max_size=9)
+_POINT = st.one_of(_RATIONALS, st.floats(-4.0, 4.0).map(Fraction))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=_COEFFS, b=_COEFFS, c=_RATIONALS, x=_POINT, lo=_POINT, width=_POINT)
+def test_integer_polynomials_match_fraction_code(a, b, c, x, lo, width):
+    p, q, pr, qr = Polynomial(a), Polynomial(b), FracPoly(a), FracPoly(b)
+    same_poly(p, pr)
+    for got, want in ((p + q, pr + qr), (p - q, pr - qr), (-p, -pr),
+                      (p * q, pr * qr), (p * c, pr * c), (3 * p, pr * 3),
+                      (p.diff(), pr.diff()), (p.diff(3), pr.diff(3)),
+                      (p.compose_affine(lo, width), pr.compose_affine(lo, width)),
+                      (p - Polynomial([c]), pr - FracPoly([c]))):
+        same_poly(got, want)
+    assert p.eval_exact(x) == pr.eval_exact(x)
+    assert type(p.eval_exact(x)) is Fraction
+    assert (p * q).eval_exact(x) == pr.eval_exact(x) * qr.eval_exact(x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=_COEFFS, b=_COEFFS.filter(lambda cs: any(cs)), k=_RATIONALS)
+def test_integer_exact_division_matches_fraction_code(a, b, k):
+    b_ints = polyalg._int_coeffs(Polynomial(b))
+    for num in (polyalg._int_coeffs(Polynomial(a) * Polynomial(b) * k),
+                polyalg._int_coeffs(Polynomial(a)), [5, 0, 0, 0, 0, 0, 0]):
+        assert polyalg._poly_div_exact(num, b_ints) == \
+            frac_poly_div_exact(num, b_ints)

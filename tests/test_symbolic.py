@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailent.errors import (DegenerateShiftError, DomainError,
                             HypothesisUnmetError, MixingRequiredError,
@@ -462,3 +464,229 @@ def test_gap_lemma_on_scaled_pairs_matches_reference_construction():
         res = gap_lemma_check(k, f)
         assert res["alternative"] == "intersect"
         assert res["interior_nonempty_all_levels"]
+
+
+# ---------------------------------------------------------------------------
+# the integer Cantor layer against the Fraction code it replaced
+# ---------------------------------------------------------------------------
+
+class FracCantor:
+    """The Fraction-based CantorApprox: levels of (lo, hi) Fraction pairs and
+    GapRecords, every operation in Fraction arithmetic."""
+
+    def __init__(self, levels, gaps):
+        self.levels, self.gaps = levels, gaps
+
+    @property
+    def depth(self):
+        return len(self.levels) - 1
+
+    def hull(self):
+        k0 = self.levels[0]
+        return k0[0][0], k0[-1][1]
+
+    def intervals(self, depth):
+        if depth > self.depth:
+            raise DomainError(f"depth {depth} beyond truncation {self.depth}")
+        return self.levels[depth]
+
+    def scaled(self, a, b):
+        a, b = Fraction(a), Fraction(b)
+        h0, h1 = self.hull()
+        span = h1 - h0
+        if span == 0:
+            raise ValueError("degenerate hull")
+        slope = (b - a) / span
+        offset = a - slope * h0
+        image = {}
+
+        def mv(x):
+            y = image.get(x)
+            if y is None:
+                y = image[x] = offset + slope * x
+            return y
+
+        levels = [[(mv(lo), mv(hi)) for lo, hi in lv] for lv in self.levels]
+        gaps = [GapRecord(g.level, (mv(g.gap[0]), mv(g.gap[1])),
+                          (mv(g.left[0]), mv(g.left[1])),
+                          (mv(g.right[0]), mv(g.right[1]))) for g in self.gaps]
+        return FracCantor(levels, gaps)
+
+
+def frac_middle_cantor(remove_ratio, depth, hull=(0, 1)):
+    r = Fraction(remove_ratio)
+    if not 0 < r < 1:
+        raise ValueError("remove ratio must be in (0,1)")
+    keep = (1 - r) / 2
+    lo, hi = Fraction(hull[0]), Fraction(hull[1])
+    levels = [[(lo, hi)]]
+    gaps = []
+    for level in range(1, depth + 1):
+        nxt = []
+        for a, b in levels[-1]:
+            kw = keep * (b - a)
+            gap = (a + kw, b - kw)
+            l_int = (a, gap[0])
+            r_int = (gap[1], b)
+            gaps.append(GapRecord(level, gap, l_int, r_int))
+            nxt.extend([l_int, r_int])
+        levels.append(nxt)
+    return FracCantor(levels, gaps)
+
+
+def frac_thickness(c, depth=None):
+    if depth is None:
+        depth = c.depth
+    if depth > c.depth:
+        raise DomainError(f"depth {depth} beyond truncation {c.depth}")
+    best = None
+    for g in c.gaps:
+        if g.level > depth:
+            continue
+        gap_len = g.gap[1] - g.gap[0]
+        ratio = min(g.left[1] - g.left[0], g.right[1] - g.right[0]) / gap_len
+        best = ratio if best is None else min(best, ratio)
+    return math.inf if best is None else best
+
+
+def frac_interval_list_intersection(a, b):
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def frac_gap_lemma_check(k, f, depth=None):
+    if depth is None:
+        depth = min(k.depth, f.depth)
+    tk = frac_thickness(k, min(depth, k.depth))
+    tf = frac_thickness(f, min(depth, f.depth))
+    if not (tk == math.inf or tf == math.inf) and tk * tf <= 1:
+        raise HypothesisUnmetError(f"thickness product {float(tk * tf):g} <= 1")
+    hk, hf = k.hull(), f.hull()
+
+    def inside_gap(hull, other):
+        lo, hi = hull
+        olo, ohi = other.hull()
+        if hi <= olo or lo >= ohi:
+            return True
+        return any(g.gap[0] <= lo and hi <= g.gap[1] for g in other.gaps)
+
+    if inside_gap(hk, f):
+        return {"alternative": "K-in-gap-of-F", "levels_checked": 0}
+    if inside_gap(hf, k):
+        return {"alternative": "F-in-gap-of-K", "levels_checked": 0}
+    interior_ok = True
+    for i in range(depth + 1):
+        cap = frac_interval_list_intersection(k.intervals(min(i, k.depth)),
+                                              f.intervals(min(i, f.depth)))
+        if not any(hi > lo for lo, hi in cap):
+            interior_ok = False
+            break
+    return {"alternative": "intersect", "levels_checked": depth + 1,
+            "interior_nonempty_all_levels": interior_ok}
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (TailentError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def same_cantor(c, ref):
+    assert c.den > 0
+    assert c.depth == ref.depth
+    assert cantor_parts(c) == cantor_parts(ref)
+    assert_fractions(cantor_parts(c))
+    assert c.hull() == ref.hull()
+    for i in range(c.depth + 1):
+        assert c.intervals(i) == ref.intervals(i)
+
+
+_RATIOS = st.builds(lambda q, p: Fraction(p % (q - 1) + 1, q),
+                    st.integers(2, 40), st.integers(0, 10 ** 6))
+_POINTS = st.builds(Fraction, st.integers(-3000, 3000), st.integers(1, 700))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ratio=_RATIOS, depth=st.integers(0, 8), hull=st.tuples(_POINTS, _POINTS),
+       image=st.tuples(_POINTS, _POINTS))
+def test_integer_cantor_layer_matches_fraction_code(ratio, depth, hull, image):
+    # hulls and images in any order, negative ones and degenerate ones too
+    c, ref = middle_cantor(ratio, depth, hull), frac_middle_cantor(ratio, depth, hull)
+    same_cantor(c, ref)
+    assert outcome(thickness, c) == outcome(frac_thickness, ref)
+    for d in range(depth + 1):
+        assert outcome(thickness, c, d) == outcome(frac_thickness, ref, d)
+    s, sref = outcome(c.scaled, *image), outcome(ref.scaled, *image)
+    if isinstance(sref, type):
+        assert s is sref
+        return
+    same_cantor(s, sref)
+    assert outcome(thickness, s) == outcome(frac_thickness, sref)
+    # a rebuilt copy of the scaled set goes through the public constructor
+    t = CantorApprox(sref.levels, sref.gaps)
+    same_cantor(t, sref)
+    for k, f, kref, fref in ((c, s, ref, sref), (s, c, sref, ref), (s, t, sref, sref)):
+        for d in (None, 0, depth // 2, depth):
+            assert (outcome(gap_lemma_check, k, f, d)
+                    == outcome(frac_gap_lemma_check, kref, fref, d))
+        assert (_interval_list_intersection(k.intervals(depth), f.intervals(depth))
+                == frac_interval_list_intersection(kref.intervals(depth),
+                                                   fref.intervals(depth)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ratio=_RATIOS, depth=st.integers(0, 8),
+       hulls=st.lists(st.tuples(_POINTS, _POINTS), min_size=2, max_size=2))
+def test_gap_lemma_on_thick_pairs_matches_fraction_code(ratio, depth, hulls):
+    # thick sets (ratio <= 1/5, thickness >= 2), so the trichotomy is reached
+    ratio = ratio / 5 if ratio > Fraction(1, 5) else ratio
+    (a1, b1), (a2, b2) = hulls
+    base, ref = middle_cantor(ratio, depth), frac_middle_cantor(ratio, depth)
+    pairs = [(outcome(base.scaled, a, b), outcome(ref.scaled, a, b))
+             for a, b in hulls]
+    if any(isinstance(s, type) for _, s in pairs):
+        return
+    (k, kref), (f, fref) = pairs
+    assert outcome(gap_lemma_check, k, f) == outcome(frac_gap_lemma_check, kref, fref)
+
+
+def test_negative_depths_are_refused():
+    c = middle_cantor(Fraction(1, 3), 4)
+    for depth in (-1, -5):
+        with pytest.raises(DomainError, match="negative"):
+            c.intervals(depth)
+        with pytest.raises(DomainError, match="negative"):
+            thickness(c, depth)
+        with pytest.raises(DomainError, match="negative"):
+            gap_lemma_check(c, c.scaled(Fraction(1, 2), 2), depth)
+        with pytest.raises(ValueError, match="negative"):
+            middle_cantor(Fraction(1, 3), depth)
+        with pytest.raises(ValueError, match="negative"):
+            parse_cantor_spec(f"remove-middle 1/3 depth {depth}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(records=st.lists(st.tuples(st.integers(1, 4), st.lists(_POINTS, min_size=6,
+                                                               max_size=6)),
+                        max_size=12),
+       depth=st.integers(0, 4))
+def test_thickness_of_built_sets_matches_fraction_code(records, depth):
+    # gaps of any length, sign and ratio, unlike the self-similar sets
+    gaps = [GapRecord(level, (e[0], e[1]), (e[2], e[3]), (e[4], e[5]))
+            for level, e in records]
+    levels = [[(Fraction(0), Fraction(1))]] * 5
+    c, ref = CantorApprox(levels, gaps), FracCantor(levels, gaps)
+    same_cantor(c, ref)
+    assert outcome(thickness, c, depth) == outcome(frac_thickness, ref, depth)
