@@ -77,8 +77,9 @@ class ExperimentConfig:
         return range(1, self.n_max + 1)
 
     def k_range(self):
-        if self.k_max < 0:
-            raise ConfigError("k-max", "must be >= 0")
+        # the log_convex column tests 1 <= k <= k_max and needs k_max >= 2
+        if self.k_max < 2:
+            raise ConfigError("k-max", "must be >= 2")
         if self.k_max > _K_MAX_CAP:
             raise ResourceError(f"k-max {self.k_max} is over the cap "
                                 f"{_K_MAX_CAP}")

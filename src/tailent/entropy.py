@@ -219,11 +219,26 @@ def spanning_count(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BI
     return cover, net
 
 
-def _cover_count(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
-    """The spanning half of `spanning_count` alone, for callers that do not
-    need the separated count."""
-    orbits = _grid_orbits(m, n, eps, grid_bits=grid_bits)
-    return _greedy_cover(orbits, n, eps)[0]
+def _modulus_holds(count, p, h, target):
+    """The p_eps test of `continuity_modulus`: (1/p) log count - h <= target."""
+    return math.log(count) / p - h <= target
+
+
+def _modulus_cap(p, h, target, n_cols):
+    """Least count at which `_modulus_holds` fails, or None when it still
+    holds at n_cols, the most centers a cover of n_cols columns can have.
+    The test is monotone in the count (see `continuity_modulus`), so a
+    bisection over [1, n_cols] finds the least failing count."""
+    if _modulus_holds(n_cols, p, h, target):
+        return None
+    lo, hi = 0, n_cols          # holds at every count <= lo, fails at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _modulus_holds(mid, p, h, target):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _fit_counts(ns, counts, clean_upto=None):
@@ -609,6 +624,17 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
     [eps, s_hi]; the bound is h_est(f) + 2 hloc_g(N(eps)).  When the target
     is not reached below s_hi the result is capped at s_hi (capped=True):
     the true N(eps) is larger, so the returned bound is a lower surrogate.
+
+    Each p is decided by a capped greedy cover.  In floating point the
+    test value log(c)/p - h is nondecreasing in the integer count c:
+    math.log(c + 1) - math.log(c) is about 1/c, far more than one ulp of
+    log(c), and division by p > 0, subtraction of h and <= are monotone.
+    So the test holds up to some count and fails from the least failing
+    count C_p on (`_modulus_cap`, found by bisection).  The cover stops
+    after C_p centers and returns C_p, where the test fails as it does at
+    any larger count; below C_p it returns the full count.  Only a p that
+    may pass counts its whole grid, and p_eps, N(eps), the bound, capped
+    and the DomainError past p_cap are those of the uncapped cover.
     """
     if not 2 <= m0 < math.inf:
         raise DomainError("m0 must be finite and >= 2")
@@ -631,8 +657,10 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
             h = h_est(scale / 4)
             target = hloc_g(scale)
             for p in range(1, p_cap + 1):
-                r_p = _cover_count(m, p, scale / 4, grid_bits=grid_bits)
-                if math.log(r_p) / p - h <= target:
+                orbits = _grid_orbits(m, p, scale / 4, grid_bits=grid_bits)
+                cap = _modulus_cap(p, h, target, orbits.shape[1])
+                r_p, _ = _greedy_cover(orbits, p, scale / 4, cap=cap)
+                if _modulus_holds(r_p, p, h, target):
                     p_cache[scale] = p
                     break
             else:

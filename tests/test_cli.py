@@ -368,6 +368,8 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
                         "thickness", "weights", "snake", "modulus")
      for threads in ("0", "-2")] + [
     (["thickness", "--cantor", "remove-middle 1/3 depth -1"], "cantor"),
+    (["weights", "--k-max", "0"], "k-max"),
+    (["weights", "--k-max", "1"], "k-max"),
 ])
 def test_refused_values_exit_2(tmp_path, capsys, nothing_built, args, field):
     code = main(args + ["--out", str(tmp_path / "x.csv")])
@@ -427,7 +429,7 @@ _REFUSED = {
     "--p-max": ("sft", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                  _ints(max_value=2), _ints(min_value=21))),
     "--k-max": ("weights", st.one_of(_NON_NUMERIC, _NOT_FINITE,
-                                     _ints(max_value=-1),
+                                     _ints(max_value=1),
                                      _ints(min_value=_K_MAX_CAP + 1))),
     "--cantor": ("thickness", st.builds(
         "remove-middle {} depth {}".format,

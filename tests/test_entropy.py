@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailent import entropy
-from tailent.entropy import (_cover_count, _default_grid, _fold_cycle_centers,
-                             _greedy_cover, _greedy_net, _orbit_matrix,
-                             _tail_centers, _tail_counts, branch_product_bound,
+from tailent.entropy import (_default_grid, _fold_cycle_centers, _greedy_cover,
+                             _greedy_net, _grid_orbits, _modulus_cap,
+                             _modulus_holds, _orbit_matrix, _tail_centers,
+                             _tail_counts, branch_product_bound,
                              bound_quasionedim, bound_wmulti,
                              continuity_modulus, eps_entropy, growth_rate_R,
                              power_bound_check, spanning_count,
@@ -154,12 +157,48 @@ def test_greedy_kernels_cap_cuts_scan(m):
     assert not capped and (full, False) == brute_net(points, 2.0 ** -4)
 
 
-def test_cover_count_matches_spanning_count():
+def test_capped_cover_matches_spanning_count():
+    """The cover of the modulus p loop counts like `spanning_count` below
+    its cap and stops at the cap."""
     for n in (1, 3, 6):
         cover, _ = spanning_count(F4, n, 0.03, grid_bits=11)
-        assert _cover_count(F4, n, 0.03, grid_bits=11) == cover
+        orbits = _grid_orbits(F4, n, 0.03, grid_bits=11)
+        assert _greedy_cover(orbits, n, 0.03, cap=cover + 1) == (cover, False)
+        assert _greedy_cover(orbits, n, 0.03, cap=cover) == (cover, True)
+        assert _greedy_cover(orbits, n, 0.03, cap=cover - 1) == (cover - 1, True)
     with pytest.raises(ResolutionError, match="fewer than 8 grid points"):
-        _cover_count(TENT, 3, 1e-5, grid_bits=10)
+        _grid_orbits(TENT, 3, 1e-5, grid_bits=10)
+
+
+_MODULUS_MAPS = {"tent": TENT, "quadratic:4": F4, "quadratic:3.7": F37}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(_MODULUS_MAPS)),
+       bits=st.integers(9, 12), p=st.integers(1, 10),
+       h=st.floats(min_value=0.0, max_value=5.0))
+def test_capped_modulus_decision_matches_uncapped(data, name, bits, p, h):
+    """The capped cover decides the p_eps test as the full cover does, and
+    its cap is the least count at which the test fails.  Targets are drawn
+    at and one ulp around the test value of counts near the full one, as
+    well as anywhere, infinite and NaN."""
+    eps = data.draw(st.floats(min_value=8 / 2 ** bits, max_value=0.5))
+    orbits = _grid_orbits(_MODULUS_MAPS[name], p, eps, grid_bits=bits)
+    full, _ = _greedy_cover(orbits, p, eps)
+    near = math.log(max(full + data.draw(st.integers(-3, 3)), 1)) / p - h
+    target = data.draw(st.one_of(
+        st.sampled_from([near, math.nextafter(near, -math.inf),
+                         math.nextafter(near, math.inf)]),
+        st.floats(min_value=-1.0, max_value=10.0),
+        st.sampled_from([math.inf, -math.inf, math.nan])))
+    cap = _modulus_cap(p, h, target, orbits.shape[1])
+    capped, _ = _greedy_cover(orbits, p, eps, cap=cap)
+    assert _modulus_holds(capped, p, h, target) == _modulus_holds(full, p, h, target)
+    if cap is None:
+        assert _modulus_holds(orbits.shape[1], p, h, target)
+    else:
+        assert not _modulus_holds(cap, p, h, target)
+        assert cap == 1 or _modulus_holds(cap - 1, p, h, target)
 
 
 def test_eps_entropy_rejects_empty_n_range():
@@ -640,12 +679,13 @@ def test_continuity_modulus_identity():
     assert p_eps == expected
     assert n_eps > eps
     assert bound >= 0.0
+    # pinned bit for bit
+    assert (p_eps, n_eps, bound, capped) == (7, 0.35, 1.9050846360806704, True)
 
 
 def test_continuity_modulus_large_target_gives_p1():
-    p_eps, _, _, _ = continuity_modulus(IDENT, 0.1, 2.0, lambda t: 50.0,
-                                        grid_bits=12)
-    assert p_eps == 1
+    result = continuity_modulus(IDENT, 0.1, 2.0, lambda t: 50.0, grid_bits=12)
+    assert result == (1, 0.35, 100.0, True)
 
 
 def test_continuity_modulus_tent():
@@ -655,6 +695,20 @@ def test_continuity_modulus_tent():
     assert p_eps >= 1 and np.isfinite(bound)
     assert n_eps > 0.05
     assert bound >= h_tent - 0.05
+    assert (p_eps, n_eps, bound, capped) == (10, 0.35, 0.7579888884755364, True)
+
+
+def test_continuity_modulus_bisects_when_uncapped():
+    """psi(s_hi) >= eps, so N(eps) comes from the 25 bisection steps, each
+    deciding p at a new scale."""
+    result = continuity_modulus(F4, 0.02, 2.0, lambda t: 1.0, grid_bits=11)
+    assert result == (8, 0.3200000089406967, 2.732367893713226, False)
+
+
+def test_continuity_modulus_p_cap_raises():
+    """Every p up to the cap fails, each after C_p centers."""
+    with pytest.raises(DomainError, match="p_eps exceeded cap 64 at eps=0.02"):
+        continuity_modulus(TENT, 0.02, 2.0, lambda t: 0.1, grid_bits=11)
 
 
 def test_continuity_modulus_rejects_nonmonotone():
