@@ -262,8 +262,8 @@ def _fit_counts(ns, counts, clean_upto=None):
     return max(slope, 0.0), rate
 
 
-def _count_series(m, eps, n_range, grid_bits, cap, greedy):
-    """Counts per n; stops once the grid starves (count above cap, by
+def _count_series(m, eps, n_range, grid_bits, cap):
+    """Greedy-net counts per n; stops once the grid starves (count above cap, by
     default one sixteenth of the grid, i.e. under ~16 points per ball).
     Returns (ns, counts, clean_upto), clean_upto being the index of the
     first starved n (None if the grid never starved)."""
@@ -281,7 +281,7 @@ def _count_series(m, eps, n_range, grid_bits, cap, greedy):
         if clean_upto is not None:
             counts.append(counts[-1])
             continue
-        c, capped = greedy(orbits, n, eps, cap=cap)
+        c, capped = _greedy_net(orbits, n, eps, cap=cap)
         counts.append(c)
         if capped or c >= cap:
             clean_upto = j
@@ -298,8 +298,7 @@ def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
     The knee, the index into ns of the first starved count (None if the
     grid never starved), is reported as extra["clean_upto"].
     """
-    ns, counts, clean_upto = _count_series(m, eps, n_range, grid_bits, cap,
-                                           _greedy_net)
+    ns, counts, clean_upto = _count_series(m, eps, n_range, grid_bits, cap)
     slope, rate = _fit_counts(ns, counts, clean_upto)
     return EntropyEstimate(
         method="eps-entropy", map_name=m.name, eps=eps, delta=None,

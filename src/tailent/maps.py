@@ -4,9 +4,12 @@ structure, and a string registry used by the CLI.
 
 All map objects are immutable after construction; caches (critical points,
 monotone partition, critical-point pullback levels) are built lazily.
-Critical points come from exact root isolation for the polynomial kind and
-from sampled sign changes elsewhere, refined by the lane-array bisection
-`polyalg._bisect`, which also solves f(x) = y on each monotone branch.
+The critical points of a map are its turning points, the zeros of f' at
+which f' changes sign; they cut the monotone partition and seed the
+pullback.  Candidate zeros come from exact root isolation for the
+polynomial kind and from sampled sign changes and exact zeros elsewhere,
+refined by the lane-array bisection `polyalg._bisect`, which also solves
+f(x) = y on each monotone branch.
 """
 
 from __future__ import annotations
@@ -81,13 +84,15 @@ class IntervalMap:
     # -- structure --------------------------------------------------------
     @property
     def critical_points(self):
-        """Sorted zeros of f' in the open interval (0,1)."""
+        """Sorted turning points of f in the open interval (0,1): the zeros
+        of f' at which f' changes sign.  The monotone partition cuts here."""
         if self._crit is None:
             self._crit = self._find_critical_points()
         return self._crit
 
     def _find_critical_points(self):
-        # sampled sign changes of f', each bracket bisected 60 times
+        # sampled sign changes of f', each bracket bisected 60 times, and the
+        # sampled exact zeros; then only the turning points among them
         n = 1 << _GRID_BITS_CRIT
         xs = np.linspace(0.0, 1.0, n + 1)
         d = self._deriv_array(xs, 1)
@@ -95,25 +100,20 @@ class IntervalMap:
         idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
         roots = polyalg._bisect(lambda x, lane: self._deriv_array(x, 1),
                                 xs[idx], xs[idx + 1], 0.0, d[idx] < 0, 60)
-        return sorted(set(roots.tolist() + xs[1:-1][d[1:-1] == 0.0].tolist()))
+        return self._turning_points(
+            sorted(set(roots.tolist() + xs[1:-1][d[1:-1] == 0.0].tolist())))
 
-    def _sign_change_points(self):
-        """Critical points where f' actually changes sign."""
-        pts = []
-        anchors = [0.0] + list(self.critical_points) + [1.0]
-        for i, c in enumerate(self.critical_points):
-            left = 0.5 * (anchors[i] + c)
-            right = 0.5 * (c + anchors[i + 2])
-            sl = float(self._deriv_array(np.array([left]), 1)[0])
-            sr = float(self._deriv_array(np.array([right]), 1)[0])
-            if sl * sr < 0:
-                pts.append(c)
-        return pts
+    def _turning_points(self, zeros):
+        """The zeros of f' (sorted) at which f' changes sign: the sign of f'
+        at the midpoints between neighbouring zeros, 0 and 1 the outer ends."""
+        anchors = np.array([0.0] + zeros + [1.0])
+        d = self._deriv_array(0.5 * (anchors[:-1] + anchors[1:]), 1)
+        return [c for c, turns in zip(zeros, d[:-1] * d[1:] < 0) if turns]
 
     def monotone_partition(self):
         """(branch list, L(f), l): minimal monotone partition of [0,1]."""
         if self._branches is None:
-            cuts = [0.0] + self._sign_change_points() + [1.0]
+            cuts = [0.0] + self.critical_points + [1.0]
             self._branches = list(zip(cuts[:-1], cuts[1:]))
         branches = self._branches
         length = min(hi - lo for lo, hi in branches)
@@ -203,7 +203,8 @@ class PolynomialMap(IntervalMap):
         dp = self.poly.diff()
         if dp.is_zero() or dp.degree < 1:
             return []
-        return [r for r in polyalg.isolate_roots(dp, 0, 1) if 0 < r < 1]
+        return self._turning_points(
+            [r for r in polyalg.isolate_roots(dp, 0, 1) if 0 < r < 1])
 
     def derivative_sup(self, order, interval=(0.0, 1.0)):
         """Exact for the polynomial kind: root isolation of f^(order+1)."""
@@ -280,9 +281,6 @@ class PiecewiseAffineMap(IntervalMap):
             if self.slopes[i] * self.slopes[i + 1] < 0:
                 pts.append(float(self.xs[i + 1]))
         return pts
-
-    def _sign_change_points(self):
-        return self._find_critical_points()
 
     def branch_preimages(self, ys):
         """All preimages of each y (flattened, sorted); exact per segment."""
@@ -449,13 +447,16 @@ class SnakeMap(IntervalMap):
         t = self._t(xs)
         return _chi(t) * self._h(t)
 
-    def _deriv_array(self, xs, order):
-        t = self._t(xs)
+    def _leibniz(self, t, order):
+        """d^order/dt^order of chi(t) * h(t), by the Leibniz rule."""
         binom = {1: (1, 1), 2: (1, 2, 1), 3: (1, 3, 3, 1)}[order]
         acc = np.zeros_like(t)
         for a, coef in enumerate(binom):
             acc += coef * _chi(t, order=a) * self._h(t, order=order - a)
-        return acc / self.params.ell ** order
+        return acc
+
+    def _deriv_array(self, xs, order):
+        return self._leibniz(self._t(xs), order) / self.params.ell ** order
 
     def profile_derivative_sup(self, order, samples_per_osc=100):
         """sup over window units t of |d^r/dt^r f(c + ell*t)| on [-1, 2].
@@ -467,11 +468,7 @@ class SnakeMap(IntervalMap):
             raise UnsupportedOrderError(f"order {order} beyond k_max=3")
         n = 3 * samples_per_osc * self.params.N
         t = np.linspace(-1.0, 2.0, n + 1)
-        binom = {1: (1, 1), 2: (1, 2, 1), 3: (1, 3, 3, 1)}[order]
-        acc = np.zeros_like(t)
-        for a, coef in enumerate(binom):
-            acc += coef * _chi(t, order=a) * self._h(t, order=order - a)
-        return float(np.max(np.abs(acc)))
+        return float(np.max(np.abs(self._leibniz(t, order))))
 
     def sampled_derivative_sup(self, order, samples_per_osc=100):
         """sup over x of |f^(order)| sampled at 100 points per oscillation."""

@@ -204,6 +204,20 @@ def test_console_entry_point(tmp_path):
     assert out.read_text().startswith("schema,config")
 
 
+def test_snake_tail_runs_in_a_subprocess(tmp_path):
+    """The snake's flat part contributes no critical points, so its tail
+    pullback splits balls only at its few turning points and finishes."""
+    out = tmp_path / "snake.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailent.cli", "tail", "--map", "snake:eps=0.1",
+         "--eps-count", "2", "--n-max", "8", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.returncode == 0, proc.stderr
+    _, rows = parse_csv(out.read_text())
+    assert len(rows) == 2
+
+
 @pytest.mark.parametrize("experiment", ["entropy", "modulus"])
 @pytest.mark.parametrize("bits", ["0", "-3"])
 def test_grid_bits_below_one_exits_2(tmp_path, capsys, experiment, bits):

@@ -539,6 +539,17 @@ def test_tail_reports_centers_and_knee():
     assert capped.counts[knee:] == [capped.counts[knee - 1]] * (12 - knee)
 
 
+def test_inflection_is_not_a_critical_point():
+    """f' = 3 (2x - 1)^2 vanishes at 1/2 without changing sign: f is
+    monotone, L(f) = 1, and a ball around 1/2 is not split there."""
+    m = PolynomialMap([0, 3, -6, 4])
+    assert m.critical_points == []
+    assert m.monotone_partition() == ([(0.0, 1.0)], 1.0, 1)
+    assert maps.min_branch_length_iterate(m, 0.6) == (32, True)
+    est = tail_entropy_estimate(m, 0.125, n_range=range(1, 13))
+    assert est.counts[-1] == 16
+
+
 def test_tail_reports_fold_cycle_error(monkeypatch):
     def explode(m, eps):
         raise ResourceError("branch explosion beyond 7 points")

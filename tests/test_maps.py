@@ -334,7 +334,9 @@ def test_snake_map_image_and_smoothness():
 
 def ref_sampled_critical_points(m):
     """Sampled sign changes of f', each bracket bisected by a scalar
-    60-step loop that keeps the derivative value at its left end."""
+    60-step loop that keeps the derivative value at its left end, and the
+    sampled exact zeros; of these, the turning points: f' takes opposite
+    signs at the midpoints to the neighbouring zeros (0 and 1 at the ends)."""
     xs = np.linspace(0.0, 1.0, (1 << 16) + 1)
     d = m._deriv_array(xs, 1)
     s = np.sign(d)
@@ -351,7 +353,17 @@ def ref_sampled_critical_points(m):
                 lo, flo = mid, fm
         roots.append(0.5 * (lo + hi))
     roots.extend(xs[1:-1][d[1:-1] == 0.0])
-    return sorted(set(roots))
+    zeros = sorted(set(roots))
+    # f' is evaluated pointwise, so one call over all midpoints gives the
+    # same values as one call per midpoint (55,724 zeros at eps 0.1)
+    anchors = [0.0] + zeros + [1.0]
+    dmid = m._deriv_array(np.array(
+        [0.5 * (a + b) for a, b in zip(anchors[:-1], anchors[1:])]), 1).tolist()
+    turning = []
+    for i, c in enumerate(zeros):
+        if dmid[i] * dmid[i + 1] < 0:
+            turning.append(c)
+    return turning
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.02])
@@ -360,9 +372,11 @@ def test_snake_critical_points_match_scalar_bisection(eps):
     got = np.array(sm.critical_points)
     want = np.array(ref_sampled_critical_points(sm))
     assert got.tobytes() == want.tobytes()
-    # cos(pi N t) turns at t = 1/N, ..., (N-1)/N inside the window, besides
-    # the exact zeros of the flat part
+    # cos(pi N t) turns at t = 1/N, ..., (N-1)/N inside the window; the
+    # flat part outside it, where f' is exactly 0, adds no turning point
     assert np.sum((got > sm.params.c) & (got < sm.params.d)) >= sm.params.N - 1
+    branches, _, _ = sm.monotone_partition()
+    assert [b for _, b in branches[:-1]] == sm.critical_points
 
 
 def test_snake_rejects_bad_configs():
