@@ -276,10 +276,13 @@ class PiecewiseAffineMap(IntervalMap):
         return self.slopes[idx]
 
     def _find_critical_points(self):
-        pts = []
-        for i in range(len(self.slopes) - 1):
-            if self.slopes[i] * self.slopes[i + 1] < 0:
-                pts.append(float(self.xs[i + 1]))
+        # a turn is where a nonzero slope has the other sign than the last
+        # nonzero slope before it; across a plateau it sits at the left end
+        pts, last = [], None
+        for i in np.flatnonzero(self.slopes):
+            if last is not None and self.slopes[last] * self.slopes[i] < 0:
+                pts.append(float(self.xs[last + 1]))
+            last = i
         return pts
 
     def branch_preimages(self, ys):

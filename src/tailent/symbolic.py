@@ -161,46 +161,89 @@ def word_count_entropy(sft: Sft, n_lo=20, n_hi=40):
 # the numpy vectors do, without numpy's per-call cost.
 _SMALL_GRAPH = 8
 
+# The power iteration of sft_entropy, formatted per graph by _compile_loop:
+# on float locals v0, v1, ... below _SMALL_GRAPH states, else on arrays.
+# The test of every step spells out abs and max(lam, 1.0), which is 1.0 if
+# 1.0 > lam else lam; the two builtin calls cost more than the rest of a
+# small step.
+_LOOP = """
+def power_loop(tol, max_iter):
+    {init}
+    lam_prev, stable = 0.0, 0
+    probe, snap = 1, None
+    for it in range(max_iter):
+        {step}
+        norm = {norm}
+        if norm == 0.0:
+            raise DegenerateShiftError("nilpotent transition matrix")
+        lam = norm / ({total})
+        d = lam - lam_prev
+        if d < 0.0:
+            d = -d
+        if it == probe:
+            if snap is None:
+                snap, probe = {snapshot}, it + 2
+            else:
+                if (d > tol * max(lam, 1.0) and d > tol * max(lam_prev, 1.0)
+                        and {same}):
+                    raise PrecisionError(
+                        f"power iteration oscillates with period 2 (estimate "
+                        f"{{lam_prev!r}} <-> {{lam!r}}) and cannot converge; "
+                        f"stopped at step {{it}}")
+                snap, probe = None, 2 * it
+        {scale}
+        if d <= tol * (1.0 if 1.0 > lam else lam):
+            stable += 1
+            if stable >= 10:
+                return lam
+        else:
+            stable = 0
+        lam_prev = lam
+    raise PrecisionError(
+        f"power iteration did not converge in {{max_iter}} steps")
+"""
 
-def _small_ops(succ):
-    """Step, sum and scale of the power iteration on lists of floats."""
-    def total(v):
-        s = 0.0
-        for x in v:
-            s += x
-        return s
 
-    def step(v):
-        w = []
-        for row in succ:
-            s = 0.0
-            for j in row:
-                s += v[j]
-            w.append(s)
-        return w
-
-    def scale(w, norm):
-        return [x / norm for x in w]
-
-    return [1.0] * len(succ), step, total, scale, operator.eq
-
-
-def _array_ops(succ):
-    """Step, sum and scale of the power iteration on float64 arrays.
-
-    bincount adds the weights into each bin in the order of src, i.e. over
-    ascending successors, starting from 0."""
+def _compile_loop(succ):
+    """power_loop(tol, max_iter) compiled from _LOOP for the graph succ; the
+    text holds only its own names and the checked successor indices.  A
+    small graph's w_i is a left fold from 0.0 over the ascending successors
+    of i; bincount adds the weights into each bin in the same order."""
     n = len(succ)
-    src = np.array([i for i, row in enumerate(succ) for _ in row], dtype=np.intp)
-    dst = np.array([j for row in succ for j in row], dtype=np.intp)
+    try:
+        dst = [operator.index(j) for row in succ for j in row]
+    except TypeError as exc:
+        raise DomainError(f"successor entries must be integers: {exc}") from None
+    if any(not 0 <= j < n for j in dst):
+        raise DomainError(f"successor entries must lie in range({n})")
+    namespace = {"np": np, "DegenerateShiftError": DegenerateShiftError,
+                 "PrecisionError": PrecisionError}
+    if n < _SMALL_GRAPH:
+        def fold(terms):
+            return " + ".join(["0.0", *terms])
 
-    def step(v):
-        return np.bincount(src, weights=v[dst], minlength=n)
-
-    def scale(w, norm):
-        return w / norm
-
-    return np.ones(n), step, np.ndarray.sum, scale, np.array_equal
+        vs = "".join(f"v{i}, " for i in range(n))
+        ws = "".join(f"w{i}, " for i in range(n))
+        js = iter(dst)
+        text = _LOOP.format(
+            init=f"{vs}= " + "1.0, " * n,
+            step=f"{ws}= " + "".join(fold(f"v{next(js)}" for _ in row) + ", "
+                                     for row in succ),
+            norm=fold(f"w{i}" for i in range(n)),
+            total=fold(f"v{i}" for i in range(n)),
+            snapshot=f"({vs})", same=f"({vs}) == snap",
+            scale=f"{vs}= " + "".join(f"w{i} / norm, " for i in range(n)))
+    else:
+        namespace.update(
+            n=n, src=np.repeat(np.arange(n), [len(row) for row in succ]),
+            dst=np.array(dst, dtype=np.intp))
+        text = _LOOP.format(
+            init="v = np.ones(n)",
+            step="w = np.bincount(src, weights=v[dst], minlength=n)",
+            norm="w.sum()", total="v.sum()", snapshot="v",
+            same="np.array_equal(v, snap)", scale="v = w / norm")
+    exec(compile(text, "<sft_entropy loop>", "exec"), namespace)
+    return namespace["power_loop"]
 
 
 def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
@@ -210,9 +253,13 @@ def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
     eigenvalue estimate sum(A v) / sum(v) has moved by at most
     tol * max(lam, 1) on 10 steps in a row.  Graphs with fewer than 8 states
     iterate on Python floats, larger ones on numpy arrays; both paths
-    produce the same bits (see _SMALL_GRAPH).  Raises PrecisionError when
-    max_iter steps pass without that test firing, DegenerateShiftError on
-    an empty or nilpotent graph.
+    produce the same bits (see _SMALL_GRAPH).  The loop is compiled once per
+    graph (_compile_loop) because its overhead is paid on every step, and
+    Y_2 takes 1,000,061 of them: a small graph's step is straight-line code
+    on local floats, with no call per step, doing the same operations in the
+    same order.  Raises PrecisionError when max_iter steps pass without that
+    test firing, DegenerateShiftError on an empty or nilpotent graph,
+    DomainError when a successor entry is not an integer in range(size).
 
     On a periodic shift the normalized iterate can cycle with period 2, so
     the estimate oscillates for ever.  At steps 3, 8, 18, 38, ... (each
@@ -224,39 +271,7 @@ def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
     succ = sft.successors()
     if not any(succ):
         raise DegenerateShiftError("empty transition matrix")
-    ops = _small_ops if len(succ) < _SMALL_GRAPH else _array_ops
-    v, step, total, scale, same = ops(succ)
-    lam_prev, stable = 0.0, 0
-    probe, snap = 1, None
-    for it in range(max_iter):
-        w = step(v)
-        norm = total(w)
-        if norm == 0.0:
-            raise DegenerateShiftError("nilpotent transition matrix")
-        lam = norm / total(v)
-        if it == probe:
-            if snap is None:
-                snap, probe = v, it + 2
-            else:
-                d = abs(lam - lam_prev)
-                if (d > tol * max(lam, 1.0) and d > tol * max(lam_prev, 1.0)
-                        and same(v, snap)):
-                    raise PrecisionError(
-                        f"power iteration oscillates with period 2 (estimate "
-                        f"{lam_prev!r} <-> {lam!r}) and cannot converge; "
-                        f"stopped at step {it}")
-                snap, probe = None, 2 * it
-        v = scale(w, norm)
-        if abs(lam - lam_prev) <= tol * max(lam, 1.0):
-            stable += 1
-            if stable >= 10:
-                break
-        else:
-            stable = 0
-        lam_prev = lam
-    else:
-        raise PrecisionError(
-            f"power iteration did not converge in {max_iter} steps")
+    lam = _compile_loop(succ)(tol, max_iter)
     if lam <= 0:
         raise DegenerateShiftError("spectral radius zero")
     return math.log(lam)

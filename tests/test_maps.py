@@ -59,6 +59,17 @@ def test_monotone_partition_examples():
     assert length == pytest.approx(0.2, abs=1e-10)
 
 
+def test_piecewise_affine_turn_across_plateau():
+    # up, flat, down turns at the left end of the plateau; up, flat, up does
+    # not turn
+    m = PiecewiseAffineMap([0, 0.4, 0.6, 1], [0, 1, 1, 0])
+    assert m.critical_points == [0.4]
+    assert m.monotone_partition() == ([(0.0, 0.4), (0.4, 1.0)], 0.4, 2)
+    flat = PiecewiseAffineMap([0, 0.4, 0.6, 1], [0, 1, 1, 1])
+    assert flat.critical_points == []
+    assert flat.monotone_partition() == ([(0.0, 1.0)], 1.0, 1)
+
+
 def test_monotone_partition_from_fitted_polynomial():
     """Branch count of a fitted polynomial: exact root isolation agrees with
     a dense sampled sign-change oracle (a degree-6 LSQ fit of the 3-branch

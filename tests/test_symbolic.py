@@ -8,15 +8,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailent.errors import (DegenerateShiftError, DomainError,
                             HypothesisUnmetError, MixingRequiredError,
                             PrecisionError, TailentError)
-from tailent.symbolic import (CantorApprox, GapRecord, build_Yp, gap_lemma_check,
-                              load_sft_file, middle_cantor, parse_cantor_spec,
-                              periodic_shadow, power_system,
+from tailent import symbolic
+from tailent.symbolic import (CantorApprox, GapRecord, Sft, build_Yp,
+                              gap_lemma_check, load_sft_file, middle_cantor,
+                              parse_cantor_spec, periodic_shadow, power_system,
                               sft_from_forbidden_words, sft_entropy, thickness,
                               word_count, word_count_entropy,
                               _interval_list_intersection)
@@ -260,6 +261,54 @@ def test_sft_entropy_matches_reference_nilpotent():
         assert_matches_reference(sft)
 
 
+def _graph_sft(succ):
+    n = len(succ)
+    return Sft(2, 1, tuple((i,) for i in range(n)), tuple(succ), ())
+
+
+@st.composite
+def _graphs(draw):
+    """Successor lists on 1-12 states: arbitrary (empty rows included),
+    self-loops only, reducible (edges never lead to a lower state) or
+    periodic (classes in a cycle, edges only into the next class)."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("any", "loops", "reducible", "periodic")))
+    if kind == "loops":
+        return tuple((i,) if draw(st.booleans()) else () for i in range(n))
+    if kind == "periodic":
+        k = draw(st.integers(1, n))
+        cls = [i % k for i in range(n)]
+        allowed = [[j for j in range(n) if cls[j] == (cls[i] + 1) % k]
+                   for i in range(n)]
+    elif kind == "reducible":
+        allowed = [list(range(i, n)) for i in range(n)]
+    else:
+        allowed = [list(range(n))] * n
+    return tuple(tuple(sorted(draw(st.sets(st.sampled_from(row)))))
+                 if row else () for row in allowed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_graphs())
+@example(((0,), (), (3,), (0, 1, 2, 3)))  # a fold order of w3 shows in the bits
+def test_sft_entropy_matches_reference_on_arbitrary_graphs(succ):
+    assert_matches_reference(_graph_sft(succ), max_iter=20_000)
+
+
+@pytest.mark.parametrize("size", [2, 9])
+@pytest.mark.parametrize("bad", ["__import__('os')", 1.0, 9, -1])
+def test_sft_entropy_refuses_bad_successors_before_compiling(bad, size,
+                                                             monkeypatch):
+    ran = []
+    monkeypatch.setattr(symbolic, "compile", lambda *a: ran.append(a),
+                        raising=False)
+    monkeypatch.setattr(symbolic, "exec", lambda *a: ran.append(a),
+                        raising=False)
+    with pytest.raises(DomainError):
+        sft_entropy(_graph_sft(((0, bad),) + ((0,),) * (size - 1)))
+    assert ran == []
+
+
 def test_numpy_sum_is_left_fold_below_8():
     # the premise of the Python-float path of sft_entropy: numpy sums
     # float64 arrays of up to 7 elements left to right
@@ -282,8 +331,11 @@ def test_numpy_sum_is_left_fold_below_8():
 def test_sft_entropy_refuses_unconverged_estimate():
     # period 2: 0 -> {1, 2} -> 0; the estimate oscillates and never settles
     period2 = sft_from_forbidden_words(3, ["00", "11", "12", "21", "22"])
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="oscillates with period 2"):
         sft_entropy(period2, max_iter=10_000)
+    # Y_2 settles only after 1,000,061 steps
+    with pytest.raises(PrecisionError, match="did not converge in 10000 steps"):
+        sft_entropy(build_Yp(2), max_iter=10_000)
 
 
 # ---------------------------------------------------------------------------
