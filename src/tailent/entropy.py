@@ -47,8 +47,8 @@ from .polyalg import _bisect
 
 __all__ = [
     "EntropyEstimate", "spanning_count", "eps_entropy", "tail_entropy_estimate",
-    "branch_product_bound", "bound_quasionedim", "bound_wmulti",
-    "growth_rate_R", "power_bound_check", "continuity_modulus",
+    "bound_quasionedim", "bound_wmulti", "growth_rate_R", "power_bound_check",
+    "continuity_modulus",
 ]
 
 _DEFAULT_GRID_BITS = 14
@@ -57,6 +57,8 @@ _DEFAULT_GRID_BITS = 14
 _ORBIT_BYTE_CAP = 1 << 30
 _GRID_BITS_CAP = (_ORBIT_BYTE_CAP // 8 - 1).bit_length() - 1
 _DEFAULT_N_RANGE = range(1, 25)
+# continuity_modulus: the largest p tried, and the top of the N(eps) bracket
+_P_CAP, _S_HI = 64, 0.35
 
 
 @dataclass
@@ -206,16 +208,15 @@ def _grid_orbits(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS
     return _orbit_matrix(m, xs, n)
 
 
-def spanning_count(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS,
-                   cap=None):
+def spanning_count(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS):
     """(spanning, separated) counts for the grid at time n and scale eps.
 
     Spanning comes from the closed-ball greedy cover, separated from the
     greedy strictly-separated family; spanning <= separated.
     """
     orbits = _grid_orbits(m, n, eps, grid, grid_bits)
-    cover, _ = _greedy_cover(orbits, n, eps, cap=cap)
-    net, _ = _greedy_net(orbits, n, eps, cap=cap)
+    cover, _ = _greedy_cover(orbits, n, eps)
+    net, _ = _greedy_net(orbits, n, eps)
     return cover, net
 
 
@@ -262,9 +263,9 @@ def _fit_counts(ns, counts, clean_upto=None):
     return max(slope, 0.0), rate
 
 
-def _count_series(m, eps, n_range, grid_bits, cap):
-    """Greedy-net counts per n; stops once the grid starves (count above cap, by
-    default one sixteenth of the grid, i.e. under ~16 points per ball).
+def _count_series(m, eps, n_range, grid_bits):
+    """Greedy-net counts per n; stops once the grid starves (count at the cap
+    max(64, one sixteenth of the grid), i.e. under ~16 points per ball).
     Returns (ns, counts, clean_upto), clean_upto being the index of the
     first starved n (None if the grid never starved)."""
     ns = list(n_range)
@@ -273,8 +274,7 @@ def _count_series(m, eps, n_range, grid_bits, cap):
     if min(ns) < 1:
         raise DomainError("n must be >= 1")
     orbits = _grid_orbits(m, max(ns), eps, grid_bits=grid_bits)
-    if cap is None:
-        cap = max(64, orbits.shape[1] // 16)
+    cap = max(64, orbits.shape[1] // 16)
     counts = []
     clean_upto = None
     for j, n in enumerate(ns):
@@ -289,7 +289,7 @@ def _count_series(m, eps, n_range, grid_bits, cap):
 
 
 def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
-                grid_bits=_DEFAULT_GRID_BITS, cap=None):
+                grid_bits=_DEFAULT_GRID_BITS):
     """Growth-rate estimate of the spanning counts r_n(f, eps).
 
     The count series uses the greedy separated family (whose open balls
@@ -298,7 +298,7 @@ def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
     The knee, the index into ns of the first starved count (None if the
     grid never starved), is reported as extra["clean_upto"].
     """
-    ns, counts, clean_upto = _count_series(m, eps, n_range, grid_bits, cap)
+    ns, counts, clean_upto = _count_series(m, eps, n_range, grid_bits)
     slope, rate = _fit_counts(ns, counts, clean_upto)
     return EntropyEstimate(
         method="eps-entropy", map_name=m.name, eps=eps, delta=None,
@@ -317,13 +317,13 @@ def _iterate_periods(m: IntervalMap, xs, qs):
     return v
 
 
-def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
+def _fold_cycle_centers(m: IntervalMap, eps, point_cap=1 << 14):
     """Near-periodic points passing within eps of a critical point.
 
-    For each critical point c and period q, solves f^q(y) = y on the two
-    monotone branches of f^q adjacent to c; such orbits refold their
-    dynamical ball every ~q steps and realize the fastest branch growth,
-    which generic centers never see.
+    For each critical point c and period q <= min(28, log2(1/eps) + 6),
+    solves f^q(y) = y on the two monotone branches of f^q adjacent to c;
+    such orbits refold their dynamical ball every ~q steps and realize the
+    fastest branch growth, which generic centers never see.
 
     The brackets of all (q, c, side) come from the critical-point pullback
     (stopped once a level holds more than point_cap points; levels are
@@ -333,8 +333,7 @@ def _fold_cycle_centers(m: IntervalMap, eps, q_max=None, point_cap=1 << 14):
     crit = sorted(m.critical_points)
     if not crit:
         return []
-    if q_max is None:
-        q_max = min(28, int(abs(math.log(eps)) / math.log(2)) + 6)
+    q_max = min(28, int(abs(math.log(eps)) / math.log(2)) + 6)
     brackets = []
     for q, cur in zip(range(1, q_max + 1), _critical_pullbacks(m)):
         if q > 1 and cur.size > point_cap:
@@ -474,8 +473,7 @@ def _tail_counts(m: IntervalMap, centers, eps, ns, deltas, stride=1,
 
 
 def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
-                          n_range=range(1, 29), x_centers=40, stride=1,
-                          piece_cap=1 << 14):
+                          n_range=range(1, 29), stride=1, piece_cap=1 << 14):
     """Upper eps-tail entropy estimate via exact interval pullback.
 
     For each center x the dynamical ball B_n(f, x, eps) is maintained as a
@@ -507,7 +505,7 @@ def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
     ns = sorted(n_range)
     if not ns:
         raise DomainError("n_range must be nonempty")
-    centers, fold_error = _tail_centers(m, x_centers, eps=eps)
+    centers, fold_error = _tail_centers(m, 40, eps=eps)
     sup_counts, cut = _tail_counts(m, centers, eps, ns, delta_schedule,
                                    stride=stride, piece_cap=piece_cap)
     upto = None
@@ -529,18 +527,6 @@ def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
         extra={"delta_slopes": dict(zip(delta_schedule, slopes)),
                "centers": len(centers), "fold_cycle_error": fold_error,
                "clean_upto": upto})
-
-
-def branch_product_bound(m: IntervalMap, x, eps, n):
-    """(1/n) sum_k log M_{f^k x, eps}: upper rate from branch counts."""
-    if eps <= 0 or n < 1:
-        raise DomainError("need eps > 0 and n >= 1")
-    total = 0.0
-    v = float(x)
-    for _ in range(n):
-        total += math.log(m.branch_count_in_ball(v, eps))
-        v = m.evaluate(v)
-    return total / n
 
 
 def bound_quasionedim(m: IntervalMap, eps):
@@ -567,10 +553,11 @@ def bound_wmulti(m: IntervalMap, eps):
     return num / math.log(1.0 / w)
 
 
-def growth_rate_R(m: IntervalMap, n_max=24, grid_bits=12):
-    """Slope estimate of (1/n) log+ sup |(f^n)'| via chain rule on grid
-    orbits, accumulated in log space."""
-    xs = _default_grid(grid_bits)
+def growth_rate_R(m: IntervalMap):
+    """Slope estimate of (1/n) log+ sup |(f^n)'| for n <= 24 via chain rule
+    on the orbits of the 2^12-cell grid, accumulated in log space."""
+    n_max = 24
+    xs = _default_grid(12)
     v = xs.copy()
     acc = np.zeros_like(xs)
     sups = []
@@ -613,15 +600,14 @@ def power_bound_check(m: IntervalMap, eps, p, tolerance=0.02, **tail_kwargs):
     }
 
 
-def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
-                       grid_bits=_DEFAULT_GRID_BITS, n_range=_DEFAULT_N_RANGE,
-                       s_hi=0.35):
+def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
+                       grid_bits=_DEFAULT_GRID_BITS):
     """Entropy-continuity data (p_eps, N(eps), bound, capped).
 
     p_eps is the least p with (1/p) log r_p(f, eps/4) - h(f, eps/4)
     <= hloc_g(eps); N(eps) inverts s -> (s/4) m0^(-p_s) by bisection on
-    [eps, s_hi]; the bound is h_est(f) + 2 hloc_g(N(eps)).  When the target
-    is not reached below s_hi the result is capped at s_hi (capped=True):
+    [eps, _S_HI]; the bound is h_est(f) + 2 hloc_g(N(eps)).  When the target
+    is not reached below _S_HI the result is capped at _S_HI (capped=True):
     the true N(eps) is larger, so the returned bound is a lower surrogate.
 
     Each p is decided by a capped greedy cover.  In floating point the
@@ -633,7 +619,7 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
     after C_p centers and returns C_p, where the test fails as it does at
     any larger count; below C_p it returns the full count.  Only a p that
     may pass counts its whole grid, and p_eps, N(eps), the bound, capped
-    and the DomainError past p_cap are those of the uncapped cover.
+    and the DomainError past _P_CAP are those of the uncapped cover.
     """
     if not 2 <= m0 < math.inf:
         raise DomainError("m0 must be finite and >= 2")
@@ -647,15 +633,14 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
 
     def h_est(scale):
         if scale not in h_cache:
-            h_cache[scale] = eps_entropy(m, scale, n_range=n_range,
-                                         grid_bits=grid_bits).slope
+            h_cache[scale] = eps_entropy(m, scale, grid_bits=grid_bits).slope
         return h_cache[scale]
 
     def p_of(scale):
         if scale not in p_cache:
             h = h_est(scale / 4)
             target = hloc_g(scale)
-            for p in range(1, p_cap + 1):
+            for p in range(1, _P_CAP + 1):
                 orbits = _grid_orbits(m, p, scale / 4, grid_bits=grid_bits)
                 cap = _modulus_cap(p, h, target, orbits.shape[1])
                 r_p, _ = _greedy_cover(orbits, p, scale / 4, cap=cap)
@@ -663,7 +648,7 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
                     p_cache[scale] = p
                     break
             else:
-                raise DomainError(f"p_eps exceeded cap {p_cap} at eps={scale:g}")
+                raise DomainError(f"p_eps exceeded cap {_P_CAP} at eps={scale:g}")
         return p_cache[scale]
 
     p_eps = p_of(eps)
@@ -671,7 +656,7 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g, p_cap=64,
     def psi(s):
         return (s / 4.0) * m0 ** (-p_of(s))
 
-    lo, hi = eps, s_hi
+    lo, hi = eps, _S_HI
     capped = psi(hi) < eps
     if not capped:
         for _ in range(25):

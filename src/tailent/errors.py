@@ -38,10 +38,6 @@ class DegenerateShiftError(TailentError):
     """Subshift with empty language or nilpotent transition matrix."""
 
 
-class MixingRequiredError(TailentError):
-    """Operation requires a mixing transition matrix."""
-
-
 class HypothesisUnmetError(TailentError):
     """A stated hypothesis of the construction fails for the given input."""
 

@@ -36,6 +36,7 @@ __all__ = [
 _GRID_BITS_SUP = 14      # dense grid for sup-norm estimates on non-polynomials
 _GRID_BITS_CRIT = 16     # sampled sign changes for closed-form critical points
 _PULLBACK_LOCK = Lock()  # guards the growth of every map's pullback levels
+_SAMPLES_PER_OSC = 100   # snake profile and oscillation samples per oscillation
 
 
 def _as_array(x):
@@ -71,11 +72,14 @@ class IntervalMap:
     def _eval_array(self, xs):
         raise NotImplementedError
 
-    def derivative_array(self, xs, order=1):
-        """Analytic derivative values of the given order."""
+    def _check_order(self, order):
         if order < 1 or order > self.k_max:
             raise UnsupportedOrderError(
                 f"order {order} not supported (k_max={self.k_max})")
+
+    def derivative_array(self, xs, order=1):
+        """Analytic derivative values of the given order."""
+        self._check_order(order)
         return self._deriv_array(_as_array(xs), order)
 
     def _deriv_array(self, xs, order):
@@ -119,20 +123,10 @@ class IntervalMap:
         length = min(hi - lo for lo, hi in branches)
         return branches, length, len(branches)
 
-    def branch_count_in_ball(self, x, eps):
-        """Number of monotone branches meeting the open ball B(x, eps)."""
-        if eps <= 0:
-            raise DomainError("eps must be positive")
-        branches, _, _ = self.monotone_partition()
-        lo, hi = x - eps, x + eps
-        return sum(1 for a, b in branches if a < hi and b > lo)
-
     def derivative_sup(self, order, interval=(0.0, 1.0)):
         """sup of |f^(order)| over the interval; dense-grid estimate with a
         Lipschitz correction from the next-order derivative when available."""
-        if order < 1 or order > self.k_max:
-            raise UnsupportedOrderError(
-                f"order {order} not supported (k_max={self.k_max})")
+        self._check_order(order)
         a, b = interval
         n = 1 << _GRID_BITS_SUP
         xs = np.linspace(a, b, n + 1)
@@ -174,19 +168,16 @@ class PolynomialMap(IntervalMap):
     smooth = True
     k_max = 64
 
-    def __init__(self, coeffs, name=None, validate=True):
+    def __init__(self, coeffs, name=None):
         super().__init__()
         self.poly = (coeffs if isinstance(coeffs, polyalg.Polynomial)
                      else polyalg.Polynomial(coeffs))
         self.name = name or f"poly:[{','.join(str(float(c)) for c in self.poly.coeffs)}]"
         self._derivs = {0: self.poly}
-        if validate:
-            xs = np.linspace(0.0, 1.0, 4097)
-            v = self.poly(xs)
-            if v.min() < -1e-12 or v.max() > 1 + 1e-12:
-                raise ValueError(
-                    f"{self.name}: image [{v.min():.3g}, {v.max():.3g}] "
-                    "leaves [0,1]")
+        v = self.poly(np.linspace(0.0, 1.0, 4097))
+        if v.min() < -1e-12 or v.max() > 1 + 1e-12:
+            raise ValueError(
+                f"{self.name}: image [{v.min():.3g}, {v.max():.3g}] leaves [0,1]")
 
     def _derivative_poly(self, k):
         if k not in self._derivs:
@@ -208,9 +199,7 @@ class PolynomialMap(IntervalMap):
 
     def derivative_sup(self, order, interval=(0.0, 1.0)):
         """Exact for the polynomial kind: root isolation of f^(order+1)."""
-        if order < 1 or order > self.k_max:
-            raise UnsupportedOrderError(
-                f"order {order} not supported (k_max={self.k_max})")
+        self._check_order(order)
         dk = self._derivative_poly(order)
         if dk.is_zero():
             return 0.0
@@ -412,14 +401,6 @@ class SnakeParams:
     d: float
     ell: float            # window width d - c
 
-    def analytic_norm_bound(self, r, c_r=1.0):
-        """c_r * (1/eps)^(-lambda_u/a(eps) + 2r - 1)."""
-        return c_r * (1.0 / self.eps) ** (-self.lambda_u / self.a_eps + 2 * r - 1)
-
-    def decay_vacuous(self, r):
-        """True when a(eps) >= lambda_u/(2r-1), making the decay bound empty."""
-        return self.a_eps >= self.lambda_u / (2 * r - 1)
-
 
 class SnakeMap(IntervalMap):
     """Single bump-window term chi(t) * (R + M cos(pi N t)), t=(x-c)/ell.
@@ -461,27 +442,22 @@ class SnakeMap(IntervalMap):
     def _deriv_array(self, xs, order):
         return self._leibniz(self._t(xs), order) / self.params.ell ** order
 
-    def profile_derivative_sup(self, order, samples_per_osc=100):
-        """sup over window units t of |d^r/dt^r f(c + ell*t)| on [-1, 2].
+    def profile_derivative_sup(self, order):
+        """sup over window units t of |d^r/dt^r f(c + ell*t)| on [-1, 2],
+        sampled at 100 points per oscillation.
 
         Equals ell^r times the x-derivative sup; this is the scale-free
         size of the bump profile.
         """
-        if order < 1 or order > self.k_max:
-            raise UnsupportedOrderError(f"order {order} beyond k_max=3")
-        n = 3 * samples_per_osc * self.params.N
+        self._check_order(order)
+        n = 3 * _SAMPLES_PER_OSC * self.params.N
         t = np.linspace(-1.0, 2.0, n + 1)
         return float(np.max(np.abs(self._leibniz(t, order))))
 
-    def sampled_derivative_sup(self, order, samples_per_osc=100):
-        """sup over x of |f^(order)| sampled at 100 points per oscillation."""
-        return self.profile_derivative_sup(order, samples_per_osc) \
-            / self.params.ell ** order
-
-    def oscillation_count(self, samples_per_osc=100):
+    def oscillation_count(self):
         """Sign changes of f - R on a 100*N grid over the window [c, d]."""
         p = self.params
-        xs = np.linspace(p.c, p.d, samples_per_osc * p.N + 1)
+        xs = np.linspace(p.c, p.d, _SAMPLES_PER_OSC * p.N + 1)
         v = self._eval_array(xs) - p.R
         s = np.sign(v)
         s = s[s != 0]

@@ -46,8 +46,14 @@ from .errors import PrecisionError, ResourceError
 
 __all__ = [
     "Polynomial", "isolate_roots", "q_polynomial", "q_derivative_factorization",
-    "Atlas", "Chart", "reparametrize_1d", "verify_atlas", "serialize_atlas",
+    "Atlas", "Chart", "reparametrize_1d", "verify_atlas",
 ]
+
+_ROOT_TOL = 1e-13     # width of a refined root interval; closer roots merge
+_N_SAMPLES = 4096     # Q_r-domain samples of every chart group's norms
+_NORM_TOL = 1e-6      # step 3 certifies the sampled C^r norms below 1 + this
+_N3_C_CAP = 1 << 20   # largest c of n3 = c*r^4 + 1 before step 3 gives up
+_COVER_SLACK = 1e-9   # verify_atlas: distance to a chart image that covers
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +175,6 @@ class Polynomial:
             nxt[0] += n * dpow
             out, dpow = nxt, dpow * d
         return Polynomial._over(out, self.den * dpow // d)
-
-    def compose(self, other):
-        out = Polynomial([])
-        for c in reversed(self.coeffs):
-            out = out * other + Polynomial([c])
-        return out
 
     # -- evaluation ----------------------------------------------------------
     def eval_exact(self, x):
@@ -373,8 +373,9 @@ def _vca_isolate(cs, max_depth=80):
     return intervals, exact
 
 
-def _refine_bisect(cs, lo_num, hi_num, depth, tol):
-    """Shrink an isolating dyadic interval below tol by exact sign bisection."""
+def _refine_bisect(cs, lo_num, hi_num, depth):
+    """Shrink an isolating dyadic interval below _ROOT_TOL by exact sign
+    bisection."""
     s_lo = _poly_int_eval(cs, lo_num, depth)
     s_hi = _poly_int_eval(cs, hi_num, depth)
     if s_lo == 0:
@@ -385,7 +386,7 @@ def _refine_bisect(cs, lo_num, hi_num, depth, tol):
         # single root strictly inside with equal endpoint signs cannot happen
         # for a square-free isolating interval
         raise PrecisionError("isolating interval lost its sign change")
-    while (hi_num - lo_num) / (1 << depth) > tol:
+    while (hi_num - lo_num) / (1 << depth) > _ROOT_TOL:
         lo_num, hi_num, depth = 2 * lo_num, 2 * hi_num, depth + 1
         mid = (lo_num + hi_num) // 2
         s_mid = _poly_int_eval(cs, mid, depth)
@@ -398,8 +399,8 @@ def _refine_bisect(cs, lo_num, hi_num, depth, tol):
     return (lo_num + hi_num) / 2 / (1 << depth)
 
 
-def isolate_roots(p: Polynomial, lo=0, hi=1, tol=1e-13):
-    """Distinct real roots of p in [lo, hi], refined to width tol.
+def isolate_roots(p: Polynomial, lo=0, hi=1):
+    """Distinct real roots of p in [lo, hi], refined to width _ROOT_TOL.
 
     Exact sign-variation bisection on the square-free part over the
     rationals; the returned floats are dyadic approximations.
@@ -435,13 +436,13 @@ def isolate_roots(p: Polynomial, lo=0, hi=1, tol=1e-13):
     for num, depth in exact:
         roots.append(num / (1 << depth))
     for lo_num, hi_num, depth in intervals:
-        roots.append(_refine_bisect(cs, lo_num, hi_num, depth, tol))
+        roots.append(_refine_bisect(cs, lo_num, hi_num, depth))
     width = float(hi_f - lo_f)
     base = float(lo_f)
     out = sorted(base + r * width for r in roots)
     dedup = []
     for r in out:
-        if not dedup or r - dedup[-1] > tol:
+        if not dedup or r - dedup[-1] > _ROOT_TOL:
             dedup.append(r)
     return dedup
 
@@ -528,7 +529,6 @@ class Atlas:
     step2_count: int
     step3_count: int
     groups: list
-    sample_size: int
 
     @property
     def chart_count(self):
@@ -673,7 +673,6 @@ class _GroupBuilder:
         self.polys = polys
         self.r = r
         self.bell = bell
-        self.n = n_samples
         self.q_poly, _ = q_polynomial(r)
         self.q_derivs = [self.q_poly.diff(k) for k in range(1, r + 1)]
         self.tau = np.linspace(0.0, 1.0, n_samples)
@@ -746,7 +745,7 @@ class _GroupBuilder:
                                                       phi_bells))
         return phi_chain, comp_chains
 
-    def build_group(self, kind, inv_index, a, b, tol):
+    def build_group(self, kind, inv_index, a, b):
         """The step-3 group of one step-2 piece: subdivision count, sampled
         norms and chart-image boundaries.  Only the per-order sample sups of
         the chains are kept, so a piece's samples are freed before the next
@@ -757,7 +756,7 @@ class _GroupBuilder:
                 for chain in [phi_chain, *comp_chains]]
         del phi_chain, comp_chains
         maxima = [(k, max(sup[k - 1] for sup in sups)) for k in range(1, r + 1)]
-        n3 = _choose_n3(r, maxima, tol=tol)
+        n3 = _choose_n3(r, maxima)
         # certified (sampled) norms of the final charts
         lens = 1.0 / n3
         norm_phi = max(sups[0][k - 1] * lens ** k for k in range(1, r + 1))
@@ -775,16 +774,17 @@ class _GroupBuilder:
         return _Group(kind, inv_index, a, b, n3, norm_phi, norm_comp, imgs)
 
 
-def _choose_n3(r, maxima, tol=1e-6, c_cap=1 << 20):
-    """Smallest n3 from {1, c*r^4+1 : c doubling} with len^k * D_k <= 1+tol."""
+def _choose_n3(r, maxima):
+    """Smallest n3 from {1, c*r^4+1 : c doubling} with
+    len^k * D_k <= 1 + _NORM_TOL."""
     def ok(n3):
-        return all(max_k / float(n3) ** k <= 1.0 + tol
+        return all(max_k / float(n3) ** k <= 1.0 + _NORM_TOL
                    for k, max_k in maxima)
 
     if ok(1):
         return 1
     c = 1
-    while c <= c_cap:
+    while c <= _N3_C_CAP:
         n3 = c * r ** 4 + 1
         if ok(n3):
             return n3
@@ -792,7 +792,7 @@ def _choose_n3(r, maxima, tol=1e-6, c_cap=1 << 20):
     raise PrecisionError("step-3 subdivision did not certify the norms")
 
 
-def reparametrize_1d(polys, r, *, n_samples=4096, tol=1e-6, bell=None):
+def reparametrize_1d(polys, r):
     """Atlas of C^r-bounded charts covering the preimage of [0,1]^m.
 
     polys: list of Polynomial (degree <= r each); r: smoothness order.
@@ -807,7 +807,6 @@ def reparametrize_1d(polys, r, *, n_samples=4096, tol=1e-6, bell=None):
     m = len(polys)
     if m < 1:
         raise ValueError("need at least one polynomial")
-    bell = bell or BellTable(max(r, 1))
 
     # ---- step 1: boundary roots and component classification
     cuts = {0.0, 1.0}
@@ -847,18 +846,15 @@ def reparametrize_1d(polys, r, *, n_samples=4096, tol=1e-6, bell=None):
     step1_count = len(kept)
 
     # ---- step 2: constant-sign subdivision
-    sign_roots_affine = {}
-
+    @lru_cache(maxsize=None)
     def affine_cut_roots(j):
-        if j not in sign_roots_affine:
-            acc = []
-            for k in range(2, r + 2):
-                dk = polys[j].diff(k)
-                if not dk.is_zero() and dk.degree >= 1:
-                    acc.extend(isolate_roots(dk, 0, 1))
-                    # degree-0 derivatives have constant sign already
-            sign_roots_affine[j] = acc
-        return sign_roots_affine[j]
+        acc = []
+        for k in range(2, r + 2):
+            dk = polys[j].diff(k)
+            if not dk.is_zero() and dk.degree >= 1:
+                acc.extend(isolate_roots(dk, 0, 1))
+                # degree-0 derivatives have constant sign already
+        return acc
 
     @lru_cache(maxsize=None)
     def inverse_cofactors(i):
@@ -866,21 +862,18 @@ def reparametrize_1d(polys, r, *, n_samples=4096, tol=1e-6, bell=None):
         step 3 evaluates B_1..B_r."""
         return _inverse_cofactors(polys[i], r + 1)
 
-    inv_cut_cache = {}
-
+    @lru_cache(maxsize=None)
     def inverse_cut_roots(i):
-        if i not in inv_cut_cache:
-            acc = []
-            # identity cofactors control ||phi||, A-numerators control P_j o phi
-            for kpoly in inverse_cofactors(i)[1:]:
-                if not kpoly.is_zero() and kpoly.degree >= 1:
-                    acc.extend(isolate_roots(kpoly, 0, 1))
-            for j in range(m):
-                for apoly in _composition_numerators(polys[j], polys[i], r)[1:]:
-                    if not apoly.is_zero() and apoly.degree >= 1:
-                        acc.extend(isolate_roots(apoly, 0, 1))
-            inv_cut_cache[i] = acc
-        return inv_cut_cache[i]
+        acc = []
+        # identity cofactors control ||phi||, A-numerators control P_j o phi
+        for kpoly in inverse_cofactors(i)[1:]:
+            if not kpoly.is_zero() and kpoly.degree >= 1:
+                acc.extend(isolate_roots(kpoly, 0, 1))
+        for j in range(m):
+            for apoly in _composition_numerators(polys[j], polys[i], r)[1:]:
+                if not apoly.is_zero() and apoly.degree >= 1:
+                    acc.extend(isolate_roots(apoly, 0, 1))
+        return acc
 
     pieces = []
     for lo, hi, kind, inv in kept:
@@ -899,13 +892,13 @@ def reparametrize_1d(polys, r, *, n_samples=4096, tol=1e-6, bell=None):
     step2_count = len(pieces)
 
     # ---- step 3: compose with Q_r, sample norms, choose subdivision
-    builder = _GroupBuilder(polys, r, bell, n_samples, inverse_cofactors)
-    groups = [builder.build_group(kind, inv, a, b, tol)
+    builder = _GroupBuilder(polys, r, BellTable(r), _N_SAMPLES,
+                            inverse_cofactors)
+    groups = [builder.build_group(kind, inv, a, b)
               for a, b, kind, inv in pieces]
     step3_count = sum(g.n3 for g in groups)
 
-    return Atlas(polys, r, m, step1_count, step2_count, step3_count,
-                 groups, n_samples)
+    return Atlas(polys, r, m, step1_count, step2_count, step3_count, groups)
 
 
 @dataclass
@@ -917,11 +910,11 @@ class AtlasReport:
     members: int
 
 
-def verify_atlas(atlas: Atlas, grid_size=10000, *, exclude=(), slack=1e-9):
+def verify_atlas(atlas: Atlas, grid_size=10000, *, exclude=()):
     """Check the three conclusions on a uniform grid.
 
     Coverage defect counts grid points inside every P_j^{-1}([0,1]) that are
-    farther than `slack` from every chart image; `exclude` drops chart
+    farther than _COVER_SLACK from every chart image; `exclude` drops chart
     indices (negative-control hook).
     """
     xs = np.linspace(0.0, 1.0, grid_size)
@@ -942,19 +935,11 @@ def verify_atlas(atlas: Atlas, grid_size=10000, *, exclude=(), slack=1e-9):
         idx = np.searchsorted(starts, pts, side="right") - 1
         covered = np.zeros(pts.shape, dtype=bool)
         valid = idx >= 0
-        covered[valid] = pts[valid] <= ends[idx[valid]] + slack
+        covered[valid] = pts[valid] <= ends[idx[valid]] + _COVER_SLACK
         nxt = idx + 1
         has_next = nxt < len(starts)
-        covered[has_next] |= (starts[nxt[has_next]] - pts[has_next]) <= slack
+        covered[has_next] |= (starts[nxt[has_next]] - pts[has_next]) <= _COVER_SLACK
         defect = int((~covered).sum())
     return AtlasReport(atlas.max_norm_comp(), atlas.max_norm_phi(),
                        defect, grid_size, int(member.sum()))
 
-
-def serialize_atlas(atlas: Atlas, fh):
-    """One chart per line: kind tag plus exact rational parameters."""
-    fh.write(f"# tailent-atlas r={atlas.r} m={atlas.m} "
-             f"charts={atlas.chart_count}\n")
-    for ch in atlas.charts():
-        fh.write(f"{ch.kind} i={ch.inv_index} x={ch.x_lo}:{ch.x_hi} "
-                 f"t={ch.t_lo}:{ch.t_hi}\n")

@@ -55,12 +55,12 @@ class WeightSequence:
         return max(self.log_weight(k) - self.log_weight(0), 0.0) / k
 
 
-def is_log_convex(w: WeightSequence, k_max=50, slack=1e-12):
-    """2 log M_k <= log M_{k+1} + log M_{k-1} for 1 <= k <= k_max."""
+def is_log_convex(w: WeightSequence, k_max=50):
+    """2 log M_k <= log M_{k+1} + log M_{k-1} + 1e-12 for 1 <= k <= k_max."""
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
     return all(
-        2 * w.log_weight(k) <= w.log_weight(k + 1) + w.log_weight(k - 1) + slack
+        2 * w.log_weight(k) <= w.log_weight(k + 1) + w.log_weight(k - 1) + 1e-12
         for k in range(1, k_max + 1))
 
 
@@ -137,15 +137,14 @@ def rate_bound_gen(w: WeightSequence, l, m, d, eps, variant="volume",
     return (2 * d + 1) * factor * w.log_m0 / g
 
 
-def iterate_bound_main(norm_dfp, r, l, m, bell=None, c_bound=None):
+def iterate_bound_main(norm_dfp, r, l, m, c_bound=None):
     """(l/r)(log+ |Df^p| + 2 log B_r) + log(2^(l+2m) C_{r,l,m})."""
     from .combinatorics import BellTable
 
     if r < 2:
         raise DomainError("r must be >= 2")
     c_bound = c_bound or surrogate_chart_bound
-    bell = bell or BellTable(max(r, 2))
-    log_br = math.log(bell.bell_number(r))
+    log_br = math.log(BellTable(r).bell_number(r))
     log_c = (l + 2 * m) * math.log(2) + math.log(c_bound(r, l, m))
     return (l / r) * (max(math.log(norm_dfp), 0.0) + 2 * log_br) + log_c
 
@@ -157,28 +156,22 @@ def cr_bound_buzzi(big_r, r, dim):
     return dim * big_r / r
 
 
-def _check_monotone(f, grid, what):
-    vals = [f(t) for t in grid]
-    if any(a > b + 1e-12 for a, b in zip(vals, vals[1:])):
-        raise DomainError(f"{what} must be nondecreasing")
-    return vals
-
-
-def weight_from_rate(a, log_dt, k_max=200, big_b=1.0, big_d=1.0,
-                     concavity_grid=None):
+def weight_from_rate(a, log_dt):
     """Weight M_k = M_0 (1 / a^{-1}(log|DT| / k))^k with M_0 = |DT|.
 
-    a is a nondecreasing rate function vanishing at 0; a^{-1} is computed by
-    bisection.  Also returns the companion weight (2 B D k)^(7k) M_k^2/M_0.
+    a is a nondecreasing rate function vanishing at 0, checked on
+    10^-9..10^-1; a^{-1} is computed by bisection.  Also returns the
+    companion weight (2k)^(7k) M_k^2/M_0 (B = D = 1).
     The textbook hypothesis asks 1/a(e^-x) to be concave; that check is
     advisory here (it fails for the canonical power rates), and the binding
-    requirement is log-convexity of the produced weight, which raises
-    HypothesisUnmetError when violated.
+    requirement is log-convexity of the produced weight up to k = 120, which
+    raises HypothesisUnmetError when violated.
     """
     if log_dt <= 0:
         raise DomainError("log|DT| must be positive")
-    grid = concavity_grid or [10.0 ** (-j) for j in range(9, 0, -1)]
-    _check_monotone(a, grid, "rate function")
+    probe = [a(10.0 ** (-j)) for j in range(9, 0, -1)]
+    if any(x > y + 1e-12 for x, y in zip(probe, probe[1:])):
+        raise DomainError("rate function must be nondecreasing")
 
     def concave_side():
         xs = [0.5 * j for j in range(1, 40)]
@@ -209,20 +202,19 @@ def weight_from_rate(a, log_dt, k_max=200, big_b=1.0, big_d=1.0,
         return log_m0 + k * math.log(1.0 / a_inv(log_dt / k))
 
     w = WeightSequence(log_m=log_m, name="fromrate", log_convex=True)
-    if not is_log_convex(w, k_max=min(k_max, 120)):
+    if not is_log_convex(w, 120):
         raise HypothesisUnmetError(
             "produced weight is not logarithmically convex")
     # the same log_m and log cache, with the advisory flag set
     w = replace(w, concave_hypothesis=concave_side())
-    companion_name = "fromrate-companion"
 
     def log_m_tilde(k):
         if k == 0:
             return w.log_weight(0)
-        return 7 * k * math.log(2 * big_b * big_d * k) \
+        return 7 * k * math.log(2.0 * k) \
             + 2 * w.log_weight(k) - w.log_weight(0)
 
-    companion = WeightSequence(log_m=log_m_tilde, name=companion_name,
+    companion = WeightSequence(log_m=log_m_tilde, name="fromrate-companion",
                                log_convex=True)
     return w, companion
 

@@ -1,5 +1,5 @@
-"""Subshifts of finite type (word counting, spectral entropy, periodic
-shadowing) and Cantor-set thickness with the gap-lemma trichotomy.
+"""Subshifts of finite type (word counting, spectral entropy) and Cantor-set
+thickness with the gap-lemma trichotomy.
 
 SFTs are realized by de Bruijn higher-block coding: states are admissible
 blocks of length max(forbidden word length) - 1 and transitions check the
@@ -22,13 +22,13 @@ from itertools import product
 import numpy as np
 
 from .errors import (DegenerateShiftError, DomainError, HypothesisUnmetError,
-                     MixingRequiredError, PrecisionError, ResourceError)
+                     PrecisionError, ResourceError)
 
 __all__ = [
     "Sft", "sft_from_forbidden_words", "sft_entropy", "build_Yp",
-    "word_count", "word_count_entropy", "power_system", "periodic_shadow",
-    "load_sft_file", "CantorApprox", "middle_cantor", "thickness",
-    "gap_lemma_check", "parse_cantor_spec",
+    "word_count", "word_count_entropy", "power_system", "load_sft_file",
+    "CantorApprox", "middle_cantor", "thickness", "gap_lemma_check",
+    "parse_cantor_spec",
 ]
 
 
@@ -52,12 +52,38 @@ class Sft:
     ascending tuple of the states that may follow state i.  A de Bruijn
     state has at most `alphabet` successors, so the graph takes O(size)
     memory; `matrix` derives the dense 0/1 rows on demand.
+
+    The constructor raises DomainError unless there is one row per state
+    and every row is a strictly ascending tuple of integers in range(size),
+    so `matrix`, `word_count` and `sft_entropy` read the same graph.  The
+    entries are stored as ints.
     """
     alphabet: int
     block_order: int
     states: tuple           # admissible blocks (tuples of symbols)
     succ: tuple             # ascending successor indices, indexed like states
     forbidden: tuple
+
+    def __post_init__(self):
+        n = len(self.states)
+        if len(self.succ) != n:
+            raise DomainError(f"{len(self.succ)} successor rows for {n} states")
+        rows = []
+        for i, row in enumerate(self.succ):
+            if not isinstance(row, tuple):
+                raise DomainError(f"successor row {i} is not a tuple")
+            try:
+                row = tuple(map(operator.index, row))
+            except TypeError as exc:
+                raise DomainError(
+                    f"successor entries must be integers: {exc}") from None
+            if any(not 0 <= j < n for j in row):
+                raise DomainError(f"successor entries must lie in range({n})")
+            if any(a >= b for a, b in zip(row, row[1:])):
+                raise DomainError(
+                    f"successor row {i} is not strictly ascending: {row}")
+            rows.append(row)
+        object.__setattr__(self, "succ", tuple(rows))
 
     @property
     def size(self):
@@ -148,11 +174,9 @@ def word_count(sft: Sft, n):
     return sum(counts)
 
 
-def word_count_entropy(sft: Sft, n_lo=20, n_hi=40):
-    """(log N(n_hi) - log N(n_lo)) / (n_hi - n_lo): word-count slope."""
-    a = word_count(sft, n_lo)
-    b = word_count(sft, n_hi)
-    return (math.log(b) - math.log(a)) / (n_hi - n_lo)
+def word_count_entropy(sft: Sft):
+    """(log N(40) - log N(20)) / 20: word-count slope."""
+    return (math.log(word_count(sft, 40)) - math.log(word_count(sft, 20))) / 20
 
 
 # Below this many states the power iteration runs on Python floats: numpy's
@@ -160,6 +184,8 @@ def word_count_entropy(sft: Sft, n_lo=20, n_hi=40):
 # blocks from 8 on, so the explicit left folds below give the same bits as
 # the numpy vectors do, without numpy's per-call cost.
 _SMALL_GRAPH = 8
+
+_SFT_TOL = 1e-12   # sft_entropy stops once lam moves by <= this * max(lam, 1)
 
 # The power iteration of sft_entropy, formatted per graph by _compile_loop:
 # on float locals v0, v1, ... below _SMALL_GRAPH states, else on arrays.
@@ -206,16 +232,12 @@ def power_loop(tol, max_iter):
 
 def _compile_loop(succ):
     """power_loop(tol, max_iter) compiled from _LOOP for the graph succ; the
-    text holds only its own names and the checked successor indices.  A
-    small graph's w_i is a left fold from 0.0 over the ascending successors
-    of i; bincount adds the weights into each bin in the same order."""
+    text holds only its own names and the successor indices, ints that `Sft`
+    has checked.  A small graph's w_i is a left fold from 0.0 over the
+    ascending successors of i; bincount adds the weights into each bin in
+    the same order."""
     n = len(succ)
-    try:
-        dst = [operator.index(j) for row in succ for j in row]
-    except TypeError as exc:
-        raise DomainError(f"successor entries must be integers: {exc}") from None
-    if any(not 0 <= j < n for j in dst):
-        raise DomainError(f"successor entries must lie in range({n})")
+    dst = [j for row in succ for j in row]
     namespace = {"np": np, "DegenerateShiftError": DegenerateShiftError,
                  "PrecisionError": PrecisionError}
     if n < _SMALL_GRAPH:
@@ -246,20 +268,19 @@ def _compile_loop(succ):
     return namespace["power_loop"]
 
 
-def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
+def sft_entropy(sft: Sft, max_iter=5_000_000):
     """log of the transition-matrix spectral radius by power iteration.
 
     Iterates w = A v from the ones vector, normalized by its sum, until the
     eigenvalue estimate sum(A v) / sum(v) has moved by at most
-    tol * max(lam, 1) on 10 steps in a row.  Graphs with fewer than 8 states
-    iterate on Python floats, larger ones on numpy arrays; both paths
+    _SFT_TOL * max(lam, 1) on 10 steps in a row.  Graphs with fewer than 8
+    states iterate on Python floats, larger ones on numpy arrays; both paths
     produce the same bits (see _SMALL_GRAPH).  The loop is compiled once per
     graph (_compile_loop) because its overhead is paid on every step, and
     Y_2 takes 1,000,061 of them: a small graph's step is straight-line code
     on local floats, with no call per step, doing the same operations in the
     same order.  Raises PrecisionError when max_iter steps pass without that
-    test firing, DegenerateShiftError on an empty or nilpotent graph,
-    DomainError when a successor entry is not an integer in range(size).
+    test firing, DegenerateShiftError on an empty or nilpotent graph.
 
     On a periodic shift the normalized iterate can cycle with period 2, so
     the estimate oscillates for ever.  At steps 3, 8, 18, 38, ... (each
@@ -271,7 +292,7 @@ def sft_entropy(sft: Sft, tol=1e-12, max_iter=5_000_000):
     succ = sft.successors()
     if not any(succ):
         raise DegenerateShiftError("empty transition matrix")
-    lam = _compile_loop(succ)(tol, max_iter)
+    lam = _compile_loop(succ)(_SFT_TOL, max_iter)
     if lam <= 0:
         raise DegenerateShiftError("spectral radius zero")
     return math.log(lam)
@@ -296,99 +317,6 @@ def power_system(sft: Sft, p):
                  for u in blocks)
     states = tuple((i,) for i in range(len(blocks)))
     return Sft(len(blocks), 1, states, succ, ())
-
-
-def _mixing_exponent(sft: Sft, cap=64):
-    m = np.asarray(sft.matrix, dtype=bool)
-    power = m.copy()
-    for n1 in range(1, cap + 1):
-        if power.all():
-            return n1
-        power = power @ m
-    raise MixingRequiredError(
-        f"no strictly positive matrix power up to {cap}")
-
-
-def periodic_shadow(sft: Sft, u, v, n):
-    """Periodic admissible word of period 4n + 2*n1 containing u in the
-    first 2n+1 positions and v in the block starting at phase 2n + n1
-    (n1 = mixing exponent).
-
-    Symbolic skeleton of periodic shadowing: a closed state walk is
-    assembled from state paths through u and v, each padded to 2n+1
-    vertices, joined by two bridging paths of n1 edges; the word reads off
-    one symbol per vertex.  The period lies in [4n, 6n] whenever n >= n1.
-    """
-    u = _as_word(u, sft.alphabet)
-    v = _as_word(v, sft.alphabet)
-    n1 = _mixing_exponent(sft)
-    succ = sft.successors()
-    pred = [[] for _ in range(sft.size)]
-    for i, row in enumerate(succ):
-        for j in row:
-            pred[j].append(i)
-    index = {b: i for i, b in enumerate(sft.states)}
-    b = sft.block_order
-
-    def word_states(word):
-        """State path spelling the word (right-extended to a full block)."""
-        sym = list(word)
-        while len(sym) < b:
-            match = next((st for st in sft.states
-                          if st[:len(sym)] == tuple(sym)), None)
-            if match is None:
-                raise DomainError(f"word {word} is not admissible")
-            sym.append(match[len(sym)])
-        path = []
-        for i in range(len(sym) - b + 1):
-            st = index.get(tuple(sym[i:i + b]))
-            if st is None:
-                raise DomainError(f"word {word} is not admissible")
-            if path and st not in succ[path[-1]]:
-                raise DomainError(f"word {word} is not admissible")
-            path.append(st)
-        return path
-
-    def pad_walk(path):
-        """Extend the state path to 2n+1 vertices, keeping it centered."""
-        if len(path) > 2 * n + 1:
-            raise DomainError(f"need n >= {(len(path) - 1 + 1) // 2} "
-                              "to fit the word in the 2n+1 span")
-        path = list(path)
-        offset = 0
-        while len(path) < 2 * n + 1:
-            if len(path) % 2 == 0 and pred[path[0]]:
-                path.insert(0, pred[path[0]][0])
-                offset += 1
-            else:
-                path.append(succ[path[-1]][0])
-        return path, offset
-
-    def bridge(src, dst):
-        """Intermediate vertices of a path with exactly n1 edges."""
-        layers = [{src}]
-        for _ in range(n1):
-            layers.append({j for i in layers[-1] for j in succ[i]})
-        if dst not in layers[-1]:
-            raise MixingRequiredError("no bridging path despite mixing test")
-        path = [dst]
-        for layer in reversed(layers[:-1]):
-            cur = path[0]
-            path.insert(0, min(i for i in layer if cur in succ[i]))
-        return path[1:-1]
-
-    walk_u, off_u = pad_walk(word_states(u))
-    walk_v, off_v = pad_walk(word_states(v))
-    cycle = (walk_u + bridge(walk_u[-1], walk_v[0])
-             + walk_v + bridge(walk_v[-1], walk_u[0]))
-    period = 4 * n + 2 * n1
-    assert len(cycle) == period, (len(cycle), period)
-    for a_st, b_st in zip(cycle, cycle[1:] + cycle[:1]):
-        if b_st not in succ[a_st]:
-            raise MixingRequiredError("assembled walk not admissible")
-    word = tuple(sft.states[s][0] for s in cycle)
-    return {"word": word, "period": period, "n1": n1,
-            "u_phase": off_u, "v_phase": 2 * n + 1 + n1 - 1 + off_v}
 
 
 def load_sft_file(path):

@@ -11,8 +11,7 @@ from tailent import entropy
 from tailent.entropy import (_default_grid, _fold_cycle_centers, _greedy_cover,
                              _greedy_net, _grid_orbits, _modulus_cap,
                              _modulus_holds, _orbit_matrix, _tail_centers,
-                             _tail_counts, branch_product_bound,
-                             bound_quasionedim, bound_wmulti,
+                             _tail_counts, bound_quasionedim, bound_wmulti,
                              continuity_modulus, eps_entropy, growth_rate_R,
                              power_bound_check, spanning_count,
                              tail_entropy_estimate)
@@ -602,15 +601,6 @@ def test_remark_bound_tail_below_log2_over_p():
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
-
-def test_branch_product_bound():
-    assert branch_product_bound(IDENT, 0.3, 0.1, 20) == 0.0
-    v = branch_product_bound(F4, 0.3, 0.05, 50)
-    assert 0.0 <= v <= LOG2
-    # nondecreasing in eps
-    assert branch_product_bound(F4, 0.3, 0.02, 50) <= \
-        branch_product_bound(F4, 0.3, 0.2, 50) + 1e-12
-
 
 def test_bound_quasionedim_values():
     assert bound_quasionedim(F4, 0.01) == pytest.approx(

@@ -108,19 +108,6 @@ def test_modulus_linear_in_eps_for_quadratic():
         assert F4.modulus_of_continuity(eps) == pytest.approx(8 * eps, rel=1e-9)
 
 
-def test_branch_count_in_ball():
-    assert F4.branch_count_in_ball(0.5, 0.1) == 2
-    assert F4.branch_count_in_ball(0.1, 0.05) == 1
-    assert IDENT.branch_count_in_ball(0.7, 0.3) == 1
-    # nondecreasing in eps, bounded by the branch count
-    _, _, l = QUARTIC3.monotone_partition()
-    prev = 0
-    for eps in (0.01, 0.05, 0.21, 0.5, 0.9):
-        c = QUARTIC3.branch_count_in_ball(0.41, eps)
-        assert prev <= c <= l
-        prev = c
-
-
 @pytest.mark.parametrize("m,orders,h,rel", [
     (F4, (1, 2), 1e-2, 1e-10),
     (IDENT, (1,), 1e-2, 1e-12),
@@ -208,6 +195,14 @@ def test_min_branch_length_monotone_in_eps():
         prev = p
 
 
+def compose(p, q):
+    """The polynomial p(q(X)), exactly, by Horner's rule."""
+    out = polyalg.Polynomial([])
+    for c in reversed(p.coeffs):
+        out = out * q + polyalg.Polynomial([c])
+    return out
+
+
 def test_min_branch_length_vs_exact_composition():
     """Pullback partition agrees with exact root isolation of (f4^p)'."""
     f4_poly = polyalg.Polynomial([0, 4, -4])
@@ -217,7 +212,7 @@ def test_min_branch_length_vs_exact_composition():
         crit = polyalg.isolate_roots(comp.diff(), 0, 1)
         pts = sorted({0.0, 1.0, *crit})
         lengths.append(min(b - a for a, b in zip(pts, pts[1:])))
-        comp = f4_poly.compose(comp)
+        comp = compose(f4_poly, comp)
     for eps in (0.05, 0.02, 0.11):
         expected = 0
         for p, length in enumerate(lengths, start=1):
@@ -319,18 +314,15 @@ def test_snake_invariants(eps, lam):
     assert sm.oscillation_count() == params.N
 
 
+def sampled_derivative_sup(sm, order):
+    """sup over x of |f^(order)|, sampled at 100 points per oscillation."""
+    return sm.profile_derivative_sup(order) / sm.params.ell ** order
+
+
 def test_snake_first_derivative_decays_along_powers_of_ten():
-    sups = [build_snake(RATE, 10.0 ** -j, 1.0)[1].sampled_derivative_sup(1)
+    sups = [sampled_derivative_sup(build_snake(RATE, 10.0 ** -j, 1.0)[1], 1)
             for j in (1, 2, 3)]
     assert sups[0] > sups[1] > sups[2]
-
-
-def test_snake_decay_vacuous_flag():
-    params, _ = build_snake(RATE, 0.001, 1.0)
-    # a(0.001) = 0.3805 >= 1/5: the r = 3 analytic decay bound is vacuous
-    assert params.decay_vacuous(3)
-    assert not params.decay_vacuous(1)
-    assert params.analytic_norm_bound(1) < 1
 
 
 def test_snake_map_image_and_smoothness():

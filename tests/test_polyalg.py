@@ -1,7 +1,6 @@
 """Exact polynomial arithmetic, Q_r pipeline, and the reparametrizer."""
 
 import hashlib
-import io
 import math
 import random
 from fractions import Fraction
@@ -16,7 +15,7 @@ from tailent.acceptance import fixed_reparam_system, random_reparam_system
 from tailent.combinatorics import BellTable
 from tailent.polyalg import (Polynomial, isolate_roots, q_polynomial,
                              q_derivative_factorization, reparametrize_1d,
-                             verify_atlas, serialize_atlas)
+                             verify_atlas)
 from tailent.errors import ResourceError
 
 S = Polynomial([0, 1, -1])        # X(1-X)
@@ -256,20 +255,6 @@ def test_atlas_counts_consistent_and_images_are_intervals():
     assert atlas.step2_count == len(atlas.groups)
     for g in atlas.groups:
         assert np.all(np.diff(g.tau_images) >= -1e-12)
-
-
-def test_atlas_serialization_roundtrip_format():
-    atlas = reparametrize_1d([Polynomial([0, 1])], 1)
-    buf = io.StringIO()
-    serialize_atlas(atlas, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("# tailent-atlas r=1 m=1")
-    assert len(lines) == 1 + atlas.chart_count
-    kind, inv, xs, ts = lines[1].split()
-    assert kind in ("affine", "inverse-branch")
-    assert xs.startswith("x=") and ts.startswith("t=")
-    lo, hi = xs[2:].split(":")
-    assert Fraction(lo) == 0 and Fraction(hi) == 1
 
 
 def test_reparam_rejects_degree_above_r():

@@ -1,4 +1,4 @@
-"""SFT entropies vs independent oracles, shadowing, thickness, gap lemma."""
+"""SFT entropies vs independent oracles, thickness, gap lemma."""
 
 import math
 import random
@@ -12,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailent.errors import (DegenerateShiftError, DomainError,
-                            HypothesisUnmetError, MixingRequiredError,
-                            PrecisionError, TailentError)
+                            HypothesisUnmetError, PrecisionError,
+                            TailentError)
 from tailent import symbolic
 from tailent.symbolic import (CantorApprox, GapRecord, Sft, build_Yp,
                               gap_lemma_check, load_sft_file, middle_cantor,
-                              parse_cantor_spec, periodic_shadow, power_system,
+                              parse_cantor_spec, power_system,
                               sft_from_forbidden_words, sft_entropy, thickness,
                               word_count, word_count_entropy,
                               _interval_list_intersection)
@@ -107,38 +107,6 @@ def test_entropy_bounds_by_alphabet():
 def test_empty_language_error():
     with pytest.raises(DegenerateShiftError):
         sft_from_forbidden_words(2, ["0", "1"])
-
-
-def test_periodic_shadow_full_shift():
-    res = periodic_shadow(FULL, "0", "1", 2)
-    assert res["period"] == 10 and res["n1"] == 1
-    assert len(res["word"]) == 10
-    assert res["word"][res["u_phase"]] == 0
-    assert res["word"][res["v_phase"]] == 1
-
-
-def test_periodic_shadow_golden():
-    res = periodic_shadow(GOLDEN, "00", "10", 3)
-    w, period = res["word"], res["period"]
-    assert period == 4 * 3 + 2 * res["n1"]
-    assert 4 * 3 <= period <= 6 * 3  # n >= n1
-    doubled = w + w
-    for i in range(period):  # admissibility against the matrix
-        a, b = doubled[i], doubled[i + 1]
-        assert GOLDEN.matrix[GOLDEN.states.index((a,))][GOLDEN.states.index((b,))] == 1
-    assert doubled[res["u_phase"]:res["u_phase"] + 2] == (0, 0)
-    assert doubled[res["v_phase"]:res["v_phase"] + 2] == (1, 0)
-
-
-def test_periodic_shadow_requires_mixing():
-    period2 = sft_from_forbidden_words(2, ["11", "00"])
-    with pytest.raises(MixingRequiredError):
-        periodic_shadow(period2, "0", "1", 2)
-
-
-def test_periodic_shadow_rejects_inadmissible_word():
-    with pytest.raises(DomainError):
-        periodic_shadow(GOLDEN, "11", "0", 3)
 
 
 def test_load_sft_file(tmp_path):
@@ -307,6 +275,26 @@ def test_sft_entropy_refuses_bad_successors_before_compiling(bad, size,
     with pytest.raises(DomainError):
         sft_entropy(_graph_sft(((0, bad),) + ((0,),) * (size - 1)))
     assert ran == []
+
+
+@pytest.mark.parametrize("succ, match", [
+    # a repeated successor: matrix would count one edge, word_count and
+    # sft_entropy two
+    (((0, 0), (0,)), "not strictly ascending"),
+    (((1, 0), (0,)), "not strictly ascending"),
+    (((0, 1),), "1 successor rows for 2 states"),
+    (([0, 1], (0,)), "row 0 is not a tuple"),
+])
+def test_sft_refuses_rows_its_consumers_read_differently(succ, match):
+    with pytest.raises(DomainError, match=match):
+        Sft(2, 1, ((0,), (1,)), succ, ())
+
+
+def test_sft_stores_integer_entries_as_ints():
+    sft = _graph_sft(((np.int64(0), np.int64(1)), (False,)))
+    assert sft.succ == GOLDEN.succ
+    assert all(type(j) is int for row in sft.succ for j in row)
+    assert sft_entropy(sft) == sft_entropy(GOLDEN)
 
 
 def test_numpy_sum_is_left_fold_below_8():
