@@ -49,12 +49,11 @@ def fixed_reparam_system(m, r):
     return polys
 
 
-def random_reparam_system(rng, probe=None):
+def random_reparam_system(rng):
     """Random (polys, r): m <= 3, r <= 8, dyadic coefficients uniform in
     [-2, 2]; rejection-sampled so the preimage of the unit cube is nonempty
-    (otherwise coverage checks are vacuous)."""
-    if probe is None:
-        probe = np.linspace(0.0, 1.0, 512)
+    on 512 probe points (otherwise coverage checks are vacuous)."""
+    probe = np.linspace(0.0, 1.0, 512)
     while True:
         m = rng.randrange(1, 4)
         r = rng.randrange(2, 9)

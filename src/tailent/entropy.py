@@ -572,7 +572,7 @@ def growth_rate_R(m: IntervalMap):
     return max(slope, 0.0)
 
 
-def power_bound_check(m: IntervalMap, eps, p, tolerance=0.02, **tail_kwargs):
+def power_bound_check(m: IntervalMap, eps, p, tolerance=0.02):
     """Check est(f, eps) <= est(f^p, eps)/p + tolerance.
 
     Both estimates run through the same interval-pullback machinery (the
@@ -583,15 +583,11 @@ def power_bound_check(m: IntervalMap, eps, p, tolerance=0.02, **tail_kwargs):
     """
     if p < 2:
         raise DomainError("p must be >= 2")
-    base_kwargs = dict(tail_kwargs)
-    power_kwargs = dict(tail_kwargs)
-    if "n_range" not in tail_kwargs:
-        horizon = max(16, min(40, int(46 + math.log2(eps))))
-        # align the fit windows of f and f^p in micro time
-        base_kwargs["n_range"] = range(1, horizon + 1)
-        power_kwargs["n_range"] = range(1, horizon // p + 1)
-    base = tail_entropy_estimate(m, eps, **base_kwargs)
-    power = tail_entropy_estimate(m, eps, stride=p, **power_kwargs)
+    horizon = max(16, min(40, int(46 + math.log2(eps))))
+    # align the fit windows of f and f^p in micro time
+    base = tail_entropy_estimate(m, eps, n_range=range(1, horizon + 1))
+    power = tail_entropy_estimate(m, eps, n_range=range(1, horizon // p + 1),
+                                  stride=p)
     holds = base.rate <= power.rate / p + tolerance
     return {
         "map": m.name, "eps": eps, "p": p,

@@ -147,16 +147,18 @@ class IntervalMap:
         xs = np.linspace(0.0, 1.0, n + 1)
         d = self._deriv_array(xs, 1)
         k = max(1, int(math.ceil(eps * n)))
-        if (n + 1) * k <= 1 << 26:
-            win = np.lib.stride_tricks.sliding_window_view(d, k + 1)
-            return float(np.max(win.max(axis=1) - win.min(axis=1)))
-        # coarse fallback for very wide windows
-        step = max(1, k // 4096)
-        w = 0.0
-        for i in range(0, n + 1 - k, step):
-            seg = d[i:i + k + 1]
-            w = max(w, float(seg.max() - seg.min()))
-        return w
+        # max and min of d over every window of k + 1 samples, by doubling:
+        # hi[i] and lo[i] run over d[i:i + width], and two windows of the
+        # largest width <= k + 1, shifted by k + 1 - width, cover one of k + 1
+        hi, lo, width = d, d, 1
+        while 2 * width <= k + 1:
+            hi = np.maximum(hi[:-width], hi[width:])
+            lo = np.minimum(lo[:-width], lo[width:])
+            width *= 2
+        shift = k + 1 - width
+        last = hi.size - shift
+        return float(np.max(np.maximum(hi[:last], hi[shift:])
+                            - np.minimum(lo[:last], lo[shift:])))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"

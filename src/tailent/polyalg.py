@@ -28,13 +28,16 @@ piece's phi chain (shared by the m compositions), one family of inverse
 cofactors per inverting polynomial (shared with step 2), and inside each
 inverse-branch solve the top of the bisection tree, common to all lanes.
 Every shortcut keeps the float operations of the plain per-call code, so the
-atlas is the same bit for bit.
+atlas is the same bit for bit.  The atlas keeps what step 3 decides (each
+group's n3 and sampled norms); the n3 + 1 chart-image boundaries of a group,
+an inverse-branch solve on an inverse-branch group, are computed where they
+are read (`Atlas.image_intervals`, so `verify_atlas`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -46,7 +49,7 @@ from .errors import PrecisionError, ResourceError
 
 __all__ = [
     "Polynomial", "isolate_roots", "q_polynomial", "q_derivative_factorization",
-    "Atlas", "Chart", "reparametrize_1d", "verify_atlas",
+    "Atlas", "reparametrize_1d", "verify_atlas",
 ]
 
 _ROOT_TOL = 1e-13     # width of a refined root interval; closer roots merge
@@ -492,64 +495,51 @@ def q_derivative_factorization(r, i):
 # charts and atlases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chart:
-    """A single reparametrizing map t -> phi(Q_r(t_lo + t*(t_hi - t_lo)))."""
-    kind: str                # "affine" or "inverse-branch"
-    inv_index: int           # index of the inverting polynomial, -1 for affine
-    x_lo: Fraction           # base interval of phi in x
-    x_hi: Fraction
-    t_lo: Fraction           # step-3 piece of the Q_r domain
-    t_hi: Fraction
-    image: tuple             # (lo, hi) floats, image of the chart in x
-    norm_phi: float          # sampled, group-certified bound on ||phi||_r
-    norm_comp: float         # sampled max_j ||P_j o phi||_r
-
-
 @dataclass
 class _Group:
     """A step-2 piece: one base chart plus its step-3 subdivision count."""
-    kind: str
-    inv_index: int
-    x_lo: Fraction
+    kind: str          # "affine" or "inverse-branch"
+    inv_index: int     # index of the inverting polynomial, -1 for affine
+    x_lo: Fraction     # base interval of phi in x
     x_hi: Fraction
-    n3: int
-    norm_phi: float
-    norm_comp: float
-    tau_images: np.ndarray = field(repr=False)  # x at step-3 boundaries
+    n3: int            # equal step-3 pieces of the Q_r domain
+    norm_phi: float    # sampled, group-certified bound on ||phi||_r
+    norm_comp: float   # sampled max_j ||P_j o phi||_r
 
 
 @dataclass
 class Atlas:
-    """Charts covering the preimage of [0,1]^m under an m-vector of polys."""
+    """Charts covering the preimage of [0,1]^m under an m-vector of polys:
+    chart q < n3 of a group is t -> phi(Q_r((q + t) / n3)), t in [0, 1]."""
     polys: list
     r: int
     m: int
     step1_count: int
     step2_count: int
-    step3_count: int
+    chart_count: int
     groups: list
 
-    @property
-    def chart_count(self):
-        return self.step3_count
-
-    def charts(self):
-        """Materialize charts lazily, in x order within each group."""
-        for g in self.groups:
-            for q in range(g.n3):
-                t_lo = Fraction(q, g.n3)
-                t_hi = Fraction(q + 1, g.n3)
-                img = (float(g.tau_images[q]), float(g.tau_images[q + 1]))
-                yield Chart(g.kind, g.inv_index, g.x_lo, g.x_hi, t_lo, t_hi,
-                            img, g.norm_phi, g.norm_comp)
+    def chart_boundaries(self, g):
+        """x at the n3 + 1 step-3 boundaries tau = q/n3 of group g, so chart
+        q has the image [out[q], out[q + 1]].  Float evaluation of Q_r can
+        wobble below its coefficient scale, so the boundaries are pinned to
+        the base interval and made monotone."""
+        a, b = float(g.x_lo), float(g.x_hi)
+        qb = q_polynomial(self.r)[0](np.linspace(0.0, 1.0, g.n3 + 1))
+        if g.kind == "affine":
+            imgs = a + qb * float(g.x_hi - g.x_lo)
+        else:
+            imgs = _u_of_q(self.polys[g.inv_index], g.x_lo, g.x_hi, qb)
+        imgs[0], imgs[-1] = a, b
+        return np.maximum.accumulate(np.clip(imgs, a, b))
 
     def image_intervals(self):
         """(starts, ends) arrays of all chart images, sorted by start."""
         starts, ends = [], []
         for g in self.groups:
-            starts.append(g.tau_images[:-1])
-            ends.append(g.tau_images[1:])
+            tau = self.chart_boundaries(g)
+            starts.append(tau[:-1])
+            ends.append(tau[1:])
         if not starts:
             return np.empty(0), np.empty(0)
         s = np.concatenate(starts)
@@ -647,7 +637,7 @@ def _bisection_top(cs, a, b, depth):
 
     Returns the polynomial's values at the 2^depth - 1 midpoints, in x
     order, and the (lo, hi) brackets of the 2^depth leaves.  The midpoints
-    are computed as the lanes of `_GroupBuilder.u_of_q` compute them."""
+    are computed as the lanes of `_u_of_q` compute them."""
     lo, hi = np.array([a]), np.array([b])
     mids = np.empty((1 << depth) - 1)
     for level in range(depth):
@@ -657,6 +647,35 @@ def _bisection_top(cs, a, b, depth):
         lo = np.stack([lo, mid], axis=1).ravel()
         hi = np.stack([mid, hi], axis=1).ravel()
     return _horner(cs, mids), lo, hi
+
+
+def _u_of_q(p, a, b, qv):
+    """Invert p on [a, b] at p(a) + qv*(p(b)-p(a)) by bisection.
+
+    Each lane (one entry of qv) runs 60 halvings of [a, b] in `_bisect`,
+    with p evaluated by Horner's rule in place (`_horner`).  The first
+    `depth` levels, with 2^depth <= lanes, are the same tree of midpoints
+    for every lane.  p is evaluated there once; when those values are
+    monotone in x, the midpoints where a lane goes right are a prefix, so
+    one binary search of the target places every lane at its leaf and
+    `_bisect` runs the remaining 60 - depth halvings.  Otherwise all lanes
+    start from [a, b].  The bits are those of 60 plain halvings.
+    """
+    pa, pb = p.eval_exact(a), p.eval_exact(b)
+    target = float(pa) + qv * (float(pb) - float(pa))
+    fa, fb = float(a), float(b)
+    increasing = pb > pa
+    cs = p.float_coeffs()
+    depth = max(qv.size.bit_length() - 1, 0)
+    vals, leaf_lo, leaf_hi = _bisection_top(cs, fa, fb, depth)
+    key, tkey = (vals, target) if increasing else (-vals, -target)
+    if np.all(key[1:] >= key[:-1]):
+        leaf = np.searchsorted(key, tkey, side="left")
+        lo, hi, first = leaf_lo[leaf], leaf_hi[leaf], depth
+    else:
+        lo, hi, first = np.full_like(qv, fa), np.full_like(qv, fb), 0
+    return _bisect(lambda x, lane: _horner(cs, x), lo, hi, target,
+                   increasing, 60 - first)
 
 
 class _GroupBuilder:
@@ -669,51 +688,20 @@ class _GroupBuilder:
     inverting P_i come from the caller, which shares them with step 2.
     """
 
-    def __init__(self, polys, r, bell, n_samples, inverse_cofactors):
+    def __init__(self, polys, r, inverse_cofactors):
         self.polys = polys
         self.r = r
-        self.bell = bell
-        self.q_poly, _ = q_polynomial(r)
-        self.q_derivs = [self.q_poly.diff(k) for k in range(1, r + 1)]
-        self.tau = np.linspace(0.0, 1.0, n_samples)
-        self.q_vals = self.q_poly(self.tau)
-        self.qd_vals = [d(self.tau) for d in self.q_derivs]
+        self.bell = BellTable(r)
+        q_poly, _ = q_polynomial(r)
+        tau = np.linspace(0.0, 1.0, _N_SAMPLES)
+        self.q_vals = q_poly(tau)
+        self.qd_vals = [q_poly.diff(k)(tau) for k in range(1, r + 1)]
         self.inverse_cofactors = inverse_cofactors
         self.p_derivs = [[p.diff(k) for k in range(1, r + 1)] for p in polys]
 
     @cached_property
     def qd_bells(self):
         return self.bell.partial_bells(self.qd_vals)
-
-    def u_of_q(self, i, a, b, qv):
-        """Invert P_i on [a, b] at P_i(a) + qv*(P_i(b)-P_i(a)) by bisection.
-
-        Each lane (one entry of qv) runs 60 halvings of [a, b] in `_bisect`,
-        with P_i evaluated by Horner's rule in place (`_horner`).  The first
-        `depth` levels, with 2^depth <= lanes, are the same tree of
-        midpoints for every lane.  P_i is evaluated there once; when those
-        values are monotone in x, the midpoints where a lane goes right are
-        a prefix, so one binary search of the target places every lane at
-        its leaf and `_bisect` runs the remaining 60 - depth halvings.
-        Otherwise all lanes start from [a, b].  The bits are those of 60
-        plain halvings.
-        """
-        p = self.polys[i]
-        pa, pb = p.eval_exact(a), p.eval_exact(b)
-        target = float(pa) + qv * (float(pb) - float(pa))
-        fa, fb = float(a), float(b)
-        increasing = pb > pa
-        cs = p.float_coeffs()
-        depth = max(qv.size.bit_length() - 1, 0)
-        vals, leaf_lo, leaf_hi = _bisection_top(cs, fa, fb, depth)
-        key, tkey = (vals, target) if increasing else (-vals, -target)
-        if np.all(key[1:] >= key[:-1]):
-            leaf = np.searchsorted(key, tkey, side="left")
-            lo, hi, first = leaf_lo[leaf], leaf_hi[leaf], depth
-        else:
-            lo, hi, first = np.full_like(qv, fa), np.full_like(qv, fb), 0
-        return _bisect(lambda x, lane: _horner(cs, x), lo, hi, target,
-                       increasing, 60 - first)
 
     def chain_derivatives(self, kind, inv_index, a, b):
         """Derivative samples of phi o Q_r and of every P_j o phi o Q_r.
@@ -729,8 +717,8 @@ class _GroupBuilder:
             phi_chain = [width * d for d in self.qd_vals]
         else:
             i = inv_index
-            u = self.u_of_q(i, a, b, self.q_vals)
             p_i = self.polys[i]
+            u = _u_of_q(p_i, a, b, self.q_vals)
             dpi = self.p_derivs[i][0](u)
             delta = float(p_i.eval_exact(b) - p_i.eval_exact(a))
             cof = self.inverse_cofactors(i)
@@ -746,10 +734,10 @@ class _GroupBuilder:
         return phi_chain, comp_chains
 
     def build_group(self, kind, inv_index, a, b):
-        """The step-3 group of one step-2 piece: subdivision count, sampled
-        norms and chart-image boundaries.  Only the per-order sample sups of
-        the chains are kept, so a piece's samples are freed before the next
-        piece's are built."""
+        """The step-3 group of one step-2 piece: subdivision count and
+        sampled norms.  Only the per-order sample sups of the chains are
+        kept, so a piece's samples are freed before the next piece's are
+        built."""
         r = self.r
         phi_chain, comp_chains = self.chain_derivatives(kind, inv_index, a, b)
         sups = [[float(np.max(np.abs(d))) for d in chain]
@@ -762,16 +750,7 @@ class _GroupBuilder:
         norm_phi = max(sups[0][k - 1] * lens ** k for k in range(1, r + 1))
         norm_comp = max(sup[k - 1] * lens ** k
                         for sup in sups[1:] for k in range(1, r + 1))
-        # chart image boundaries at tau = q/n3; float evaluation of Q_r can
-        # wobble below its coefficient scale, so enforce monotone boundaries
-        qb = self.q_poly(np.linspace(0.0, 1.0, n3 + 1))
-        if kind == "affine":
-            imgs = float(a) + qb * float(b - a)
-        else:
-            imgs = self.u_of_q(inv_index, a, b, qb)
-        imgs[0], imgs[-1] = float(a), float(b)
-        imgs = np.maximum.accumulate(np.clip(imgs, float(a), float(b)))
-        return _Group(kind, inv_index, a, b, n3, norm_phi, norm_comp, imgs)
+        return _Group(kind, inv_index, a, b, n3, norm_phi, norm_comp)
 
 
 def _choose_n3(r, maxima):
@@ -892,13 +871,11 @@ def reparametrize_1d(polys, r):
     step2_count = len(pieces)
 
     # ---- step 3: compose with Q_r, sample norms, choose subdivision
-    builder = _GroupBuilder(polys, r, BellTable(r), _N_SAMPLES,
-                            inverse_cofactors)
+    builder = _GroupBuilder(polys, r, inverse_cofactors)
     groups = [builder.build_group(kind, inv, a, b)
               for a, b, kind, inv in pieces]
-    step3_count = sum(g.n3 for g in groups)
-
-    return Atlas(polys, r, m, step1_count, step2_count, step3_count, groups)
+    return Atlas(polys, r, m, step1_count, step2_count,
+                 sum(g.n3 for g in groups), groups)
 
 
 @dataclass

@@ -8,11 +8,11 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from tailent import polyalg
+from tailent import maps, polyalg
 from tailent.errors import (DomainError, NotC1Error, ResourceError,
                             UnsupportedOrderError)
 from tailent.maps import (IntervalMap, PiecewiseAffineMap, PolynomialMap,
-                          _critical_pullbacks, _preimages, build_snake,
+                          _critical_pullbacks, build_snake,
                           get_map, get_rate, identity_map,
                           min_branch_length_iterate, quadratic_map, tent_map)
 
@@ -333,6 +333,19 @@ def test_snake_map_image_and_smoothness():
     assert sm.k_max == 3 and sm.smooth
     with pytest.raises(UnsupportedOrderError):
         sm.derivative_array(xs[:5], 4)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 0.01, 0.2, 0.26, 0.6, 0.95])
+def test_snake_modulus_is_the_largest_window_spread(scale):
+    # the largest max - min of f' over a window of k + 1 grid samples, for
+    # windows from a few samples to more than half the grid
+    _, sm = build_snake(RATE, 0.02, 1.0)
+    n = 1 << maps._GRID_BITS_SUP
+    d = sm.derivative_array(np.linspace(0.0, 1.0, n + 1), 1)
+    k = math.ceil(scale * n)
+    want = max(float(d[i:i + k + 1].max() - d[i:i + k + 1].min())
+               for i in range(n + 1 - k))
+    assert sm.modulus_of_continuity(scale) == want
 
 
 def ref_sampled_critical_points(m):

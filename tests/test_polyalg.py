@@ -199,9 +199,9 @@ def test_q_derivative_growth_rate():
 def test_reparam_constant_polynomial_identity_chart():
     atlas = reparametrize_1d([Polynomial([Fraction(1, 2)])], 1)
     assert atlas.chart_count == 1
-    charts = list(atlas.charts())
-    assert charts[0].kind == "affine"
-    assert charts[0].image == (0.0, 1.0)
+    assert atlas.groups[0].kind == "affine"
+    starts, ends = atlas.image_intervals()
+    assert (starts.tolist(), ends.tolist()) == ([0.0], [1.0])
     rep = verify_atlas(atlas, 1000)
     assert rep.coverage_defect == 0
 
@@ -251,10 +251,10 @@ def test_reparam_deleted_chart_defect():
 def test_atlas_counts_consistent_and_images_are_intervals():
     p = Polynomial([Fraction(-1, 2), 0, 0, 64, -192, 192, -64])
     atlas = reparametrize_1d([p], 6)
-    assert atlas.chart_count == atlas.step3_count == sum(g.n3 for g in atlas.groups)
+    assert atlas.chart_count == sum(g.n3 for g in atlas.groups)
     assert atlas.step2_count == len(atlas.groups)
     for g in atlas.groups:
-        assert np.all(np.diff(g.tau_images) >= -1e-12)
+        assert np.all(np.diff(atlas.chart_boundaries(g)) >= -1e-12)
 
 
 def test_reparam_rejects_degree_above_r():
@@ -282,12 +282,6 @@ def ref_u_of_q(p, a, b, qv):
     return 0.5 * (lo + hi)
 
 
-def builder_for(p, r=2, n_samples=64):
-    return polyalg._GroupBuilder(
-        [p], r, BellTable(r), n_samples,
-        lambda i: polyalg._inverse_cofactors(p, r + 1))
-
-
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -304,7 +298,7 @@ def assert_same_bits(got, want):
 def test_u_of_q_matches_reference(coeffs, a, b, size):
     p = Polynomial(coeffs)
     qv = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.37])
-    got = builder_for(p).u_of_q(0, Fraction(a), Fraction(b), qv)
+    got = polyalg._u_of_q(p, Fraction(a), Fraction(b), qv)
     assert_same_bits(got, ref_u_of_q(p, Fraction(a), Fraction(b), qv))
 
 
@@ -416,7 +410,7 @@ def test_u_of_q_endpoint_lanes_take_all_60_steps():
     # times: it never settles, so the loop must run to the end for it
     p, a, b = Polynomial([0, 3]), Fraction(0), Fraction(1, 3)
     qv = np.array([0.0, 0.25, 1.0, 1e-300, 0.5])
-    got = builder_for(p).u_of_q(0, a, b, qv)
+    got = polyalg._u_of_q(p, a, b, qv)
     assert_same_bits(got, ref_u_of_q(p, a, b, qv))
     assert got[0] == float(b) * 2.0 ** -61
 
@@ -431,7 +425,7 @@ def test_u_of_q_non_monotone_values_take_the_plain_path():
     qv = np.linspace(0.0, 1.0, 300)
     for a, b in ((Fraction(0), Fraction(1)), (Fraction(1, 5), Fraction(9, 10)),
                  (Fraction(1), Fraction(0))):
-        got = builder_for(p).u_of_q(0, a, b, qv)
+        got = polyalg._u_of_q(p, a, b, qv)
         assert_same_bits(got, ref_u_of_q(p, a, b, qv))
 
 
@@ -448,7 +442,7 @@ def test_u_of_q_random_polynomials():
         size = rng.choice((2, 5, 64, 1000, 4096))
         qv = np.sort(np.array([rng.random() for _ in range(size)]))
         qv[0], qv[-1] = 0.0, 1.0
-        got = builder_for(p).u_of_q(0, a, b, qv)
+        got = polyalg._u_of_q(p, a, b, qv)
         assert_same_bits(got, ref_u_of_q(p, a, b, qv))
 
 
@@ -480,7 +474,7 @@ def atlas_digest(atlas):
     for g in atlas.groups:
         h.update(f"{g.kind},{g.inv_index},{g.x_lo},{g.x_hi},{g.n3},"
                  f"{g.norm_phi!r},{g.norm_comp!r}".encode())
-        h.update(g.tau_images.tobytes())
+        h.update(atlas.chart_boundaries(g).tobytes())
     return (atlas.step1_count, atlas.step2_count, atlas.chart_count,
             repr(rep.max_norm_comp), repr(rep.max_norm_phi),
             rep.coverage_defect, rep.members, h.hexdigest())
@@ -529,16 +523,15 @@ def checked_u_of_q(monkeypatch):
     """Run every u_of_q call of the test against ref_u_of_q as well; yields
     the set of directions (increasing or not) seen."""
     seen = set()
-    orig = polyalg._GroupBuilder.u_of_q
+    orig = polyalg._u_of_q
 
-    def checked(self, i, a, b, qv):
-        got = orig(self, i, a, b, qv)
-        p = self.polys[i]
+    def checked(p, a, b, qv):
+        got = orig(p, a, b, qv)
         assert_same_bits(got, ref_u_of_q(p, a, b, qv))
         seen.add(p.eval_exact(b) > p.eval_exact(a))
         return got
 
-    monkeypatch.setattr(polyalg._GroupBuilder, "u_of_q", checked)
+    monkeypatch.setattr(polyalg, "_u_of_q", checked)
     return seen
 
 
@@ -578,6 +571,24 @@ def test_step3_shares_bell_tables_and_cofactors(monkeypatch):
     # derivatives; one cofactor family per inverting polynomial
     assert counts["bells"] == atlas.step2_count + 1
     assert counts["cofactors"] == len(inverting)
+
+
+def test_building_an_atlas_runs_no_boundary_solve(monkeypatch):
+    lanes = []
+    orig = polyalg._u_of_q
+
+    def counted(p, a, b, qv):
+        lanes.append(qv.size)
+        return orig(p, a, b, qv)
+
+    monkeypatch.setattr(polyalg, "_u_of_q", counted)
+    atlas = reparametrize_1d(fixed_reparam_system(2, 5), 5)
+    inverse = [g.n3 + 1 for g in atlas.groups if g.kind == "inverse-branch"]
+    # the chain solves only: one per inverse-branch piece, on the Q_r samples
+    assert lanes == [polyalg._N_SAMPLES] * len(inverse) and inverse
+    del lanes[:]
+    atlas.image_intervals()
+    assert lanes == inverse
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The public surface of src/tailent: every name in a module's __all__ is
 used by the package itself or by the benchmark in perfbench/, so code that
-only tests reach does not grow back into the library."""
+only tests reach does not grow back into the library; and every name a
+module of the package or of the tests imports is used there."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "tailent").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # the paper's main rate bound, the admissibility it assumes and its p_eps
 # scale, kept though no command reads them
@@ -78,3 +80,34 @@ def test_a_self_reference_is_not_a_use(tmp_path, source, found):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert unused_exports([path], [path]) == found
+
+
+def unused_imports(tree):
+    """Names a module imports and never loads, other than __future__
+    features and the names of its __all__."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - set(_exported(tree)))
+
+
+def test_every_import_is_used():
+    unused = {path.name: names for path in SOURCES + TESTS
+              if (names := unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import os\nimport numpy as np\nnp.zeros(os.sep)\n", []),
+    ("from __future__ import annotations\nfrom a import b, c as d\nd\n",
+     ["b"]),
+    ("import os.path\n", ["os"]),
+    ("from a import b\n__all__ = ['b']\n", []),
+])
+def test_unused_imports_reads_each_binding(source, found):
+    assert unused_imports(ast.parse(source)) == found
