@@ -148,7 +148,9 @@ def _greedy_cover(orbits, n, eps, cap=None):
     Both steps are trimmed.  The feasibility scan stops at the last column
     within eps of u, since a feasible center's ball holds u.  The kill step
     tests only columns from u on: every column left of the first uncovered
-    one is already covered.
+    one is already covered.  When no other column is within eps of u, u is
+    the center with no feasibility scan; whenever the center is u, its kill
+    window and distances are those of the near scan, which are reused.
     """
     n_pts = orbits.shape[1]
     first = orbits[0]
@@ -163,15 +165,19 @@ def _greedy_cover(orbits, n, eps, cap=None):
         count += 1
         if cap is not None and count >= cap:
             return cap, True
-        hi_c = int(first.searchsorted(first[i] + eps, side="right"))
-        near = np.abs(block[:, i:hi_c] - block[:, i, None]).max(axis=0) <= eps
-        seg = block[:, i:i + 1 + int(near.nonzero()[0][-1])]
-        run_max = np.maximum.accumulate(seg, axis=1)
-        run_min = np.minimum.accumulate(seg, axis=1)
-        feasible = ((run_max - seg <= eps) & (seg - run_min <= eps)).all(axis=0)
-        center = i + int(feasible.nonzero()[0][-1])
-        hi = int(first.searchsorted(first[center] + eps, side="right"))
-        dist = np.abs(block[:, i:hi] - block[:, center, None]).max(axis=0)
+        hi = int(first.searchsorted(first[i] + eps, side="right"))
+        dist = np.abs(block[:, i:hi] - block[:, i, None]).max(axis=0)
+        k = int((dist <= eps).nonzero()[0][-1])
+        center = i
+        if k:
+            seg = block[:, i:i + 1 + k]
+            run_max = np.maximum.accumulate(seg, axis=1)
+            run_min = np.minimum.accumulate(seg, axis=1)
+            feasible = ((run_max - seg <= eps) & (seg - run_min <= eps)).all(axis=0)
+            center += int(feasible.nonzero()[0][-1])
+        if center > i:
+            hi = int(first.searchsorted(first[center] + eps, side="right"))
+            dist = np.abs(block[:, i:hi] - block[:, center, None]).max(axis=0)
         alive[i:hi] &= dist > eps
         frontier = max(frontier, hi)
         i += 1
@@ -601,10 +607,13 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
     """Entropy-continuity data (p_eps, N(eps), bound, capped).
 
     p_eps is the least p with (1/p) log r_p(f, eps/4) - h(f, eps/4)
-    <= hloc_g(eps); N(eps) inverts s -> (s/4) m0^(-p_s) by bisection on
-    [eps, _S_HI]; the bound is h_est(f) + 2 hloc_g(N(eps)).  When the target
-    is not reached below _S_HI the result is capped at _S_HI (capped=True):
-    the true N(eps) is larger, so the returned bound is a lower surrogate.
+    <= hloc_g(eps); N(eps) inverts s -> psi(s) = (s/4) m0^(-p_s) by
+    bisection on [eps, _S_HI], p_s being the least passing p at scale s;
+    the bound is h_est(f) + 2 hloc_g(N(eps)).  When the target is not
+    reached below _S_HI the result is capped at _S_HI (capped=True): the
+    true N(eps) is larger, so the returned bound is a lower surrogate.
+    eps must lie in (0, _S_HI), the bracket of N(eps); any other eps is a
+    DomainError, raised before hloc_g is probed or an orbit is built.
 
     Each p is decided by a capped greedy cover.  In floating point the
     test value log(c)/p - h is nondecreasing in the integer count c:
@@ -613,51 +622,73 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
     So the test holds up to some count and fails from the least failing
     count C_p on (`_modulus_cap`, found by bisection).  The cover stops
     after C_p centers and returns C_p, where the test fails as it does at
-    any larger count; below C_p it returns the full count.  Only a p that
-    may pass counts its whole grid, and p_eps, N(eps), the bound, capped
-    and the DomainError past _P_CAP are those of the uncapped cover.
+    any larger count; below C_p it returns the full count.  When the test
+    still holds at the column count (C_p is None) p passes with no cover
+    at all, since a cover never has more centers than columns.
+
+    psi(s) >= eps is decided without p_s.  The float expression
+    (s/4.0) * m0 ** (-p) is nonincreasing in p for m0 >= 2 (consecutive
+    powers differ by a factor m0, far more than pow's rounding), so with
+    P*(s) the largest p <= _P_CAP at which it is still >= eps (0 if none),
+    psi(s) >= eps holds exactly when some p <= P*(s) passes.  Only those p
+    are tried; at P*(s) = 0 the answer is "below" with no fit and no cover.
+
+    p_eps, N(eps), the bound and capped are those of deciding every scale
+    over the full p range with uncapped covers.  The DomainError past
+    _P_CAP is raised only where the answer reads it: for p_eps at eps, or
+    at a scale whose P*(s) is _P_CAP; likewise an orbit matrix, and its
+    ResourceError, only for a p whose cover runs.
     """
     if not 2 <= m0 < math.inf:
         raise DomainError("m0 must be finite and >= 2")
+    if not 0 < eps < _S_HI:
+        raise DomainError(f"eps must lie in (0, {_S_HI:g}), the bracket of "
+                          f"N(eps); got {eps!r}")
     # the hypothesis is monotone decay at small scales
     probe = np.geomspace(1e-6, min(eps, 0.06), 12)
     vals = [hloc_g(t) for t in probe]
     if any(a > b + 1e-12 for a, b in zip(vals, vals[1:])):
         raise DomainError("hloc_g must be nondecreasing toward 0")
 
-    h_cache, p_cache = {}, {}
+    h_cache = {}
 
     def h_est(scale):
         if scale not in h_cache:
             h_cache[scale] = eps_entropy(m, scale, grid_bits=grid_bits).slope
         return h_cache[scale]
 
-    def p_of(scale):
-        if scale not in p_cache:
-            h = h_est(scale / 4)
-            target = hloc_g(scale)
-            for p in range(1, _P_CAP + 1):
-                orbits = _grid_orbits(m, p, scale / 4, grid_bits=grid_bits)
-                cap = _modulus_cap(p, h, target, orbits.shape[1])
-                r_p, _ = _greedy_cover(orbits, p, scale / 4, cap=cap)
-                if _modulus_holds(r_p, p, h, target):
-                    p_cache[scale] = p
-                    break
-            else:
-                raise DomainError(f"p_eps exceeded cap {_P_CAP} at eps={scale:g}")
-        return p_cache[scale]
+    def least_p(scale, p_max):
+        """Least p <= p_max passing the p_eps test at scale; past _P_CAP a
+        DomainError, below it None."""
+        h = h_est(scale / 4)
+        target = hloc_g(scale)
+        n_cols = (1 << grid_bits) + 1
+        for p in range(1, p_max + 1):
+            cap = _modulus_cap(p, h, target, n_cols)
+            if cap is None:
+                return p
+            orbits = _grid_orbits(m, p, scale / 4, grid_bits=grid_bits)
+            r_p, _ = _greedy_cover(orbits, p, scale / 4, cap=cap)
+            if _modulus_holds(r_p, p, h, target):
+                return p
+        if p_max == _P_CAP:
+            raise DomainError(f"p_eps exceeded cap {_P_CAP} at eps={scale:g}")
+        return None
 
-    p_eps = p_of(eps)
+    def reaches(s):
+        """psi(s) >= eps."""
+        p_star = 0
+        while p_star < _P_CAP and (s / 4.0) * m0 ** (-(p_star + 1)) >= eps:
+            p_star += 1
+        return p_star > 0 and least_p(s, p_star) is not None
 
-    def psi(s):
-        return (s / 4.0) * m0 ** (-p_of(s))
-
+    p_eps = least_p(eps, _P_CAP)
     lo, hi = eps, _S_HI
-    capped = psi(hi) < eps
+    capped = not reaches(hi)
     if not capped:
         for _ in range(25):
             mid = 0.5 * (lo + hi)
-            if psi(mid) >= eps:
+            if reaches(mid):
                 hi = mid
             else:
                 lo = mid

@@ -121,6 +121,16 @@ def test_modulus_smoke(tmp_path):
     assert int(rows[0]["p_eps"]) >= 1
 
 
+@pytest.mark.parametrize("eps_start", ["0.35", "0.5"])
+def test_modulus_eps_outside_bracket_exits_3(tmp_path, capsys, eps_start):
+    """N(eps) is bracketed in [eps, 0.35], so a larger eps has no answer."""
+    code, text = run_cli(["modulus", "--map", "tent", "--eps-start", eps_start,
+                          "--eps-count", "1", "--grid-bits", "10"], tmp_path)
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert "eps must lie in (0, 0.35)" in err and "Traceback" not in err
+
+
 def test_determinism_across_threads(tmp_path):
     texts = []
     for threads in ("1", "3"):

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailent import entropy
-from tailent.entropy import (_default_grid, _fold_cycle_centers, _greedy_cover,
-                             _greedy_net, _grid_orbits, _modulus_cap,
-                             _modulus_holds, _orbit_matrix, _tail_centers,
-                             _tail_counts, bound_quasionedim, bound_wmulti,
-                             continuity_modulus, eps_entropy, growth_rate_R,
-                             power_bound_check, spanning_count,
+from tailent.entropy import (_P_CAP, _S_HI, _default_grid, _fold_cycle_centers,
+                             _greedy_cover, _greedy_net, _grid_orbits,
+                             _modulus_cap, _modulus_holds, _orbit_matrix,
+                             _tail_centers, _tail_counts, bound_quasionedim,
+                             bound_wmulti, continuity_modulus, eps_entropy,
+                             growth_rate_R, power_bound_check, spanning_count,
                              tail_entropy_estimate)
 from tailent.errors import (DomainError, ResolutionError, ResourceError,
-                            ScaleError, UnsupportedOrderError)
+                            ScaleError, TailentError, UnsupportedOrderError)
 from tailent import maps
 from tailent.maps import (PiecewiseAffineMap, PolynomialMap, _preimages,
                           identity_map, quadratic_map, tent_map)
@@ -715,3 +715,203 @@ def test_continuity_modulus_p_cap_raises():
 def test_continuity_modulus_rejects_nonmonotone():
     with pytest.raises(DomainError):
         continuity_modulus(IDENT, 0.1, 2.0, lambda t: -math.log(t), grid_bits=12)
+
+
+# ---------------------------------------------------------------------------
+# continuity modulus against the full search
+# ---------------------------------------------------------------------------
+
+def ref_greedy_cover(orbits, n, eps, cap=None):
+    """`_greedy_cover` with every step spelled out: the feasibility scan
+    runs for every center, and the kill window is scanned again from the
+    center even when the center is the first uncovered column."""
+    n_pts = orbits.shape[1]
+    first = orbits[0]
+    block = orbits[:n]
+    alive = np.ones(n_pts, dtype=bool)
+    count = 0
+    i = frontier = 0
+    while True:
+        i = entropy._next_alive(alive, i, frontier)
+        if i >= n_pts:
+            return count, False
+        count += 1
+        if cap is not None and count >= cap:
+            return cap, True
+        hi_c = int(first.searchsorted(first[i] + eps, side="right"))
+        near = np.abs(block[:, i:hi_c] - block[:, i, None]).max(axis=0) <= eps
+        seg = block[:, i:i + 1 + int(near.nonzero()[0][-1])]
+        run_max = np.maximum.accumulate(seg, axis=1)
+        run_min = np.minimum.accumulate(seg, axis=1)
+        feasible = ((run_max - seg <= eps) & (seg - run_min <= eps)).all(axis=0)
+        center = i + int(feasible.nonzero()[0][-1])
+        hi = int(first.searchsorted(first[center] + eps, side="right"))
+        dist = np.abs(block[:, i:hi] - block[:, center, None]).max(axis=0)
+        alive[i:hi] &= dist > eps
+        frontier = max(frontier, hi)
+        i += 1
+
+
+_REF_P = {}
+
+
+def ref_continuity_modulus(m, eps, m0, hloc_g, grid_bits=14):
+    """`continuity_modulus` as a full search: p_s over every p up to the
+    cap at every scale the bisection visits, psi(s) from p_s.  p_s depends
+    on neither eps nor m0, so calls share it through `_REF_P`.  The covers
+    are `_greedy_cover`'s, which `test_greedy_cover_matches_reference`
+    checks against `ref_greedy_cover`."""
+    if not 2 <= m0 < math.inf:
+        raise DomainError("m0 must be finite and >= 2")
+    probe = np.geomspace(1e-6, min(eps, 0.06), 12)
+    vals = [hloc_g(t) for t in probe]
+    if any(a > b + 1e-12 for a, b in zip(vals, vals[1:])):
+        raise DomainError("hloc_g must be nondecreasing toward 0")
+
+    h_cache = {}
+    p_cache = _REF_P.setdefault((m.name, grid_bits, hloc_g), {})
+
+    def h_est(scale):
+        if scale not in h_cache:
+            h_cache[scale] = entropy.eps_entropy(m, scale,
+                                                 grid_bits=grid_bits).slope
+        return h_cache[scale]
+
+    def p_of(scale):
+        if scale not in p_cache:
+            h = h_est(scale / 4)
+            target = hloc_g(scale)
+            for p in range(1, _P_CAP + 1):
+                orbits = _grid_orbits(m, p, scale / 4, grid_bits=grid_bits)
+                cap = _modulus_cap(p, h, target, orbits.shape[1])
+                r_p, _ = _greedy_cover(orbits, p, scale / 4, cap=cap)
+                if _modulus_holds(r_p, p, h, target):
+                    p_cache[scale] = p
+                    break
+            else:
+                raise DomainError(f"p_eps exceeded cap {_P_CAP} at eps={scale:g}")
+        return p_cache[scale]
+
+    p_eps = p_of(eps)
+
+    def psi(s):
+        return (s / 4.0) * m0 ** (-p_of(s))
+
+    lo, hi = eps, _S_HI
+    capped = psi(hi) < eps
+    if not capped:
+        for _ in range(25):
+            mid = 0.5 * (lo + hi)
+            if psi(mid) >= eps:
+                hi = mid
+            else:
+                lo = mid
+    n_eps = hi
+    h_f = h_est(eps)
+    return p_eps, n_eps, h_f + 2.0 * hloc_g(n_eps), capped
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.sampled_from([TENT, F4, F37]),
+       bits=st.integers(9, 12), n=st.integers(1, 8))
+def test_greedy_cover_matches_reference(data, m, bits, n):
+    eps = data.draw(st.floats(min_value=8 / 2 ** bits, max_value=0.5))
+    cap = data.draw(st.one_of(st.none(), st.integers(1, 2 ** bits + 2)))
+    orbits = _grid_orbits(m, n, eps, grid_bits=bits)
+    assert _greedy_cover(orbits, n, eps, cap) == ref_greedy_cover(orbits, n, eps, cap)
+
+
+@pytest.fixture
+def shared_fits(monkeypatch):
+    """eps_entropy is deterministic, so the oracle and the code under test
+    may share its fits across calls; both read them through the module."""
+    fit, fits = entropy.eps_entropy, {}
+
+    def shared(m, eps, grid_bits):
+        key = (m.name, eps, grid_bits)
+        if key not in fits:
+            fits[key] = fit(m, eps, grid_bits=grid_bits)
+        return fits[key]
+
+    monkeypatch.setattr(entropy, "eps_entropy", shared)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except TailentError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_HLOCS = {
+    "1/|log t|": lambda t: 1.0 / abs(math.log(t)),
+    "log|log t|/|log t|": lambda t: math.log(abs(math.log(t))) / abs(math.log(t)),
+    "1": lambda t: 1.0,
+}
+
+
+@pytest.mark.parametrize("m", [TENT, F4, F37, IDENT], ids=lambda m: m.name)
+def test_continuity_modulus_matches_full_search(shared_fits, m):
+    """Same tuple, or same error, as the full search.  At eps 0.1 and 0.05
+    the top of the bracket has P*(0.35) = 0 for every m0 >= 2, so m0 is
+    varied at eps 0.02, where it chooses which p are tried.  The grid holds
+    the uncapped bisection of `test_continuity_modulus_bisects_when_uncapped`
+    (quadratic:4, 2^11, eps 0.02, m0 2, target 1) and, at 2^10 and
+    eps 0.02, the grid's ResolutionError."""
+    configs = [(bits, eps, 2.0, name) for bits in (10, 11)
+               for eps in (0.1, 0.05, 0.02) for name in _HLOCS]
+    configs += [(bits, 0.02, m0, name) for bits in (10, 11)
+                for m0 in (2.5, 3.0) for name in _HLOCS]
+    for bits, eps, m0, name in configs:
+        args = (m, eps, m0, _HLOCS[name])
+        assert (_outcome(continuity_modulus, *args, grid_bits=bits)
+                == _outcome(ref_continuity_modulus, *args, grid_bits=bits)), \
+            (bits, eps, m0, name)
+
+
+def test_continuity_modulus_skips_undecided_top_of_bracket():
+    """(0.35/4) 2^-1 < 0.1, so psi(0.35) < eps whatever p_0.35 is: no p is
+    tried there.  The full search tries every p at 0.35, where the target
+    -1 is never met, and raises; the answer never reads that p."""
+    hloc = lambda t: 1.0 if t < 0.3 else -1.0  # noqa: E731
+    with pytest.raises(DomainError, match="p_eps exceeded cap 64 at eps=0.35"):
+        ref_continuity_modulus(TENT, 0.1, 2.0, hloc, grid_bits=10)
+    h_f = eps_entropy(TENT, 0.1, grid_bits=10).slope
+    assert (continuity_modulus(TENT, 0.1, 2.0, hloc, grid_bits=10)
+            == (7, 0.35, h_f - 2.0, True))
+
+
+def test_continuity_modulus_runs_only_read_work(monkeypatch):
+    """On the config of `test_continuity_modulus_tent`: no cover runs for a p
+    that passes at every count (cap None), and no fit runs at 0.35/4, the
+    scale of the top of the bracket, where P*(0.35) = 0."""
+    covers, fits = [], []
+    cover, fit = entropy._greedy_cover, entropy.eps_entropy
+
+    def record_cover(orbits, n, eps, cap=None):
+        covers.append(cap)
+        return cover(orbits, n, eps, cap)
+
+    def record_fit(m, eps, **kwargs):
+        fits.append(eps)
+        return fit(m, eps, **kwargs)
+
+    monkeypatch.setattr(entropy, "_greedy_cover", record_cover)
+    monkeypatch.setattr(entropy, "eps_entropy", record_fit)
+    hloc = lambda t: math.log(abs(math.log(t))) / abs(math.log(t))  # noqa: E731
+    assert continuity_modulus(TENT, 0.05, 2.0, hloc)[0] == 10
+    assert covers and None not in covers
+    assert sorted(fits) == [0.05 / 4, 0.05]
+    assert _S_HI / 4 not in fits
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf, _S_HI, 2.0])
+def test_continuity_modulus_refuses_eps_outside_bracket(monkeypatch, eps):
+    """Refused before hloc_g is probed and before any orbit is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(entropy, "_orbit_matrix", never)
+    monkeypatch.setattr(entropy, "eps_entropy", never)
+    with pytest.raises(DomainError, match=r"eps must lie in \(0, 0.35\)"):
+        continuity_modulus(TENT, eps, 2.0, never, grid_bits=10)
