@@ -26,7 +26,10 @@ centers, and at most len(centers) * piece_cap pieces are held between
 steps.  Per-center counts are sums of integer-valued floats gathered with
 np.bincount, exact in any order.  Fold-cycle centers likewise bisect all
 their (period, critical point, side) brackets in one `polyalg._bisect`
-call, cut from the pullback levels that the map keeps across scales.
+call, cut from the pullback levels that the map keeps across scales; each
+level pulls back only the points its predecessor added, all branches in one
+bisection.  The map also keeps its fold-cycle centers per (eps, point_cap),
+so the two estimates of `power_bound_check` find them once.
 
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
@@ -315,10 +318,11 @@ def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
 
 def _iterate_periods(m: IntervalMap, xs, qs):
     """f^q(x) for every entry, with nondecreasing periods qs: at step t only
-    the suffix of entries with q > t is mapped."""
+    the suffix of entries with q > t is mapped, its start found for every t
+    by one searchsorted."""
     v = xs.copy()
-    for t in range(int(qs.max(initial=0))):
-        s = int(qs.searchsorted(t, side="right"))
+    starts = qs.searchsorted(np.arange(qs.max(initial=0)), side="right")
+    for s in starts.tolist():
         v[s:] = m.evaluate_array(v[s:])
     return v
 
@@ -335,7 +339,21 @@ def _fold_cycle_centers(m: IntervalMap, eps, point_cap=1 << 14):
     (stopped once a level holds more than point_cap points; levels are
     cached on the map); their endpoints are then evaluated in one pass and
     every sign-change bracket is bisected at once, 60 halvings each.
+
+    The centers depend only on the map, eps and point_cap, so the map keeps
+    them per (eps, point_cap) and a repeated call returns a copy of the
+    first answer.  The entry is written once; racing threads compute equal
+    lists, and the first one stored stands.
     """
+    key = (eps, point_cap)
+    if key not in m._fold_cycles:
+        m._fold_cycles.setdefault(
+            key, tuple(_solve_fold_cycles(m, eps, point_cap)))
+    return list(m._fold_cycles[key])
+
+
+def _solve_fold_cycles(m: IntervalMap, eps, point_cap):
+    """The fold-cycle centers of `_fold_cycle_centers`, solved."""
     crit = sorted(m.critical_points)
     if not crit:
         return []
@@ -614,6 +632,9 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
     true N(eps) is larger, so the returned bound is a lower surrogate.
     eps must lie in (0, _S_HI), the bracket of N(eps); any other eps is a
     DomainError, raised before hloc_g is probed or an orbit is built.
+    hloc_g must not increase toward 0, i.e. be nondecreasing in t; this is
+    probed only at 12 points of [1e-6, min(eps, 0.06)] (a DomainError if
+    it falls there), although hloc_g is read up to _S_HI.
 
     Each p is decided by a capped greedy cover.  In floating point the
     test value log(c)/p - h is nondecreasing in the integer count c:
@@ -648,7 +669,8 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
     probe = np.geomspace(1e-6, min(eps, 0.06), 12)
     vals = [hloc_g(t) for t in probe]
     if any(a > b + 1e-12 for a, b in zip(vals, vals[1:])):
-        raise DomainError("hloc_g must be nondecreasing toward 0")
+        raise DomainError("hloc_g must not increase toward 0 "
+                          "(nondecreasing in t on the probe)")
 
     h_cache = {}
 

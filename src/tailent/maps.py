@@ -3,7 +3,8 @@ single-bump oscillation ("snake") family, with derivatives, monotone
 structure, and a string registry used by the CLI.
 
 All map objects are immutable after construction; caches (critical points,
-monotone partition, critical-point pullback levels) are built lazily.
+monotone partition, critical-point pullback levels, fold-cycle centers per
+scale) are built lazily.
 The critical points of a map are its turning points, the zeros of f' at
 which f' changes sign; they cut the monotone partition and seed the
 pullback.  Candidate zeros come from exact root isolation for the
@@ -54,6 +55,7 @@ class IntervalMap:
         self._crit = None
         self._branches = None
         self._pullbacks = []    # levels of _critical_pullbacks built so far
+        self._fold_cycles = {}  # (eps, point_cap) -> fold-cycle centers
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, x):
@@ -67,7 +69,7 @@ class IntervalMap:
 
     def evaluate_array(self, xs):
         """Vectorized evaluation; clamps rounding overshoot into [0,1]."""
-        return np.clip(self._eval_array(_as_array(xs)), 0.0, 1.0)
+        return self._eval_array(_as_array(xs)).clip(0.0, 1.0)
 
     def _eval_array(self, xs):
         raise NotImplementedError
@@ -295,26 +297,47 @@ class PiecewiseAffineMap(IntervalMap):
 
 def _preimages(m: IntervalMap, ys):
     """Solutions of f(x) = y over all monotone branches, for an array ys:
-    52 halvings per branch."""
+    one lane per (y, branch) with y in the branch's image, 52 halvings each.
+
+    All branches run in one `polyalg._bisect` call; each lane keeps its
+    branch's bracket and direction, so its bits are those of bisecting its
+    own branch alone, and a preimage depends only on its target and branch.
+    """
     if isinstance(m, PiecewiseAffineMap):
         return m.branch_preimages(np.asarray(ys, dtype=float))
     branches, _, _ = m.monotone_partition()
     ys = np.asarray(ys, dtype=float)
-    out = []
-    for a, b in branches:
-        fa, fb = m.evaluate_array(np.array([a, b])).tolist()
-        tgt = ys[(ys >= min(fa, fb)) & (ys <= max(fa, fb))]
-        if tgt.size:
-            out.append(polyalg._bisect(
-                lambda x, lane: m.evaluate_array(x), np.full_like(tgt, a),
-                np.full_like(tgt, b), tgt, fb > fa, 52))
-    return np.sort(np.concatenate(out)) if out else np.empty(0)
+    ends = m.evaluate_array(np.array(branches).ravel()).tolist()
+    lo, hi, tgt, increasing = [], [], [], []
+    for (a, b), fa, fb in zip(branches, ends[0::2], ends[1::2]):
+        t = ys[(ys >= min(fa, fb)) & (ys <= max(fa, fb))]
+        lo.append(np.full_like(t, a))
+        hi.append(np.full_like(t, b))
+        tgt.append(t)
+        increasing.append(np.full(t.size, fb > fa))
+    x = polyalg._bisect(lambda x, lane: m.evaluate_array(x),
+                        np.concatenate(lo), np.concatenate(hi),
+                        np.concatenate(tgt), np.concatenate(increasing), 52)
+    return np.sort(x)
+
+
+def _new_points(cur, prev):
+    """The points of the sorted array cur that the sorted array prev lacks."""
+    if not prev.size:
+        return cur
+    idx = np.minimum(prev.searchsorted(cur), prev.size - 1)
+    return cur[prev[idx] != cur]
 
 
 def _critical_pullbacks(m: IntervalMap):
     """Level sets of the critical-point pullback: level 0 is crit(f) and
     level k + 1 is crit(f) together with the f-preimages of level k, i.e.
     the critical points of f^(k+1) (sorted, deduplicated from level 1 on).
+
+    A preimage depends only on its target and branch (`_preimages`), so
+    level k lies inside level k + 1 by induction, and level k + 1 is level k
+    together with the preimages of the points level k added to level k - 1:
+    only those new points are pulled back.
 
     Endless and lazy: a level is built only when it is asked for, so each
     caller applies its own cap policy between levels.  Built levels are
@@ -326,9 +349,13 @@ def _critical_pullbacks(m: IntervalMap):
         if k == len(levels):
             with _PULLBACK_LOCK:
                 if k == len(levels):
-                    nxt = (np.unique(np.concatenate(
-                        [levels[0], _preimages(m, levels[-1])])) if levels
-                        else np.array(sorted(m.critical_points), dtype=float))
+                    if not levels:
+                        nxt = np.array(sorted(m.critical_points), dtype=float)
+                    else:
+                        new = (_new_points(levels[-1], levels[-2]) if k > 1
+                               else levels[0])
+                        nxt = np.unique(np.concatenate(
+                            [levels[-1], _preimages(m, new)]))
                     nxt.flags.writeable = False
                     levels.append(nxt)
         yield levels[k]

@@ -205,7 +205,7 @@ class Polynomial:
         """Float evaluation, scalar or numpy array (through `_horner`)."""
         cs = self.float_coeffs()
         if cs.size < 2:
-            c = cs[0] if cs.size else 0.0
+            c = cs[0] if cs.size else np.float64(0.0)
             return np.zeros_like(np.asarray(x, dtype=float)) + c if np.ndim(x) else c
         return _horner(cs, np.asarray(x, dtype=float))
 

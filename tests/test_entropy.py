@@ -18,14 +18,16 @@ from tailent.entropy import (_P_CAP, _S_HI, _default_grid, _fold_cycle_centers,
 from tailent.errors import (DomainError, ResolutionError, ResourceError,
                             ScaleError, TailentError, UnsupportedOrderError)
 from tailent import maps
-from tailent.maps import (PiecewiseAffineMap, PolynomialMap, _preimages,
-                          identity_map, quadratic_map, tent_map)
+from tailent.maps import (PolynomialMap, _preimages, identity_map,
+                          quadratic_map, tent_map)
+from test_maps import ref_preimages
 
 F4 = quadratic_map()
 TENT = tent_map()
 IDENT = identity_map()
 QUARTIC3 = PolynomialMap([0, 0, 16, -40, 25], name="three-branch-quartic")
 F37 = quadratic_map(3.7)
+SNAKE = maps.get_map("snake:eps=0.05")
 LOG2 = math.log(2)
 
 
@@ -255,32 +257,6 @@ def test_eps_entropy_nondecreasing_as_eps_shrinks():
 # tail entropy
 # ---------------------------------------------------------------------------
 
-def ref_preimages(m, ys):
-    """Solutions of f(x) = y branch by branch: all lanes of a branch run
-    52 halvings, with no lane dropped."""
-    if isinstance(m, PiecewiseAffineMap):
-        return m.branch_preimages(np.asarray(ys, dtype=float))
-    branches, _, _ = m.monotone_partition()
-    ys = np.asarray(ys, dtype=float)
-    out = []
-    for a, b in branches:
-        fa = float(m.evaluate_array(np.array([a]))[0])
-        fb = float(m.evaluate_array(np.array([b]))[0])
-        tgt = ys[(ys >= min(fa, fb)) & (ys <= max(fa, fb))]
-        if tgt.size == 0:
-            continue
-        lo = np.full_like(tgt, a)
-        hi = np.full_like(tgt, b)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            v = m.evaluate_array(mid)
-            go_right = (v < tgt) if fb > fa else (v > tgt)
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-        out.append(0.5 * (lo + hi))
-    return np.sort(np.concatenate(out)) if out else np.empty(0)
-
-
 @pytest.mark.parametrize("m", [F4, F37, QUARTIC3], ids=lambda m: m.name)
 def test_preimages_match_per_branch_loop(m):
     rng = np.random.default_rng(3)
@@ -289,6 +265,19 @@ def test_preimages_match_per_branch_loop(m):
                          np.asarray(m.critical_points)])
     got = _preimages(m, ys)
     want = ref_preimages(m, ys)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [F4, F37, QUARTIC3, SNAKE], ids=lambda m: m.name)
+def test_preimages_match_per_branch_loop_at_branch_ends(m):
+    """Targets exactly at each branch's image endpoints, each repeated,
+    pulled back in one call give the per-branch loop's bytes."""
+    branches, _, _ = m.monotone_partition()
+    ends = m.evaluate_array(np.array(branches).ravel())
+    ys = np.concatenate([ends, ends[::-1], np.repeat([0.25, 0.5, 0.75], 3)])
+    got = _preimages(m, ys)
+    want = ref_preimages(m, ys)
+    assert got.size == want.size >= 2 * ends.size
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -423,8 +412,10 @@ def test_fold_cycle_evaluate_reads_each_lane_period(monkeypatch, m):
     lane indices it is given, not through the lanes' positions."""
     from tailent import polyalg
     batched = _fold_cycle_centers(m, 2.0 ** -6)
+    entered = []
 
     def lane_by_lane(evaluate, lo, hi, target, increasing, steps):
+        entered.append(lo.size)
         out = np.empty_like(lo)
         for j in reversed(range(lo.size)):
             out[j:j + 1] = polyalg._bisect(
@@ -433,7 +424,74 @@ def test_fold_cycle_evaluate_reads_each_lane_period(monkeypatch, m):
         return out
 
     monkeypatch.setattr(entropy, "_bisect", lane_by_lane)
-    assert _fold_cycle_centers(m, 2.0 ** -6) == batched
+    # m keeps its centers per scale, so the patched solve runs on a fresh map
+    fresh = PolynomialMap(m.poly, name=m.name)
+    assert _fold_cycle_centers(fresh, 2.0 ** -6) == batched
+    assert len(entered) == 1 and entered[0] > 0
+
+
+_POWER_REPORTS = {
+    ("tent", 2): (0.09558867345761507, 0.1939578378335734,
+                  0.1169789189167867),
+    ("tent", 3): (0.09558867345761507, 0.3295970437173213,
+                  0.1298656812391071),
+    ("quadratic:4", 2): (0.10220727549735838, 0.20710522456645922,
+                         0.12355261228322961),
+    ("quadratic:4", 3): (0.10220727549735838, 0.34657359027997264,
+                         0.1355245300933242),
+}
+
+
+@pytest.mark.parametrize("spec, p", sorted(_POWER_REPORTS))
+def test_power_bound_check_solves_fold_cycles_once(monkeypatch, spec, p):
+    """The two estimates of one power_bound_check share the map's
+    fold-cycle centers: the period bisection runs once, and the report is
+    the one pinned before the centers were kept."""
+    calls = []
+    orig = entropy._bisect
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(entropy, "_bisect", counted)
+    rep = power_bound_check(maps.get_map(spec), 2.0 ** -6, p)
+    assert len(calls) == 1
+    est_f, est_fp, bound = _POWER_REPORTS[spec, p]
+    assert rep == {"map": spec, "eps": 2.0 ** -6, "p": p, "est_f": est_f,
+                   "est_fp": est_fp, "bound": bound, "holds": True}
+
+
+def test_power_bound_check_work_reaches_traced_names(monkeypatch):
+    """The benchmark tracer wraps `tail_entropy_estimate` and
+    `IntervalMap.evaluate_array` by name.  One power_bound_check enters the
+    estimate twice, and every map evaluation of its pullback, fold-cycle and
+    tail solves goes through evaluate_array (one `_eval_array` call each)."""
+    m = quadratic_map()
+    tails, evals, raw = [], [], []
+    orig_tail = entropy.tail_entropy_estimate
+    orig_eval = maps.IntervalMap.evaluate_array
+    orig_raw = PolynomialMap._eval_array
+
+    def tail(*args, **kwargs):
+        tails.append(args[1])
+        return orig_tail(*args, **kwargs)
+
+    def evaluate_array(self, xs):
+        evals.append(1)
+        return orig_eval(self, xs)
+
+    def eval_raw(self, xs):
+        raw.append(1)
+        return orig_raw(self, xs)
+
+    monkeypatch.setattr(entropy, "tail_entropy_estimate", tail)
+    monkeypatch.setattr(maps.IntervalMap, "evaluate_array", evaluate_array)
+    monkeypatch.setattr(PolynomialMap, "_eval_array", eval_raw)
+    power_bound_check(m, 2.0 ** -6, 2)
+    assert tails == [2.0 ** -6, 2.0 ** -6]
+    assert len(m._pullbacks) > 1
+    assert len(evals) == len(raw) > 0
 
 
 @pytest.fixture
@@ -713,7 +771,7 @@ def test_continuity_modulus_p_cap_raises():
 
 
 def test_continuity_modulus_rejects_nonmonotone():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="hloc_g must not increase toward 0"):
         continuity_modulus(IDENT, 0.1, 2.0, lambda t: -math.log(t), grid_bits=12)
 
 
@@ -766,7 +824,8 @@ def ref_continuity_modulus(m, eps, m0, hloc_g, grid_bits=14):
     probe = np.geomspace(1e-6, min(eps, 0.06), 12)
     vals = [hloc_g(t) for t in probe]
     if any(a > b + 1e-12 for a, b in zip(vals, vals[1:])):
-        raise DomainError("hloc_g must be nondecreasing toward 0")
+        raise DomainError("hloc_g must not increase toward 0 "
+                          "(nondecreasing in t on the probe)")
 
     h_cache = {}
     p_cache = _REF_P.setdefault((m.name, grid_bits, hloc_g), {})

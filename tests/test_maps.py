@@ -36,6 +36,25 @@ def test_evaluate_domain_error():
         TENT.evaluate(-0.1)
 
 
+@pytest.mark.parametrize("spec", ["tent", "quadratic:4", "identity",
+                                  "poly:[0]", "poly:[0.5]", "snake:eps=0.05"])
+def test_evaluate_array_value_and_type(spec):
+    """evaluate_array clamps with the array's own clip: on a Python float,
+    a 0-d and a 1-d array it gives the value and type of np.clip."""
+    m = get_map(spec)
+    for x in (0.3, np.asarray(0.5), np.array([0.0, 0.3, 0.5, 1.0])):
+        got = m.evaluate_array(x)
+        want = np.clip(m._eval_array(np.asarray(x, float)), 0.0, 1.0)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_zero_polynomial_scalar_is_float64():
+    # like every other constant polynomial; it used to be a Python float
+    assert type(polyalg.Polynomial([0])(0.3)) is np.float64
+    assert type(polyalg.Polynomial([0.5])(0.3)) is np.float64
+
+
 def test_derivative_sup_examples():
     assert F4.derivative_sup(1) == pytest.approx(4.0, abs=1e-12)
     assert F4.derivative_sup(2) == pytest.approx(8.0, abs=1e-12)
@@ -249,6 +268,53 @@ class IterateMap(IntervalMap):
             acc = acc * self.base._deriv_array(v, 1)
             v = np.clip(self.base._eval_array(v), 0.0, 1.0)
         return acc
+
+
+def ref_preimages(m, ys):
+    """Solutions of f(x) = y branch by branch: all lanes of a branch run
+    52 halvings, with no lane dropped."""
+    if isinstance(m, PiecewiseAffineMap):
+        return m.branch_preimages(np.asarray(ys, dtype=float))
+    branches, _, _ = m.monotone_partition()
+    ys = np.asarray(ys, dtype=float)
+    out = []
+    for a, b in branches:
+        fa = float(m.evaluate_array(np.array([a]))[0])
+        fb = float(m.evaluate_array(np.array([b]))[0])
+        tgt = ys[(ys >= min(fa, fb)) & (ys <= max(fa, fb))]
+        if tgt.size == 0:
+            continue
+        lo = np.full_like(tgt, a)
+        hi = np.full_like(tgt, b)
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            v = m.evaluate_array(mid)
+            go_right = (v < tgt) if fb > fa else (v > tgt)
+            lo = np.where(go_right, mid, lo)
+            hi = np.where(go_right, hi, mid)
+        out.append(0.5 * (lo + hi))
+    return np.sort(np.concatenate(out)) if out else np.empty(0)
+
+
+def ref_critical_pullbacks(m, levels):
+    """The first `levels` pullback levels built in full: level 0 is
+    crit(f), level k + 1 is unique(level 0 and ref_preimages(level k))."""
+    base = np.array(sorted(m.critical_points), dtype=float)
+    out = [base]
+    while len(out) < levels:
+        out.append(np.unique(np.concatenate([base, ref_preimages(m, out[-1])])))
+    return out
+
+
+@pytest.mark.parametrize("m", [F4, quadratic_map(3.7), QUARTIC3, TENT,
+                               get_map("snake:eps=0.05")],
+                         ids=lambda m: m.name)
+def test_critical_pullbacks_match_full_construction(m):
+    """Levels 0-14, which pull back only each level's new points, equal the
+    levels that pull back every point of the level before, byte for byte."""
+    got = list(islice(_critical_pullbacks(m), 15))
+    for level, want in zip(got, ref_critical_pullbacks(m, 15)):
+        assert level.dtype == want.dtype and level.tobytes() == want.tobytes()
 
 
 def test_critical_pullbacks_levels():

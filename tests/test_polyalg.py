@@ -37,10 +37,12 @@ def test_polynomial_arithmetic_exact():
 
 def ref_poly_call(p, x):
     """Polynomial.__call__ before it shared `_horner`: Horner's rule from
-    0 + cs[-1], two fresh arrays per degree."""
+    0 + cs[-1], two fresh arrays per degree.  A scalar gives np.float64 for
+    every polynomial, the zero polynomial included."""
     cs = p.float_coeffs()
     if cs.size == 0:
-        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+        return (np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x)
+                else np.float64(0.0))
     acc = np.zeros_like(np.asarray(x, dtype=float)) + cs[-1] if np.ndim(x) else cs[-1]
     for c in cs[-2::-1]:
         acc = acc * x + c
