@@ -20,6 +20,7 @@ import numpy as np
 
 from . import entropy, maps, polyalg, rates, symbolic
 from .combinatorics import BellTable, count_set_partitions, enumerate_set_partitions
+from .errors import ConfigError
 
 LOG2 = math.log(2)
 
@@ -306,25 +307,6 @@ def criterion_snake():
                   "profile sups decreasing r=1..3")
 
 
-def criterion_determinism():
-    """Byte-identical CSV across thread counts."""
-    import tempfile
-    from pathlib import Path
-    from .cli import load_config, run_tail
-    texts = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for threads in (1, 4):
-            path = str(Path(tmp) / f"tail-{threads}.csv")
-            cfg = load_config("tail", overrides={
-                "map_spec": "tent", "eps_start": 0.125, "eps_ratio": 0.5,
-                "eps_count": 3, "n_max": 16, "threads": threads, "out": path})
-            run_tail(cfg)
-            texts.append(Path(path).read_bytes())
-    if texts[0] != texts[1]:
-        return False, "CSV differs between 1 and 4 threads"
-    return True, f"{len(texts[0])} bytes identical for threads 1 and 4"
-
-
 # (name, tags, criterion, runtime budget in seconds)
 CRITERIA = [
     ("1-combinatorics", ("combinatorics",), criterion_combinatorics, 5),
@@ -337,7 +319,6 @@ CRITERIA = [
     ("8-rates", ("rates",), criterion_rates, 5),
     ("9-thickness", ("thickness",), criterion_thickness, 10),
     ("10-snake", ("snake",), criterion_snake, 30),
-    ("11-determinism", ("determinism",), criterion_determinism, 60),
 ]
 
 
@@ -345,12 +326,16 @@ def verify_all(tag="full", out=None):
     """Run the tagged subset; print one pass/fail line per criterion.
 
     A criterion fails when its check fails or its runtime budget is blown.
+    A tag that selects no criterion is a ConfigError, raised before any runs.
     """
+    chosen = [c for c in CRITERIA if tag == "full" or tag in c[1]]
+    if not chosen:
+        known = sorted({t for _, tags, _, _ in CRITERIA for t in tags})
+        raise ConfigError("tag", f"no criterion has tag {tag!r}; tags: "
+                                 f"full, {', '.join(known)}")
     out = out or (lambda s: print(s))
     all_ok = True
-    for name, tags, fn, budget in CRITERIA:
-        if tag != "full" and tag not in tags:
-            continue
+    for name, _, fn, budget in chosen:
         t0 = time.time()
         try:
             ok, detail = fn()

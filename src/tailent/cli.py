@@ -3,8 +3,9 @@
 Subcommands: entropy | tail | bounds | reparam | sft | thickness | weights |
 snake | modulus | verify.  Configs are flat key=value files plus flag
 overrides; every CSV row carries the schema version and a hash of the
-semantic config (thread count and output path excluded), so reruns with a
-different --threads produce byte-identical files.
+semantic config (output path excluded), so a rerun writing elsewhere
+produces a byte-identical file.  Every run is single-threaded; `--threads`
+accepts only 1.
 
 Exit codes: 0 success, 2 config error, 3 numeric/resource error.
 """
@@ -14,9 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError, ResourceError, TailentError
@@ -52,7 +51,6 @@ class ExperimentConfig:
     p_max: int = 10
     m0: float = 2.0
     k_max: int = 50
-    threads: int = 1
     out: str = ""
     verify_tag: str = "full"
 
@@ -101,8 +99,7 @@ class ExperimentConfig:
         return range(self.p_min, self.p_max + 1)
 
     def semantic_items(self):
-        skip = {"threads", "out"}
-        return sorted((k, v) for k, v in self.__dict__.items() if k not in skip)
+        return sorted((k, v) for k, v in self.__dict__.items() if k != "out")
 
     def config_hash(self):
         blob = "\n".join(f"{k}={v}" for k, v in self.semantic_items())
@@ -141,8 +138,6 @@ def load_config(name, path=None, overrides=None):
         if value is None:
             continue
         setattr(cfg, key, value)
-    if cfg.threads < 1:
-        raise ConfigError("threads", "must be >= 1")
     return cfg
 
 
@@ -182,23 +177,14 @@ def _map_for(cfg):
         raise ConfigError("map", str(exc))
 
 
-def _parallel(fn, items, threads):
-    if threads == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_entropy(cfg):
     from .entropy import eps_entropy
     m = _map_for(cfg)
     ns = cfg.n_range()
     w = CsvWriter(cfg.out, ["method", "map", "n", "eps", "delta", "count",
                             "rate", "slope", "direction"], cfg)
-    ests = _parallel(
-        lambda eps: eps_entropy(m, eps, n_range=ns,
-                                grid_bits=cfg.checked_grid_bits()),
-        cfg.eps_schedule(), cfg.threads)
+    ests = [eps_entropy(m, eps, n_range=ns, grid_bits=cfg.checked_grid_bits())
+            for eps in cfg.eps_schedule()]
     for est in ests:
         for n, count in zip(est.ns, est.counts):
             w.add(est.method, est.map_name, n, est.eps, "", count,
@@ -215,9 +201,7 @@ def run_tail(cfg):
     w = CsvWriter(cfg.out, ["method", "map", "eps", "delta", "count", "rate",
                             "slope", "direction", "residual",
                             "bound_log2", "bound_log4"], cfg)
-    ests = _parallel(
-        lambda eps: tail_entropy_estimate(m, eps, n_range=ns),
-        schedule, cfg.threads)
+    ests = [tail_entropy_estimate(m, eps, n_range=ns) for eps in schedule]
     for est in ests:
         alog = abs(math.log(est.eps))
         w.add(est.method, est.map_name, est.eps, est.delta, est.counts[-1],
@@ -357,6 +341,7 @@ def build_parser():
     ap.add_argument("--eps-count", dest="eps_count", type=int, default=None)
     ap.add_argument("--n-max", dest="n_max", type=int, default=None)
     ap.add_argument("--grid-bits", dest="grid_bits", type=int, default=None)
+    # single-threaded only; kept so that scripts passing 1 still run
     ap.add_argument("--threads", dest="threads", type=int, default=None)
     ap.add_argument("--out", dest="out", default=None)
     ap.add_argument("--sft-spec", dest="sft_spec", default=None)
@@ -376,19 +361,18 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("experiment", "config")}
-    env = os.environ.get("TAILENT_THREADS")
+                 if k not in ("experiment", "config", "threads")}
     try:
-        if overrides.get("threads") is None and env:
-            overrides["threads"] = _coerce("threads", env)
+        if args.threads not in (None, 1):
+            raise ConfigError("threads", f"only 1 is supported, got {args.threads}")
         cfg = load_config(args.experiment, args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.experiment == "verify":
-        from .acceptance import verify_all
-        return 0 if verify_all(cfg.verify_tag) else 1
     try:
+        if args.experiment == "verify":
+            from .acceptance import verify_all
+            return 0 if verify_all(cfg.verify_tag) else 1
         _RUNNERS[args.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,10 +14,11 @@ Grid orbits are kept as a column store: an (n, N) array whose row t is
 f^t of the N grid points, so grid point k is column k and the first row is
 the sorted grid itself.  A center's scale window [c - eps, c + eps] is then
 a contiguous column slice, and both greedy kernels test a whole window with
-one reduction along axis 0.  The kernels scan columns left to right and
-trim each window to the part the scan has not settled yet: every column
-left of the current one is dead or an earlier center, so neither kernel
-ever tests it again.
+one reduction along axis 0, written into one scratch buffer that the
+kernel call reuses for every window (`_window_distances`).  The kernels
+scan columns left to right and trim each window to the part the scan has
+not settled yet: every column left of the current one is dead or an
+earlier center, so neither kernel ever tests it again.
 
 The tail pullback is batched the same way: the pieces of every center's
 ball live in one set of arrays (left end, right end, length-maximum, owning
@@ -33,7 +34,7 @@ so the two estimates of `power_bound_check` find them once.
 
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
-are bit-identical regardless of thread count.
+are bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -104,6 +105,34 @@ def _next_alive(alive, i, frontier):
     return i
 
 
+def _window_distances(block):
+    """The window test shared by both greedy kernels: a function (a, hi, c)
+    giving, per column of block[:, a:hi], its sup distance to column c.
+
+    The differences are written into one flat buffer that the kernel call
+    keeps, grown by doubling, viewed as a contiguous (rows, hi - a) array:
+    fresh temporaries of that size would go back to the operating system
+    when freed and fault in again for the next center.  The subtraction,
+    abs and max are those of np.abs(block[:, a:hi] - block[:, c, None])
+    .max(axis=0), in the same order, so the bits are the same.
+    """
+    rows = block.shape[0]
+    buf = np.empty(0)
+    subtract, absolute = np.subtract, np.absolute
+
+    def window_dist(a, hi, c):
+        nonlocal buf
+        size = rows * (hi - a)
+        if size > buf.size:
+            buf = np.empty(max(size, 2 * buf.size))
+        d = buf[:size].reshape(rows, hi - a)
+        subtract(block[:, a:hi], block[:, c:c + 1], d)
+        absolute(d, d)
+        return d.max(0)
+
+    return window_dist
+
+
 def _greedy_net(orbits, n, eps, cap=None):
     """Greedy maximal (n, eps)-separated family of the columns of the
     column-store `orbits` (columns sorted by row 0).
@@ -119,7 +148,7 @@ def _greedy_net(orbits, n, eps, cap=None):
     """
     n_pts = orbits.shape[1]
     first = orbits[0]
-    block = orbits[:n]
+    window_dist = _window_distances(orbits[:n])
     alive = np.ones(n_pts, dtype=bool)
     count = 0
     i = frontier = 0
@@ -131,7 +160,7 @@ def _greedy_net(orbits, n, eps, cap=None):
         if cap is not None and count >= cap:
             return cap, True
         hi = int(first.searchsorted(first[i] + eps, side="right"))
-        dist = np.abs(block[:, i + 1:hi] - block[:, i, None]).max(axis=0)
+        dist = window_dist(i + 1, hi, i)
         alive[i + 1:hi] &= dist >= eps
         frontier = max(frontier, hi)
         i += 1
@@ -158,6 +187,7 @@ def _greedy_cover(orbits, n, eps, cap=None):
     n_pts = orbits.shape[1]
     first = orbits[0]
     block = orbits[:n]
+    window_dist = _window_distances(block)
     alive = np.ones(n_pts, dtype=bool)
     count = 0
     i = frontier = 0
@@ -169,7 +199,7 @@ def _greedy_cover(orbits, n, eps, cap=None):
         if cap is not None and count >= cap:
             return cap, True
         hi = int(first.searchsorted(first[i] + eps, side="right"))
-        dist = np.abs(block[:, i:hi] - block[:, i, None]).max(axis=0)
+        dist = window_dist(i, hi, i)
         k = int((dist <= eps).nonzero()[0][-1])
         center = i
         if k:
@@ -180,7 +210,7 @@ def _greedy_cover(orbits, n, eps, cap=None):
             center += int(feasible.nonzero()[0][-1])
         if center > i:
             hi = int(first.searchsorted(first[center] + eps, side="right"))
-            dist = np.abs(block[:, i:hi] - block[:, center, None]).max(axis=0)
+            dist = window_dist(i, hi, center)
         alive[i:hi] &= dist > eps
         frontier = max(frontier, hi)
         i += 1
@@ -342,13 +372,11 @@ def _fold_cycle_centers(m: IntervalMap, eps, point_cap=1 << 14):
 
     The centers depend only on the map, eps and point_cap, so the map keeps
     them per (eps, point_cap) and a repeated call returns a copy of the
-    first answer.  The entry is written once; racing threads compute equal
-    lists, and the first one stored stands.
+    first answer.
     """
     key = (eps, point_cap)
     if key not in m._fold_cycles:
-        m._fold_cycles.setdefault(
-            key, tuple(_solve_fold_cycles(m, eps, point_cap)))
+        m._fold_cycles[key] = tuple(_solve_fold_cycles(m, eps, point_cap))
     return list(m._fold_cycles[key])
 
 

@@ -4,7 +4,8 @@ structure, and a string registry used by the CLI.
 
 All map objects are immutable after construction; caches (critical points,
 monotone partition, critical-point pullback levels, fold-cycle centers per
-scale) are built lazily.
+scale) are built lazily and without locks, so a map must not be shared
+across threads.
 The critical points of a map are its turning points, the zeros of f' at
 which f' changes sign; they cut the monotone partition and seed the
 pullback.  Candidate zeros come from exact root isolation for the
@@ -20,7 +21,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from threading import Lock
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
 
 _GRID_BITS_SUP = 14      # dense grid for sup-norm estimates on non-polynomials
 _GRID_BITS_CRIT = 16     # sampled sign changes for closed-form critical points
-_PULLBACK_LOCK = Lock()  # guards the growth of every map's pullback levels
 _SAMPLES_PER_OSC = 100   # snake profile and oscillation samples per oscillation
 
 
@@ -341,23 +340,18 @@ def _critical_pullbacks(m: IntervalMap):
 
     Endless and lazy: a level is built only when it is asked for, so each
     caller applies its own cap policy between levels.  Built levels are
-    kept on the map, read-only, for every later walk; they grow under a
-    lock, since threads may share the map.
+    kept on the map, read-only, for every later walk.
     """
     levels = m._pullbacks
     for k in count():
         if k == len(levels):
-            with _PULLBACK_LOCK:
-                if k == len(levels):
-                    if not levels:
-                        nxt = np.array(sorted(m.critical_points), dtype=float)
-                    else:
-                        new = (_new_points(levels[-1], levels[-2]) if k > 1
-                               else levels[0])
-                        nxt = np.unique(np.concatenate(
-                            [levels[-1], _preimages(m, new)]))
-                    nxt.flags.writeable = False
-                    levels.append(nxt)
+            if not levels:
+                nxt = np.array(sorted(m.critical_points), dtype=float)
+            else:
+                new = _new_points(levels[-1], levels[-2]) if k > 1 else levels[0]
+                nxt = np.unique(np.concatenate([levels[-1], _preimages(m, new)]))
+            nxt.flags.writeable = False
+            levels.append(nxt)
         yield levels[k]
 
 

@@ -555,13 +555,9 @@ class Atlas:
 
 
 def _inverse_cofactors(p: Polynomial, r):
-    """B_1..B_r with (P^{-1}(P(a)+q D))^{(k)} = D^k B_k(u) / P'(u)^{2k-1}."""
-    out = [Polynomial([1])]
-    dp, ddp = p.diff(), p.diff(2)
-    for k in range(1, r):
-        bk = out[-1]
-        out.append(bk.diff() * dp - (2 * k - 1) * bk * ddp)
-    return out
+    """B_1..B_r with (P^{-1}(P(a)+q D))^{(k)} = D^k B_k(u) / P'(u)^{2k-1}:
+    the composition numerators of the identity, whose derivative is 1."""
+    return _composition_numerators(Polynomial([0, 1]), p, r - 1)
 
 
 def _composition_numerators(p_j: Polynomial, p_i: Polynomial, r):

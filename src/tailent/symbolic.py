@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (DegenerateShiftError, DomainError, HypothesisUnmetError,
                      PrecisionError, ResourceError)
+from .polyalg import _numerators
 
 __all__ = [
     "Sft", "sft_from_forbidden_words", "sft_entropy", "build_Yp",
@@ -339,11 +340,6 @@ class GapRecord:
     gap: tuple             # (lo, hi) Fractions
     left: tuple            # flanking bridge intervals at removal time
     right: tuple
-
-
-def _numerators(values, den):
-    """Numerators over den of Fractions whose denominators divide den."""
-    return [x.numerator * (den // x.denominator) for x in values]
 
 
 class CantorApprox:

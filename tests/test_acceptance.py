@@ -59,10 +59,6 @@ def test_criterion_10_snake():
     _run("10-snake")
 
 
-def test_criterion_11_determinism():
-    _run("11-determinism")
-
-
 def test_verify_all_tagged_subsets():
     lines = []
     assert acceptance.verify_all("rates", out=lines.append)

@@ -133,6 +133,33 @@ def test_greedy_kernels_match_brute_force(m, eps):
         assert _greedy_cover(orbits, n, eps) == brute_cover(points, eps)
 
 
+def _widen_narrow_widen_grid():
+    """Sorted grid of [0, 1] that is sparse, dense, sparse, then denser, so
+    the windows of a left-to-right scan widen, narrow and widen past their
+    first width."""
+    return np.unique(np.concatenate([
+        np.linspace(0.0, 0.2, 9), np.linspace(0.2, 0.4, 121),
+        np.linspace(0.4, 0.6, 9), np.linspace(0.6, 1.0, 481)]))
+
+
+@pytest.mark.parametrize("m", [TENT, F4, QUARTIC3], ids=lambda m: m.name)
+@pytest.mark.parametrize("eps", [2.0 ** -4, 0.05, 0.0371])
+def test_greedy_kernels_match_brute_force_as_windows_change(m, eps):
+    """Each kernel call reuses one window buffer, grown when a window is
+    wider than any before it; narrower windows between wide ones read only
+    the start of the buffer.  The counts match the oracles throughout."""
+    grid = _widen_narrow_widen_grid()
+    width = grid.searchsorted(grid + eps, side="right") - np.arange(grid.size)
+    quarter = grid.size // 4
+    assert width[:8].max() < width[20:120].max() > width[125:135].max()
+    assert width[-quarter:].max() > width[20:120].max()
+    orbits = _orbit_matrix(m, grid, 6)
+    for n in range(1, 7):
+        points = orbits[:n].T
+        assert _greedy_net(orbits, n, eps) == brute_net(points, eps)
+        assert _greedy_cover(orbits, n, eps) == brute_cover(points, eps)
+
+
 def test_greedy_kernels_exact_eps_ties():
     eps = 2.0 ** -4
     for m in (IDENT, TENT):
