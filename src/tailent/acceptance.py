@@ -177,13 +177,20 @@ def criterion_sft():
     return True, "full/golden exact, Y_3..Y_12 within 2^(1-p), power rule"
 
 
+def _tail_sweep(m, ks):
+    """tail_entropy_estimate of m at eps = 2^-k for each k, by k.  The
+    largest k runs first: its fold-cycle solve covers every period a
+    smaller k reads (`entropy._fold_cycle_centers`)."""
+    return {k: entropy.tail_entropy_estimate(m, 2.0 ** -k)
+            for k in sorted(ks, reverse=True)}
+
+
 def criterion_tent_tail():
     """Tail bracket for the tent map at eps = 2^-k, k = 3..8."""
     t = maps.tent_map()
     lo, hi = 0.8 * LOG2, 1.2 * math.log(4)
     prods = []
-    for k in range(3, 9):
-        est = entropy.tail_entropy_estimate(t, 2.0 ** -k)
+    for k, est in sorted(_tail_sweep(t, range(3, 9)).items()):
         prod = est.rate * k  # |log2 eps| = k
         prods.append(round(prod, 4))
         if not lo <= prod <= hi:
@@ -198,9 +205,8 @@ def criterion_quadratic():
     if not LOG2 - 0.05 <= est.slope <= LOG2 + 0.05:
         return False, f"eps-entropy slope {est.slope:.4f} not within log2 +/- 0.05"
     details = [f"h={est.slope:.4f}"]
-    for k in range(4, 10):
+    for k, tail in sorted(_tail_sweep(f4, range(4, 10)).items()):
         eps = 2.0 ** -k
-        tail = entropy.tail_entropy_estimate(f4, eps)
         floor = tail.rate * abs(math.log(eps))
         if floor < 0.1:
             return False, f"k={k}: tail*|log eps| = {floor:.4f} < 0.1"

@@ -201,8 +201,11 @@ def run_tail(cfg):
     w = CsvWriter(cfg.out, ["method", "map", "eps", "delta", "count", "rate",
                             "slope", "direction", "residual",
                             "bound_log2", "bound_log4"], cfg)
-    ests = [tail_entropy_estimate(m, eps, n_range=ns) for eps in schedule]
-    for est in ests:
+    # smallest eps first: its fold-cycle solve covers every period a larger
+    # eps reads (`entropy._fold_cycle_centers`); rows keep schedule order
+    ests = {eps: tail_entropy_estimate(m, eps, n_range=ns)
+            for eps in sorted(schedule)}
+    for est in [ests[eps] for eps in schedule]:
         alog = abs(math.log(est.eps))
         w.add(est.method, est.map_name, est.eps, est.delta, est.counts[-1],
               est.rate, est.slope, est.direction, est.residual,

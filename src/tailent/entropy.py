@@ -29,8 +29,11 @@ np.bincount, exact in any order.  Fold-cycle centers likewise bisect all
 their (period, critical point, side) brackets in one `polyalg._bisect`
 call, cut from the pullback levels that the map keeps across scales; each
 level pulls back only the points its predecessor added, all branches in one
-bisection.  The map also keeps its fold-cycle centers per (eps, point_cap),
-so the two estimates of `power_bound_check` find them once.
+bisection.  The map also keeps its solved fold-cycle roots per point_cap,
+by period: a smaller eps reads every period a larger one reads, so a sweep
+over scales that starts at its smallest eps (as `tailent tail` and the
+tail criteria do) solves the fold cycles once, and the two estimates of
+`power_bound_check` find them once.
 
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
@@ -63,6 +66,8 @@ _GRID_BITS_CAP = (_ORBIT_BYTE_CAP // 8 - 1).bit_length() - 1
 _DEFAULT_N_RANGE = range(1, 25)
 # continuity_modulus: the largest p tried, and the top of the N(eps) bracket
 _P_CAP, _S_HI = 64, 0.35
+# the largest fold-cycle period any eps reads
+_FOLD_Q_CAP = 28
 
 
 @dataclass
@@ -370,25 +375,36 @@ def _fold_cycle_centers(m: IntervalMap, eps, point_cap=1 << 14):
     cached on the map); their endpoints are then evaluated in one pass and
     every sign-change bracket is bisected at once, 60 halvings each.
 
-    The centers depend only on the map, eps and point_cap, so the map keeps
-    them per (eps, point_cap) and a repeated call returns a copy of the
-    first answer.
+    The brackets of periods q <= Q are a prefix of those of any larger Q,
+    and a lane's root does not depend on the lanes bisected beside it, so
+    the map keeps, per point_cap, the roots of every period solved so far
+    and solves again only when eps reads a larger period: a sweep that
+    visits its scales smallest eps first runs one bisection in all.
     """
-    key = (eps, point_cap)
-    if key not in m._fold_cycles:
-        m._fold_cycles[key] = tuple(_solve_fold_cycles(m, eps, point_cap))
-    return list(m._fold_cycles[key])
+    q_max = min(_FOLD_Q_CAP, int(abs(math.log(eps)) / math.log(2)) + 6)
+    kept = m._fold_cycles.get(point_cap)
+    if kept is None or kept[0] < q_max:
+        kept = m._fold_cycles[point_cap] = _solve_fold_cycles(m, q_max, point_cap)
+    _, qs, cs, ys = kept
+    n = int(qs.searchsorted(q_max, side="right"))
+    return ys[:n][np.abs(ys[:n] - cs[:n]) < 0.999 * eps].tolist()
 
 
-def _solve_fold_cycles(m: IntervalMap, eps, point_cap):
-    """The fold-cycle centers of `_fold_cycle_centers`, solved."""
+def _solve_fold_cycles(m: IntervalMap, q_max, point_cap):
+    """The solved brackets of `_fold_cycle_centers` for periods q <= q_max:
+    (q_solved, qs, cs, ys), the period, critical point and root of every
+    bracket that has a root, in bracket order (q ascending).  q_solved is
+    q_max, or the cap when point_cap stopped the pullback first, since no
+    larger period then adds a bracket."""
     crit = sorted(m.critical_points)
+    empty = np.empty(0)
     if not crit:
-        return []
-    q_max = min(28, int(abs(math.log(eps)) / math.log(2)) + 6)
+        return _FOLD_Q_CAP, empty, empty, empty
+    q_solved = q_max
     brackets = []
     for q, cur in zip(range(1, q_max + 1), _critical_pullbacks(m)):
         if q > 1 and cur.size > point_cap:
+            q_solved = _FOLD_Q_CAP
             break
         pts = np.unique(np.concatenate([[0.0], cur, [1.0]]))
         for c in crit:
@@ -402,7 +418,7 @@ def _solve_fold_cycles(m: IntervalMap, eps, point_cap):
                 if hi - lo >= 1e-13:
                     brackets.append((lo, hi, q, c))
     if not brackets:
-        return []
+        return q_solved, empty, empty, empty
     lo, hi, qs, cs = (np.array(col) for col in zip(*brackets))
     ends = _iterate_periods(m, np.column_stack([lo, hi]).ravel(), qs.repeat(2))
     glo = ends[0::2] - lo
@@ -413,7 +429,7 @@ def _solve_fold_cycles(m: IntervalMap, eps, point_cap):
     y[bisect] = _bisect(lambda x, lane: _iterate_periods(m, x, qb[lane]) - x,
                         lo[bisect], hi[bisect], 0.0, glo[bisect] < 0, 60)
     solved = (glo == 0.0) | (ghi == 0.0) | bisect
-    return y[solved & (np.abs(y - cs) < 0.999 * eps)].tolist()
+    return q_solved, qs[solved], cs[solved], y[solved]
 
 
 def _tail_centers(m: IntervalMap, n_centers, eps=None):

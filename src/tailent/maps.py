@@ -54,7 +54,7 @@ class IntervalMap:
         self._crit = None
         self._branches = None
         self._pullbacks = []    # levels of _critical_pullbacks built so far
-        self._fold_cycles = {}  # (eps, point_cap) -> fold-cycle centers
+        self._fold_cycles = {}  # point_cap -> fold-cycle roots by period
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, x):

@@ -633,16 +633,16 @@ def _bisection_top(cs, a, b, depth):
 
     Returns the polynomial's values at the 2^depth - 1 midpoints, in x
     order, and the (lo, hi) brackets of the 2^depth leaves.  The midpoints
-    are computed as the lanes of `_u_of_q` compute them."""
-    lo, hi = np.array([a]), np.array([b])
-    mids = np.empty((1 << depth) - 1)
-    for level in range(depth):
-        mid = 0.5 * (lo + hi)
-        stride = 1 << (depth - level)
-        mids[stride // 2 - 1::stride] = mid
-        lo = np.stack([lo, mid], axis=1).ravel()
-        hi = np.stack([mid, hi], axis=1).ravel()
-    return _horner(cs, mids), lo, hi
+    are computed as the lanes of `_u_of_q` compute them: each level halves
+    every bracket of the sorted boundary array [a, midpoints..., b], whose
+    neighbouring entries are the brackets."""
+    bounds = np.array([a, b])
+    for _ in range(depth):
+        finer = np.empty(2 * bounds.size - 1)
+        finer[0::2] = bounds
+        finer[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
+        bounds = finer
+    return _horner(cs, bounds[1:-1]), bounds[:-1], bounds[1:]
 
 
 def _u_of_q(p, a, b, qv):

@@ -90,6 +90,36 @@ def test_tail_tent_rows_and_bound_columns(tmp_path):
             math.log(4) / abs(math.log(eps)))
 
 
+def test_tail_rows_in_schedule_order_match_single_scale_estimates(
+        tmp_path, monkeypatch):
+    """The schedule is estimated smallest eps first, on one map, but the
+    rows come in schedule order and each equals an estimate at its scale
+    alone on a fresh map."""
+    from tailent import entropy
+    from tailent.maps import quadratic_map
+    visited = []
+    orig = entropy.tail_entropy_estimate
+
+    def recorded(m, eps, **kwargs):
+        visited.append(eps)
+        return orig(m, eps, **kwargs)
+
+    monkeypatch.setattr(entropy, "tail_entropy_estimate", recorded)
+    cfg = ExperimentConfig(name="tail", eps_start=0.2, eps_count=4, n_max=12)
+    schedule = cfg.eps_schedule()
+    code, text = run_cli(["tail", "--map", "quadratic:4", "--eps-start", "0.2",
+                          "--eps-count", "4", "--n-max", "12"], tmp_path)
+    assert code == 0
+    assert visited == sorted(schedule)
+    _, rows = parse_csv(text)
+    assert [float(r["eps"]) for r in rows] == schedule
+    for r, eps in zip(rows, schedule):
+        est = orig(quadratic_map(), eps, n_range=range(1, 13))
+        assert (float(r["rate"]), float(r["residual"]), int(r["count"]),
+                float(r["delta"])) == (est.rate, est.residual, est.counts[-1],
+                                       est.delta)
+
+
 def test_sft_sweep_reference_column(tmp_path):
     code, text = run_cli(["sft", "--p-min", "3", "--p-max", "10"], tmp_path)
     assert code == 0

@@ -457,6 +457,109 @@ def test_fold_cycle_evaluate_reads_each_lane_period(monkeypatch, m):
     assert len(entered) == 1 and entered[0] > 0
 
 
+_FOLD_MAKERS = {
+    "tent": tent_map,
+    "quadratic:4": quadratic_map,
+    "quadratic:3.7": lambda: quadratic_map(3.7),
+    "identity": identity_map,
+    "three-branch-quartic": lambda: PolynomialMap(QUARTIC3.poly,
+                                                  name=QUARTIC3.name),
+}
+_FOLD_EPS = (2.0 ** -4, 0.0371, 2.0 ** -6, 2.0 ** -9)
+
+
+def _fold_q_max(eps):
+    return min(28, int(abs(math.log(eps)) / math.log(2)) + 6)
+
+
+@pytest.mark.parametrize("spec", sorted(_FOLD_MAKERS))
+def test_fold_cycle_centers_in_any_scale_order(spec):
+    """One map answers each scale as the scalar reference does, whatever
+    order the scales come in: the kept roots of a smaller eps serve a
+    larger one, and a larger eps never cuts what a smaller one reads."""
+    make = _FOLD_MAKERS[spec]
+    ref_map = make()
+    want = {(eps, cap): ref_fold_cycle_centers(ref_map, eps, point_cap=cap)
+            for eps in _FOLD_EPS for cap in (40, 1 << 14)}
+    orders = {
+        "eps descending": _FOLD_EPS,
+        "eps ascending": sorted(_FOLD_EPS),
+        "repeated": (2.0 ** -6, 2.0 ** -9, 2.0 ** -6, 2.0 ** -4, 2.0 ** -9,
+                     0.0371, 2.0 ** -4),
+    }
+    for name, order in orders.items():
+        m = make()
+        for eps in order:
+            for cap in (40, 1 << 14):
+                got = _fold_cycle_centers(m, eps, point_cap=cap)
+                assert got == want[eps, cap], (name, eps, cap)
+
+
+@pytest.fixture
+def bisect_calls(monkeypatch):
+    """Record the lane count of every fold-cycle bisection."""
+    calls = []
+    orig = entropy._bisect
+
+    def counted(evaluate, lo, *args):
+        calls.append(lo.size)
+        return orig(evaluate, lo, *args)
+
+    monkeypatch.setattr(entropy, "_bisect", counted)
+    return calls
+
+
+def test_fold_cycle_sweep_smallest_eps_first_solves_once(bisect_calls):
+    """Seven scales, smallest eps first: the first solve covers every period
+    the later ones read.  Largest eps first, each scale that reads a new
+    period solves again, and every answer is the same."""
+    sweep = [1.01 * 2.0 ** -k for k in range(2, 9)]
+    first = quadratic_map()
+    small_first = {eps: _fold_cycle_centers(first, eps)
+                   for eps in sorted(sweep)}
+    assert len(bisect_calls) == 1
+    bisect_calls.clear()
+    last = quadratic_map()
+    for eps in sweep:
+        assert _fold_cycle_centers(last, eps) == small_first[eps]
+    q_maxes = [_fold_q_max(eps) for eps in sweep]
+    assert len(bisect_calls) == len(set(q_maxes)) == 7
+
+
+def test_fold_cycle_point_cap_stop_ends_the_solves(bisect_calls):
+    """Once point_cap stops the pullback, no larger period has a bracket,
+    so no smaller eps solves again."""
+    m = quadratic_map()
+    assert _fold_cycle_centers(m, 0.4, point_cap=40) == ref_fold_cycle_centers(
+        m, 0.4, point_cap=40)
+    for eps in (2.0 ** -6, 2.0 ** -12, 2.0 ** -30):
+        assert _fold_cycle_centers(m, eps, point_cap=40) == \
+            ref_fold_cycle_centers(m, eps, point_cap=40)
+    assert len(bisect_calls) == 1
+
+
+def test_fold_cycle_solve_that_raises_keeps_nothing(monkeypatch):
+    """A pullback that fails part way keeps no roots on the map, and the
+    next call solves from the start."""
+    m = quadratic_map()
+    real = entropy._critical_pullbacks
+
+    def failing(m):
+        levels = real(m)
+        for _ in range(3):
+            yield next(levels)
+        raise ResourceError("branch explosion beyond 7 points")
+
+    monkeypatch.setattr(entropy, "_critical_pullbacks", failing)
+    with pytest.raises(ResourceError):
+        _fold_cycle_centers(m, 2.0 ** -6)
+    assert m._fold_cycles == {}
+    monkeypatch.setattr(entropy, "_critical_pullbacks", real)
+    assert _fold_cycle_centers(m, 2.0 ** -6) == ref_fold_cycle_centers(
+        quadratic_map(), 2.0 ** -6)
+    assert list(m._fold_cycles) == [1 << 14]
+
+
 _POWER_REPORTS = {
     ("tent", 2): (0.09558867345761507, 0.1939578378335734,
                   0.1169789189167867),
