@@ -328,7 +328,7 @@ CRITERIA = [
 ]
 
 
-def verify_all(tag="full", out=None):
+def verify_all(tag="full"):
     """Run the tagged subset; print one pass/fail line per criterion.
 
     A criterion fails when its check fails or its runtime budget is blown.
@@ -339,7 +339,6 @@ def verify_all(tag="full", out=None):
         known = sorted({t for _, tags, _, _ in CRITERIA for t in tags})
         raise ConfigError("tag", f"no criterion has tag {tag!r}; tags: "
                                  f"full, {', '.join(known)}")
-    out = out or (lambda s: print(s))
     all_ok = True
     for name, _, fn, budget in chosen:
         t0 = time.time()
@@ -352,5 +351,5 @@ def verify_all(tag="full", out=None):
             ok = False
             detail += f" [over runtime budget {budget}s]"
         all_ok &= ok
-        out(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.1f}s): {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.1f}s): {detail}")
     return all_ok

@@ -22,9 +22,6 @@ from .errors import ConfigError, ResourceError, TailentError
 
 SCHEMA_VERSION = "1"
 
-EXPERIMENTS = ("entropy", "tail", "bounds", "reparam", "sft", "thickness",
-               "weights", "snake", "modulus", "verify")
-
 # Size caps, checked before anything is built (ResourceError, exit 3); Y_p
 # has 2^(p-1) states and takes about 0.8 s and 75 MB at p = 18.  `tail` on
 # quadratic:4 with 3 scales takes about 11 s at --n-max 1536, and `weights`
@@ -252,7 +249,10 @@ def run_sft(cfg):
     from .symbolic import build_Yp, sft_entropy, load_sft_file
     w = CsvWriter(cfg.out, ["shift", "p", "entropy", "reference"], cfg)
     if cfg.sft_spec:
-        sft = load_sft_file(cfg.sft_spec)
+        try:
+            sft = load_sft_file(cfg.sft_spec)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("sft-spec", str(exc))
         w.add(cfg.sft_spec, "", sft_entropy(sft), "")
     else:
         for p in cfg.p_range():
@@ -336,7 +336,7 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="tailent",
         description="eps-entropy and tail-entropy experiments for 1-D maps")
-    ap.add_argument("experiment", choices=EXPERIMENTS)
+    ap.add_argument("experiment", choices=[*_RUNNERS, "verify"])
     ap.add_argument("--config", default=None, help="key=value config file")
     ap.add_argument("--map", dest="map_spec", default=None)
     ap.add_argument("--eps-start", dest="eps_start", type=float, default=None)

@@ -74,13 +74,6 @@ class BellTable:
         self._check_order(r)
         return self._bell[r]
 
-    def coefficients(self, k, l):
-        """Coefficient map multi-index -> big integer of B_k^l."""
-        self._check_order(k)
-        if not 1 <= l <= k:
-            raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-        return dict(self._coeffs[(k, l)])
-
     def partial_bell_at_ones(self, k, l):
         """B_k^l(1,...,1) as a big integer (Stirling number of the 2nd kind)."""
         self._check_order(k)

@@ -23,17 +23,17 @@ earlier center, so neither kernel ever tests it again.
 The tail pullback is batched the same way: the pieces of every center's
 ball live in one set of arrays (left end, right end, length-maximum, owning
 center), so each time step is a fixed number of array operations over all
-centers, and at most len(centers) * piece_cap pieces are held between
+centers, and at most 2^14 pieces per center (_PIECE_CAP) are held between
 steps.  Per-center counts are sums of integer-valued floats gathered with
 np.bincount, exact in any order.  Fold-cycle centers likewise bisect all
 their (period, critical point, side) brackets in one `polyalg._bisect`
 call, cut from the pullback levels that the map keeps across scales; each
 level pulls back only the points its predecessor added, all branches in one
-bisection.  The map also keeps its solved fold-cycle roots per point_cap,
-by period: a smaller eps reads every period a larger one reads, so a sweep
-over scales that starts at its smallest eps (as `tailent tail` and the
-tail criteria do) solves the fold cycles once, and the two estimates of
-`power_bound_check` find them once.
+bisection.  The map also keeps its solved fold-cycle roots, one entry
+ordered by period: a smaller eps reads every period a larger one reads, so
+a sweep over scales that starts at its smallest eps (as `tailent tail` and
+the tail criteria do) solves the fold cycles once, and the two estimates
+of `power_bound_check` find them once.
 
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
@@ -66,8 +66,11 @@ _GRID_BITS_CAP = (_ORBIT_BYTE_CAP // 8 - 1).bit_length() - 1
 _DEFAULT_N_RANGE = range(1, 25)
 # continuity_modulus: the largest p tried, and the top of the N(eps) bracket
 _P_CAP, _S_HI = 64, 0.35
-# the largest fold-cycle period any eps reads
-_FOLD_Q_CAP = 28
+# the largest fold-cycle period any eps reads, and the pullback level size
+# past which no larger period gets a bracket
+_FOLD_Q_CAP, _FOLD_POINT_CAP = 28, 1 << 14
+# the most pieces a tail center may hold between steps before it is frozen
+_PIECE_CAP = 1 << 14
 
 
 @dataclass
@@ -226,39 +229,39 @@ def _default_grid(grid_bits):
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _grid_orbits(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS):
-    """Column-store orbits of length n of the grid (the dyadic grid of
-    2^grid_bits cells unless `grid` is given), after checking, before any
-    allocation, that grid_bits and the orbit matrix stay under their caps
+def _grid_orbits(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
+    """Column-store orbits of length n of the dyadic grid of 2^grid_bits
+    cells, after checking, before any allocation, that eps is positive (not
+    NaN), that grid_bits and the orbit matrix stay under their caps
     (ResourceError) and then that the grid resolves scale eps."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
-    if grid is None and grid_bits > _GRID_BITS_CAP:
+    if grid_bits > _GRID_BITS_CAP:
         raise ResourceError(
             f"grid-bits {grid_bits} is over the cap {_GRID_BITS_CAP}, the "
             f"largest whose orbit rows fit in {_ORBIT_BYTE_CAP / 2 ** 30:g} GiB")
-    size = (1 << grid_bits) + 1 if grid is None else len(grid)
+    size = (1 << grid_bits) + 1
     if n * size * 8 > _ORBIT_BYTE_CAP:
         raise ResourceError(
             f"orbit matrix of {n} x {size} float64 cells needs "
             f"{n * size * 8 / 2 ** 30:.3g} GiB, over the "
             f"{_ORBIT_BYTE_CAP / 2 ** 30:g} GiB cap")
-    xs = _default_grid(grid_bits) if grid is None else np.asarray(grid, float)
+    xs = _default_grid(grid_bits)
     if eps * (xs.size - 1) < 8:
         raise ResolutionError(
             f"fewer than 8 grid points per eps={eps:g} at grid size {xs.size}")
     return _orbit_matrix(m, xs, n)
 
 
-def spanning_count(m: IntervalMap, n, eps, grid=None, grid_bits=_DEFAULT_GRID_BITS):
+def spanning_count(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
     """(spanning, separated) counts for the grid at time n and scale eps.
 
     Spanning comes from the closed-ball greedy cover, separated from the
     greedy strictly-separated family; spanning <= separated.
     """
-    orbits = _grid_orbits(m, n, eps, grid, grid_bits)
+    orbits = _grid_orbits(m, n, eps, grid_bits)
     cover, _ = _greedy_cover(orbits, n, eps)
     net, _ = _greedy_net(orbits, n, eps)
     return cover, net
@@ -362,7 +365,7 @@ def _iterate_periods(m: IntervalMap, xs, qs):
     return v
 
 
-def _fold_cycle_centers(m: IntervalMap, eps, point_cap=1 << 14):
+def _fold_cycle_centers(m: IntervalMap, eps):
     """Near-periodic points passing within eps of a critical point.
 
     For each critical point c and period q <= min(28, log2(1/eps) + 6),
@@ -371,31 +374,30 @@ def _fold_cycle_centers(m: IntervalMap, eps, point_cap=1 << 14):
     fastest branch growth, which generic centers never see.
 
     The brackets of all (q, c, side) come from the critical-point pullback
-    (stopped once a level holds more than point_cap points; levels are
-    cached on the map); their endpoints are then evaluated in one pass and
-    every sign-change bracket is bisected at once, 60 halvings each.
+    (stopped once a level holds more than _FOLD_POINT_CAP points; levels
+    are cached on the map); their endpoints are then evaluated in one pass
+    and every sign-change bracket is bisected at once, 60 halvings each.
 
     The brackets of periods q <= Q are a prefix of those of any larger Q,
     and a lane's root does not depend on the lanes bisected beside it, so
-    the map keeps, per point_cap, the roots of every period solved so far
-    and solves again only when eps reads a larger period: a sweep that
-    visits its scales smallest eps first runs one bisection in all.
+    the map keeps the roots of every period solved so far and solves again
+    only when eps reads a larger period: a sweep that visits its scales
+    smallest eps first runs one bisection in all.
     """
     q_max = min(_FOLD_Q_CAP, int(abs(math.log(eps)) / math.log(2)) + 6)
-    kept = m._fold_cycles.get(point_cap)
-    if kept is None or kept[0] < q_max:
-        kept = m._fold_cycles[point_cap] = _solve_fold_cycles(m, q_max, point_cap)
-    _, qs, cs, ys = kept
+    if m._fold_cycles is None or m._fold_cycles[0] < q_max:
+        m._fold_cycles = _solve_fold_cycles(m, q_max)
+    _, qs, cs, ys = m._fold_cycles
     n = int(qs.searchsorted(q_max, side="right"))
     return ys[:n][np.abs(ys[:n] - cs[:n]) < 0.999 * eps].tolist()
 
 
-def _solve_fold_cycles(m: IntervalMap, q_max, point_cap):
+def _solve_fold_cycles(m: IntervalMap, q_max):
     """The solved brackets of `_fold_cycle_centers` for periods q <= q_max:
     (q_solved, qs, cs, ys), the period, critical point and root of every
     bracket that has a root, in bracket order (q ascending).  q_solved is
-    q_max, or the cap when point_cap stopped the pullback first, since no
-    larger period then adds a bracket."""
+    q_max, or the cap when _FOLD_POINT_CAP stopped the pullback first,
+    since no larger period then adds a bracket."""
     crit = sorted(m.critical_points)
     empty = np.empty(0)
     if not crit:
@@ -403,7 +405,7 @@ def _solve_fold_cycles(m: IntervalMap, q_max, point_cap):
     q_solved = q_max
     brackets = []
     for q, cur in zip(range(1, q_max + 1), _critical_pullbacks(m)):
-        if q > 1 and cur.size > point_cap:
+        if q > 1 and cur.size > _FOLD_POINT_CAP:
             q_solved = _FOLD_Q_CAP
             break
         pts = np.unique(np.concatenate([[0.0], cur, [1.0]]))
@@ -450,8 +452,7 @@ def _tail_centers(m: IntervalMap, n_centers, eps=None):
     return sorted(set(float(min(max(x, 0.0), 1.0)) for x in xs)), error
 
 
-def _tail_counts(m: IntervalMap, centers, eps, ns, deltas, stride=1,
-                 piece_cap=1 << 14):
+def _tail_counts(m: IntervalMap, centers, eps, ns, deltas, stride, piece_cap):
     """Covering counts of the dynamical balls B_n(f^stride, x, eps) of all
     centers x at once, maximized over centers.
 
@@ -540,22 +541,22 @@ def _tail_counts(m: IntervalMap, centers, eps, ns, deltas, stride=1,
     return sup_counts, cut
 
 
-def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
-                          n_range=range(1, 29), stride=1, piece_cap=1 << 14):
+def tail_entropy_estimate(m: IntervalMap, eps, n_range=range(1, 29), stride=1):
     """Upper eps-tail entropy estimate via exact interval pullback.
 
     For each center x the dynamical ball B_n(f, x, eps) is maintained as a
     union of monotone pieces; the (n, delta)-covering count of a piece is
     ceil(L/(2 delta)) with L the largest coordinate image length, so the
     count of the ball is the sum over pieces.  Counts are maximized over
-    centers, the slope fitted in n per delta of the schedule (eps/2^j,
-    j=1..4 by default), the estimate taken at the smallest delta with the
-    difference to the previous delta as residual.
+    centers, the slope fitted in n at each delta = eps/2^j, j = 1..4, the
+    estimate taken at the smallest delta with the difference to the
+    previous delta as residual.  eps must be positive and finite
+    (ScaleError otherwise, raised before any work).
 
     All centers are pulled back together (`_tail_counts`): each live center
-    holds at most piece_cap pieces between steps, so the batch holds at
-    most len(centers) * piece_cap pieces.  A center that exceeds the cap is
-    frozen and the fit stops before the first n past the freeze.
+    holds at most _PIECE_CAP = 2^14 pieces between steps.  A center that
+    exceeds the cap is frozen and the fit stops before the first n past the
+    freeze.
 
     `stride` estimates the p-th iterate f^p at the same scale through the
     same machinery, so power-rule comparisons share their bias.
@@ -566,33 +567,32 @@ def tail_entropy_estimate(m: IntervalMap, eps, delta_schedule=None,
     "clean_upto" (the index into ns of the first count past the piece-cap
     freeze, or None; as for `eps_entropy`, the fit uses ns[:clean_upto]).
     """
-    if delta_schedule is None:
-        delta_schedule = [eps / 2 ** j for j in range(1, 5)]
-    if any(d >= eps for d in delta_schedule):
-        raise ScaleError("every delta must be smaller than eps")
+    if not 0 < eps < math.inf:
+        raise ScaleError(f"need 0 < eps < inf, got {eps!r}")
+    deltas = [eps / 2 ** j for j in range(1, 5)]
     ns = sorted(n_range)
     if not ns:
         raise DomainError("n_range must be nonempty")
     centers, fold_error = _tail_centers(m, 40, eps=eps)
-    sup_counts, cut = _tail_counts(m, centers, eps, ns, delta_schedule,
-                                   stride=stride, piece_cap=piece_cap)
+    sup_counts, cut = _tail_counts(m, centers, eps, ns, deltas,
+                                   stride=stride, piece_cap=_PIECE_CAP)
     upto = None
     if cut is not None:
         upto = sum(1 for n in ns if n <= cut)
     slopes = []
-    for j in range(len(delta_schedule)):
+    for j in range(len(deltas)):
         counts = [int(c) for c in sup_counts[:, j]]
         slope, _ = _fit_counts(ns, counts, upto)
         slopes.append(slope)
     est = slopes[-1]
-    residual = abs(slopes[-1] - slopes[-2]) if len(slopes) >= 2 else 0.0
+    residual = abs(slopes[-1] - slopes[-2])
     counts_min = [int(c) for c in sup_counts[:, -1]]
     return EntropyEstimate(
         method="tail-entropy", map_name=m.name, eps=eps,
-        delta=delta_schedule[-1], ns=ns, counts=counts_min, rate=est,
+        delta=deltas[-1], ns=ns, counts=counts_min, rate=est,
         slope=est, direction="upper-bias", residual=residual,
         saturated=cut is not None,
-        extra={"delta_slopes": dict(zip(delta_schedule, slopes)),
+        extra={"delta_slopes": dict(zip(deltas, slopes)),
                "centers": len(centers), "fold_cycle_error": fold_error,
                "clean_upto": upto})
 
@@ -648,9 +648,13 @@ def power_bound_check(m: IntervalMap, eps, p, tolerance=0.02):
     time range is capped by the float expansion horizon: beyond roughly
     52 + log2(eps) steps a doubling map amplifies the last bit of the
     center past the window width and periodic centers drift off cycle.
+    p below 2 is a DomainError and an eps outside (0, inf) a ScaleError,
+    both raised before any work.
     """
     if p < 2:
         raise DomainError("p must be >= 2")
+    if not 0 < eps < math.inf:
+        raise ScaleError(f"need 0 < eps < inf, got {eps!r}")
     horizon = max(16, min(40, int(46 + math.log2(eps))))
     # align the fit windows of f and f^p in micro time
     base = tail_entropy_estimate(m, eps, n_range=range(1, horizon + 1))

@@ -3,9 +3,9 @@ single-bump oscillation ("snake") family, with derivatives, monotone
 structure, and a string registry used by the CLI.
 
 All map objects are immutable after construction; caches (critical points,
-monotone partition, critical-point pullback levels, fold-cycle centers per
-scale) are built lazily and without locks, so a map must not be shared
-across threads.
+monotone partition, critical-point pullback levels, one entry of solved
+fold-cycle roots) are built lazily and without locks, so a map must not be
+shared across threads.
 The critical points of a map are its turning points, the zeros of f' at
 which f' changes sign; they cut the monotone partition and seed the
 pullback.  Candidate zeros come from exact root isolation for the
@@ -54,18 +54,9 @@ class IntervalMap:
         self._crit = None
         self._branches = None
         self._pullbacks = []    # levels of _critical_pullbacks built so far
-        self._fold_cycles = {}  # point_cap -> fold-cycle roots by period
+        self._fold_cycles = None  # fold-cycle roots by period, once solved
 
     # -- evaluation -----------------------------------------------------
-    def evaluate(self, x):
-        """f(x) with domain check; overshoot below 1e-12 is clamped."""
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"x={x} outside [0,1]")
-        v = float(self._eval_array(np.array([x]))[0])
-        return min(1.0, max(0.0, v))
-
-    __call__ = evaluate
-
     def evaluate_array(self, xs):
         """Vectorized evaluation; clamps rounding overshoot into [0,1]."""
         return self._eval_array(_as_array(xs)).clip(0.0, 1.0)
@@ -124,16 +115,15 @@ class IntervalMap:
         length = min(hi - lo for lo, hi in branches)
         return branches, length, len(branches)
 
-    def derivative_sup(self, order, interval=(0.0, 1.0)):
-        """sup of |f^(order)| over the interval; dense-grid estimate with a
+    def derivative_sup(self, order):
+        """sup of |f^(order)| over [0,1]; dense-grid estimate with a
         Lipschitz correction from the next-order derivative when available."""
         self._check_order(order)
-        a, b = interval
         n = 1 << _GRID_BITS_SUP
-        xs = np.linspace(a, b, n + 1)
+        xs = np.linspace(0.0, 1.0, n + 1)
         base = float(np.max(np.abs(self._deriv_array(xs, order))))
         if order + 1 <= self.k_max:
-            h = (b - a) / n
+            h = 1.0 / n
             nxt = float(np.max(np.abs(self._deriv_array(xs, order + 1))))
             return base + 0.5 * h * nxt
         return base
@@ -200,17 +190,17 @@ class PolynomialMap(IntervalMap):
         return self._turning_points(
             [r for r in polyalg.isolate_roots(dp, 0, 1) if 0 < r < 1])
 
-    def derivative_sup(self, order, interval=(0.0, 1.0)):
-        """Exact for the polynomial kind: root isolation of f^(order+1)."""
+    def derivative_sup(self, order):
+        """sup of |f^(order)| over [0,1], exact for the polynomial kind:
+        root isolation of f^(order+1)."""
         self._check_order(order)
         dk = self._derivative_poly(order)
         if dk.is_zero():
             return 0.0
-        a, b = interval
-        cands = [a, b]
+        cands = [0.0, 1.0]
         nxt = dk.diff()
         if not nxt.is_zero() and nxt.degree >= 1:
-            cands.extend(polyalg.isolate_roots(nxt, Fraction(a), Fraction(b)))
+            cands.extend(polyalg.isolate_roots(nxt, 0, 1))
         return max(abs(float(dk(x))) for x in cands)
 
     def modulus_of_continuity(self, eps):
@@ -435,10 +425,10 @@ class SnakeMap(IntervalMap):
     smooth = True
     k_max = 3
 
-    def __init__(self, params: SnakeParams, name=None):
+    def __init__(self, params: SnakeParams):
         super().__init__()
         self.params = params
-        self.name = name or f"snake:eps={params.eps:g}"
+        self.name = f"snake:eps={params.eps:g}"
 
     def _t(self, xs):
         return (xs - self.params.c) / self.params.ell

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-13     # width of a refined root interval; closer roots merge
+_VCA_MAX_DEPTH = 80   # deepest dyadic split before a root cluster is refused
 _N_SAMPLES = 4096     # Q_r-domain samples of every chart group's norms
 _NORM_TOL = 1e-6      # step 3 certifies the sampled C^r norms below 1 + this
 _N3_C_CAP = 1 << 20   # largest c of n3 = c*r^4 + 1 before step 3 gives up
@@ -343,7 +344,7 @@ def _synthetic_div_at_1(cs):
     return q
 
 
-def _vca_isolate(cs, max_depth=80):
+def _vca_isolate(cs):
     """Isolating dyadic intervals for the roots of p in (0, 1).
 
     Returns a list of (lo_num, hi_num, depth) with the interval
@@ -360,10 +361,10 @@ def _vca_isolate(cs, max_depth=80):
         if v == 1:
             intervals.append((a, a + 1, depth))
             continue
-        if depth >= max_depth:
+        if depth >= _VCA_MAX_DEPTH:
             raise PrecisionError(
-                "root cluster not separated at depth "
-                f"{max_depth}; offending polynomial of degree {len(cs) - 1}")
+                f"root cluster not separated at depth {_VCA_MAX_DEPTH}; "
+                f"offending polynomial of degree {len(cs) - 1}")
         n = len(p) - 1
         # p_L(x) = 2^n p(x/2), p_R(x) = p_L(x+1)
         pl = [c << (n - i) for i, c in enumerate(p)]
@@ -883,12 +884,11 @@ class AtlasReport:
     members: int
 
 
-def verify_atlas(atlas: Atlas, grid_size=10000, *, exclude=()):
+def verify_atlas(atlas: Atlas, grid_size=10000):
     """Check the three conclusions on a uniform grid.
 
     Coverage defect counts grid points inside every P_j^{-1}([0,1]) that are
-    farther than _COVER_SLACK from every chart image; `exclude` drops chart
-    indices (negative-control hook).
+    farther than _COVER_SLACK from every chart image.
     """
     xs = np.linspace(0.0, 1.0, grid_size)
     member = np.ones_like(xs, dtype=bool)
@@ -896,10 +896,6 @@ def verify_atlas(atlas: Atlas, grid_size=10000, *, exclude=()):
         v = p(xs)
         member &= (v >= 0.0) & (v <= 1.0)
     starts, ends = atlas.image_intervals()
-    if exclude:
-        keep = np.ones(len(starts), dtype=bool)
-        keep[list(exclude)] = False
-        starts, ends = starts[keep], ends[keep]
     pts = xs[member]
     defect = 0
     if len(starts) == 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DegenerateWeightError, DomainError, HypothesisUnmetError, ScaleError
 
@@ -27,15 +27,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Weight (M_k) given through k -> log M_k.
-
-    concave_hypothesis is the advisory check of `weight_from_rate` (is
-    1/a(e^-x) concave?), None for weights not made from a rate."""
+    """Weight (M_k) given through k -> log M_k."""
     log_m: object                 # callable int -> float
     name: str = "weight"
     log_convex: bool | None = None
     cache: dict = field(default_factory=dict, repr=False)  # k -> log M_k
-    concave_hypothesis: bool | None = None
 
     def log_weight(self, k):
         if k < 0:
@@ -162,8 +158,8 @@ def weight_from_rate(a, log_dt):
     a is a nondecreasing rate function vanishing at 0, checked on
     10^-9..10^-1; a^{-1} is computed by bisection.  Also returns the
     companion weight (2k)^(7k) M_k^2/M_0 (B = D = 1).
-    The textbook hypothesis asks 1/a(e^-x) to be concave; that check is
-    advisory here (it fails for the canonical power rates), and the binding
+    The textbook hypothesis asks 1/a(e^-x) to be concave; it is not checked
+    here (it fails for the canonical power rates), and the binding
     requirement is log-convexity of the produced weight up to k = 120, which
     raises HypothesisUnmetError when violated.
     """
@@ -172,12 +168,6 @@ def weight_from_rate(a, log_dt):
     probe = [a(10.0 ** (-j)) for j in range(9, 0, -1)]
     if any(x > y + 1e-12 for x, y in zip(probe, probe[1:])):
         raise DomainError("rate function must be nondecreasing")
-
-    def concave_side():
-        xs = [0.5 * j for j in range(1, 40)]
-        vals = [1.0 / a(math.exp(-x)) for x in xs]
-        return all(vals[i + 1] - vals[i] <= vals[i] - vals[i - 1] + 1e-9
-                   for i in range(1, len(vals) - 1))
 
     def a_inv(y):
         """sup { t in (0,1) : a(t) <= y } by bisection on the monotone a."""
@@ -205,8 +195,6 @@ def weight_from_rate(a, log_dt):
     if not is_log_convex(w, 120):
         raise HypothesisUnmetError(
             "produced weight is not logarithmically convex")
-    # the same log_m and log cache, with the advisory flag set
-    w = replace(w, concave_hypothesis=concave_side())
 
     def log_m_tilde(k):
         if k == 0:

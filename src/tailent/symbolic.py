@@ -187,6 +187,7 @@ def word_count_entropy(sft: Sft):
 _SMALL_GRAPH = 8
 
 _SFT_TOL = 1e-12   # sft_entropy stops once lam moves by <= this * max(lam, 1)
+_SFT_MAX_ITER = 5_000_000  # steps before sft_entropy raises PrecisionError
 
 # The power iteration of sft_entropy, formatted per graph by _compile_loop:
 # on float locals v0, v1, ... below _SMALL_GRAPH states, else on arrays.
@@ -269,7 +270,7 @@ def _compile_loop(succ):
     return namespace["power_loop"]
 
 
-def sft_entropy(sft: Sft, max_iter=5_000_000):
+def sft_entropy(sft: Sft):
     """log of the transition-matrix spectral radius by power iteration.
 
     Iterates w = A v from the ones vector, normalized by its sum, until the
@@ -280,8 +281,9 @@ def sft_entropy(sft: Sft, max_iter=5_000_000):
     graph (_compile_loop) because its overhead is paid on every step, and
     Y_2 takes 1,000,061 of them: a small graph's step is straight-line code
     on local floats, with no call per step, doing the same operations in the
-    same order.  Raises PrecisionError when max_iter steps pass without that
-    test firing, DegenerateShiftError on an empty or nilpotent graph.
+    same order.  Raises PrecisionError when _SFT_MAX_ITER = 5,000,000
+    steps pass without that test firing, DegenerateShiftError on an empty
+    or nilpotent graph.
 
     On a periodic shift the normalized iterate can cycle with period 2, so
     the estimate oscillates for ever.  At steps 3, 8, 18, 38, ... (each
@@ -293,7 +295,7 @@ def sft_entropy(sft: Sft, max_iter=5_000_000):
     succ = sft.successors()
     if not any(succ):
         raise DegenerateShiftError("empty transition matrix")
-    lam = _compile_loop(succ)(_SFT_TOL, max_iter)
+    lam = _compile_loop(succ)(_SFT_TOL, _SFT_MAX_ITER)
     if lam <= 0:
         raise DegenerateShiftError("spectral radius zero")
     return math.log(lam)
@@ -435,14 +437,14 @@ class CantorApprox:
                                     *map(mv, self.gap_cols[1:])))
 
 
-def middle_cantor(remove_ratio, depth, hull=(0, 1)):
-    """Self-similar Cantor set removing the central `remove_ratio` of every
-    interval at each stage; exact rational endpoints.
+def middle_cantor(remove_ratio, depth):
+    """Self-similar Cantor set in [0, 1] removing the central
+    `remove_ratio` of every interval at each stage; exact rational
+    endpoints (`CantorApprox.scaled` moves it onto another hull).
 
     With keep = (1 - remove_ratio)/2 = kn/kd, the endpoints are numerators
-    over den = lcm(hull denominators) * kd^depth.  An interval of level i
-    has a width divisible by kd^(depth - i), so its bridge width
-    width // kd * kn is exact."""
+    over den = kd^depth.  An interval of level i has a width divisible by
+    kd^(depth - i), so its bridge width width // kd * kn is exact."""
     r = Fraction(remove_ratio)
     if not 0 < r < 1:
         raise ValueError("remove ratio must be in (0,1)")
@@ -450,9 +452,8 @@ def middle_cantor(remove_ratio, depth, hull=(0, 1)):
         raise ValueError(f"depth {depth} is negative")
     keep = (1 - r) / 2
     kn, kd = keep.numerator, keep.denominator
-    lo, hi = Fraction(hull[0]), Fraction(hull[1])
-    den = math.lcm(lo.denominator, hi.denominator) * kd ** depth
-    ends = [_numerators((lo, hi), den)]
+    den = kd ** depth
+    ends = [[0, den]]
     gap_cols = ([], [], [], [], [], [], [])
     level_col, g0, g1, l0, l1, r0, r1 = gap_cols
     for level in range(1, depth + 1):
@@ -513,19 +514,17 @@ def _interval_list_intersection(a, b):
     return out
 
 
-def gap_lemma_check(k: CantorApprox, f: CantorApprox, depth=None):
+def gap_lemma_check(k: CantorApprox, f: CantorApprox):
     """Gap-lemma trichotomy for two thick Cantor approximations.
 
-    Requires thickness(k)*thickness(f) > 1 (exact rationals).  Returns a
-    dict with the alternative tag and, for the intersection case, the
-    per-level verification that Int(K_i intersect F_i) is nonempty.  Both
-    sets are compared as numerators over lcm(k.den, f.den).
+    Requires thickness(k)*thickness(f) > 1 (exact rationals) up to the
+    shallower depth of the two.  Returns a dict with the alternative tag
+    and, for the intersection case, the per-level verification that
+    Int(K_i intersect F_i) is nonempty.  Both sets are compared as
+    numerators over lcm(k.den, f.den).
     """
-    if depth is None:
-        depth = min(k.depth, f.depth)
-    if depth < 0:
-        raise DomainError(f"depth {depth} is negative")
-    tk, tf = thickness(k, min(depth, k.depth)), thickness(f, min(depth, f.depth))
+    depth = min(k.depth, f.depth)
+    tk, tf = thickness(k, depth), thickness(f, depth)
     if not (tk == math.inf or tf == math.inf) and tk * tf <= 1:
         raise HypothesisUnmetError(f"thickness product {float(tk * tf):g} <= 1")
     den = math.lcm(k.den, f.den)

@@ -131,6 +131,49 @@ def test_sft_sweep_reference_column(tmp_path):
         assert abs(float(r["entropy"]) - float(r["reference"])) <= 2.0 ** (1 - p)
 
 
+def test_sft_spec_file(tmp_path):
+    spec = tmp_path / "golden.sft"
+    spec.write_text("# golden mean shift\n2\n11\n")
+    code, text = run_cli(["sft", "--sft-spec", str(spec)], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert [r["shift"] for r in rows] == [str(spec)]
+    assert float(rows[0]["entropy"]) == pytest.approx(
+        math.log((1 + math.sqrt(5)) / 2), abs=1e-9)
+
+
+_BAD_SFT_SPECS = {
+    "missing": None,
+    "directory": None,
+    "alphabet-x": "x\n",
+    "word-12-over-2": "2\n12\n",
+    "alphabet-1": "1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_SFT_SPECS))
+def test_bad_sft_spec_file_exits_2(tmp_path, capsys, name):
+    spec = tmp_path / name
+    if name == "directory":
+        spec.mkdir()
+    elif _BAD_SFT_SPECS[name] is not None:
+        spec.write_text(_BAD_SFT_SPECS[name])
+    code = main(["sft", "--sft-spec", str(spec), "--out",
+                 str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sft-spec:") and "Traceback" not in err
+
+
+def test_fully_forbidden_sft_spec_exits_3(tmp_path, capsys):
+    spec = tmp_path / "empty.sft"
+    spec.write_text("2\n0\n1\n")
+    code = main(["sft", "--sft-spec", str(spec), "--out",
+                 str(tmp_path / "x.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric/resource error:")
+
+
 def test_snake_thickness_weights_bounds_smoke(tmp_path):
     assert run_cli(["snake", "--eps-start", "0.1", "--eps-count", "2"],
                    tmp_path, "s.csv")[0] == 0
@@ -308,32 +351,24 @@ def test_grid_bits_over_orbit_cap_exits_3(tmp_path, capsys, no_grid_allocation,
     assert "cap" in err and "Traceback" not in err
 
 
-class _UnbuiltGrid:
-    """A grid of the given length that fails when turned into an array."""
-
-    def __init__(self, size):
-        self.size = size
-
-    def __len__(self):
-        return self.size
-
-    def __array__(self, *args, **kwargs):
-        raise AssertionError("grid allocated")
-
-
-def test_orbit_cap_boundary_without_allocating(no_grid_allocation):
+def test_orbit_cap_boundary_without_allocating(monkeypatch, no_grid_allocation):
     from tailent import entropy
     from tailent.errors import ResourceError
     from tailent.maps import tent_map
-    cells = entropy._ORBIT_BYTE_CAP // 8
-    # 2^27 float64 cells fit; one more row or column does not
-    for n, size in ((1, cells), (2, cells // 2), (8, cells // 8)):
+    cap = entropy._ORBIT_BYTE_CAP
+    # n rows of 2^b + 1 float64 cells fit a cap of exactly that many bytes;
+    # one more row, or one byte less of cap, does not
+    for n, bits in ((1, 4), (2, 10), (8, 20)):
+        need = 8 * n * (2 ** bits + 1)
+        monkeypatch.setattr(entropy, "_ORBIT_BYTE_CAP", need)
         with pytest.raises(AssertionError, match="grid allocated"):
-            entropy._grid_orbits(tent_map(), n, 0.1, grid=_UnbuiltGrid(size))
+            entropy._grid_orbits(tent_map(), n, 0.1, grid_bits=bits)
         with pytest.raises(ResourceError):
-            entropy._grid_orbits(tent_map(), n, 0.1, grid=_UnbuiltGrid(size + 1))
+            entropy._grid_orbits(tent_map(), n + 1, 0.1, grid_bits=bits)
+        monkeypatch.setattr(entropy, "_ORBIT_BYTE_CAP", need - 1)
         with pytest.raises(ResourceError):
-            entropy._grid_orbits(tent_map(), n + 1, 0.1, grid=_UnbuiltGrid(size))
+            entropy._grid_orbits(tent_map(), n, 0.1, grid_bits=bits)
+    monkeypatch.setattr(entropy, "_ORBIT_BYTE_CAP", cap)
     with pytest.raises(ResourceError):
         entropy._grid_orbits(tent_map(), 24, 0.1, grid_bits=23)
     with pytest.raises(AssertionError, match="grid allocated"):

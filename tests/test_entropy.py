@@ -421,15 +421,28 @@ def ref_tail_counts(m, centers, eps, ns, deltas, stride, piece_cap):
 
 
 TAIL_MAPS = [TENT, F4, F37, IDENT]
+_FOLD_MAKERS = {
+    "tent": tent_map,
+    "quadratic:4": quadratic_map,
+    "quadratic:3.7": lambda: quadratic_map(3.7),
+    "identity": identity_map,
+    "three-branch-quartic": lambda: PolynomialMap(QUARTIC3.poly,
+                                                  name=QUARTIC3.name),
+}
+_FOLD_EPS = (2.0 ** -4, 0.0371, 2.0 ** -6, 2.0 ** -9)
+_FOLD_CAPS = (40, 1 << 14)
 
 
-@pytest.mark.parametrize("m", TAIL_MAPS + [QUARTIC3], ids=lambda m: m.name)
-def test_fold_cycle_centers_match_scalar_bisection(m):
-    for eps in (2.0 ** -4, 0.0371, 2.0 ** -6):
-        for point_cap in (40, 1 << 14):
-            got = _fold_cycle_centers(m, eps, point_cap=point_cap)
-            assert got == ref_fold_cycle_centers(m, eps, point_cap=point_cap)
-    assert len(_fold_cycle_centers(TENT, 2.0 ** -4)) > 0
+@pytest.mark.parametrize("spec", sorted(_FOLD_MAKERS))
+def test_fold_cycle_centers_match_scalar_bisection(monkeypatch, spec):
+    """Each pullback cap on its own map, since a map keeps one solve."""
+    for cap in _FOLD_CAPS:
+        monkeypatch.setattr(entropy, "_FOLD_POINT_CAP", cap)
+        m = _FOLD_MAKERS[spec]()
+        for eps in (2.0 ** -4, 0.0371, 2.0 ** -6):
+            got = _fold_cycle_centers(m, eps)
+            assert got == ref_fold_cycle_centers(m, eps, point_cap=cap)
+    assert len(_fold_cycle_centers(tent_map(), 2.0 ** -4)) > 0
 
 
 @pytest.mark.parametrize("m", [F4, QUARTIC3], ids=lambda m: m.name)
@@ -457,38 +470,28 @@ def test_fold_cycle_evaluate_reads_each_lane_period(monkeypatch, m):
     assert len(entered) == 1 and entered[0] > 0
 
 
-_FOLD_MAKERS = {
-    "tent": tent_map,
-    "quadratic:4": quadratic_map,
-    "quadratic:3.7": lambda: quadratic_map(3.7),
-    "identity": identity_map,
-    "three-branch-quartic": lambda: PolynomialMap(QUARTIC3.poly,
-                                                  name=QUARTIC3.name),
-}
-_FOLD_EPS = (2.0 ** -4, 0.0371, 2.0 ** -6, 2.0 ** -9)
-
-
 @pytest.mark.parametrize("spec", sorted(_FOLD_MAKERS))
-def test_fold_cycle_centers_in_any_scale_order(spec):
+def test_fold_cycle_centers_in_any_scale_order(monkeypatch, spec):
     """One map answers each scale as the scalar reference does, whatever
     order the scales come in: the kept roots of a smaller eps serve a
     larger one, and a larger eps never cuts what a smaller one reads."""
     make = _FOLD_MAKERS[spec]
     ref_map = make()
     want = {(eps, cap): ref_fold_cycle_centers(ref_map, eps, point_cap=cap)
-            for eps in _FOLD_EPS for cap in (40, 1 << 14)}
+            for eps in _FOLD_EPS for cap in _FOLD_CAPS}
     orders = {
         "eps descending": _FOLD_EPS,
         "eps ascending": sorted(_FOLD_EPS),
         "repeated": (2.0 ** -6, 2.0 ** -9, 2.0 ** -6, 2.0 ** -4, 2.0 ** -9,
                      0.0371, 2.0 ** -4),
     }
-    for name, order in orders.items():
-        m = make()
-        for eps in order:
-            for cap in (40, 1 << 14):
-                got = _fold_cycle_centers(m, eps, point_cap=cap)
-                assert got == want[eps, cap], (name, eps, cap)
+    for cap in _FOLD_CAPS:
+        monkeypatch.setattr(entropy, "_FOLD_POINT_CAP", cap)
+        for name, order in orders.items():
+            m = make()
+            for eps in order:
+                assert _fold_cycle_centers(m, eps) == want[eps, cap], \
+                    (name, eps, cap)
 
 
 @pytest.fixture
@@ -521,12 +524,13 @@ def test_fold_cycle_sweep_smallest_eps_first_solves_once(bisect_calls):
     assert len(bisect_calls) == 7
 
 
-def test_fold_cycle_point_cap_stop_ends_the_solves(bisect_calls):
-    """Once point_cap stops the pullback, no larger period has a bracket,
-    so no smaller eps solves again."""
+def test_fold_cycle_point_cap_stop_ends_the_solves(monkeypatch, bisect_calls):
+    """Once the point cap stops the pullback, no larger period has a
+    bracket, so no smaller eps solves again."""
+    monkeypatch.setattr(entropy, "_FOLD_POINT_CAP", 40)
     m = quadratic_map()
     for eps in (0.4, 2.0 ** -6, 2.0 ** -12, 2.0 ** -30):
-        assert _fold_cycle_centers(m, eps, point_cap=40) == \
+        assert _fold_cycle_centers(m, eps) == \
             ref_fold_cycle_centers(m, eps, point_cap=40)
     assert len(bisect_calls) == 1
 
@@ -546,11 +550,11 @@ def test_fold_cycle_solve_that_raises_keeps_nothing(monkeypatch):
     monkeypatch.setattr(entropy, "_critical_pullbacks", failing)
     with pytest.raises(ResourceError):
         _fold_cycle_centers(m, 2.0 ** -6)
-    assert m._fold_cycles == {}
+    assert m._fold_cycles is None
     monkeypatch.setattr(entropy, "_critical_pullbacks", real)
     assert _fold_cycle_centers(m, 2.0 ** -6) == ref_fold_cycle_centers(
         quadratic_map(), 2.0 ** -6)
-    assert list(m._fold_cycles) == [1 << 14]
+    assert m._fold_cycles[0] == 12     # every period eps = 2^-6 reads
 
 
 _POWER_REPORTS = {
@@ -698,21 +702,23 @@ def test_tail_counts_reseed_collapsed_balls():
     each ball is the reseeded degenerate piece and counts stay at 1."""
     eps = 1e-18
     centers, _ = _tail_centers(TENT, 8)
-    got, cut = _tail_counts(TENT, centers, eps, [1, 2, 3], [eps / 2], stride=1)
+    got, cut = _tail_counts(TENT, centers, eps, [1, 2, 3], [eps / 2], stride=1,
+                            piece_cap=1 << 14)
     want, want_cut = ref_tail_counts(TENT, centers, eps, [1, 2, 3], [eps / 2],
                                      1, 1 << 14)
     assert np.array_equal(got, want) and np.all(got == 1.0)
     assert cut is None and want_cut is None
 
 
-def test_tail_reports_centers_and_knee():
+def test_tail_reports_centers_and_knee(monkeypatch):
     eps = 2.0 ** -5
     est = tail_entropy_estimate(TENT, eps, n_range=range(1, 13))
     centers, _ = _tail_centers(TENT, 40, eps=eps)
     assert est.extra["centers"] == len(centers)
     assert est.extra["fold_cycle_error"] is None
     assert est.extra["clean_upto"] is None and not est.saturated
-    capped = tail_entropy_estimate(TENT, eps, n_range=range(1, 13), piece_cap=3)
+    monkeypatch.setattr(entropy, "_PIECE_CAP", 3)
+    capped = tail_entropy_estimate(TENT, eps, n_range=range(1, 13))
     knee = capped.extra["clean_upto"]
     assert capped.saturated and 0 < knee < len(capped.ns)
     # frozen counts carry forward past the knee
@@ -765,9 +771,30 @@ def test_tail_tent_bracket_single_scale():
     assert 0.8 * LOG2 <= est.rate * k <= 1.2 * math.log(4)
 
 
-def test_tail_rejects_large_delta():
-    with pytest.raises(ScaleError):
-        tail_entropy_estimate(TENT, 0.1, delta_schedule=[0.2])
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if an orbit, a tail center or a pullback is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_orbit_matrix", "_tail_centers", "_tail_counts"):
+        monkeypatch.setattr(entropy, name, refuse)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf], ids=repr)
+def test_tail_scales_outside_zero_inf_raise_scale_error(no_work, eps):
+    with pytest.raises(ScaleError, match="need 0 < eps < inf"):
+        tail_entropy_estimate(TENT, eps)
+    with pytest.raises(ScaleError, match="need 0 < eps < inf"):
+        power_bound_check(TENT, eps, 2)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan], ids=repr)
+def test_grid_scales_not_above_zero_raise_domain_error(no_work, eps):
+    with pytest.raises(DomainError, match="eps must be positive"):
+        spanning_count(TENT, 3, eps)
+    with pytest.raises(DomainError, match="eps must be positive"):
+        eps_entropy(TENT, eps)
 
 
 def test_remark_bound_tail_below_log2_over_p():

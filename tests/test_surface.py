@@ -1,9 +1,13 @@
 """The public surface of src/tailent: every name in a module's __all__ is
-used by the package itself or by the benchmark in perfbench/, so code that
-only tests reach does not grow back into the library; and every name a
-module of the package or of the tests imports is used there."""
+used by the package itself or by the benchmark in perfbench/, and so is
+every defaulted parameter of those names, so code and knobs that only tests
+reach do not grow back into the library; every name a module of the
+package or of the tests imports is used there; and the benchmark's tracer
+still finds every name it wraps."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +84,112 @@ def test_a_self_reference_is_not_a_use(tmp_path, source, found):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert unused_exports([path], [path]) == found
+
+
+def _defaults(fn, skip):
+    """(position or None, name) of each parameter of fn that has a default;
+    the position counts the arguments a call passes, so a method's self
+    (skip=1) takes none."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    return ([(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+            + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+               if d is not None])
+
+
+def _knobs(tree):
+    """(called name, label, definition, defaults) for every function of
+    __all__ and for __init__ and each public method of every class of
+    __all__; a class's __init__ is called by the class name."""
+    exported = set(_exported(tree))
+    for top in tree.body:
+        if getattr(top, "name", None) not in exported:
+            continue
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top.name, top, _defaults(top, 0)
+        elif isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name == "__init__" or not fn.name.startswith("_")):
+                    yield (top.name if fn.name == "__init__" else fn.name,
+                           f"{top.name}.{fn.name}", fn, _defaults(fn, 1))
+
+
+def _passes(call, pos, name):
+    """Whether the call passes the parameter: by keyword, at its position,
+    or through *args or **kwargs."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return pos is not None and (
+        pos < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(sources, callers):
+    """(module, label, parameter) for each defaulted parameter that no call
+    to a function of that name passes, calls inside the definition itself
+    not counted."""
+    trees = {path: ast.parse(path.read_text()) for path in {*sources, *callers}}
+    calls = [node for path in callers for node in ast.walk(trees[path])
+             if isinstance(node, ast.Call)]
+
+    def called(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    missing = []
+    for path in sources:
+        for name, label, fn, params in _knobs(trees[path]):
+            own = {id(node) for node in ast.walk(fn)}
+            uses = [c for c in calls if called(c) == name and id(c) not in own]
+            missing += [(path.stem, label, param) for pos, param in params
+                        if not any(_passes(c, pos, param) for c in uses)]
+    return missing
+
+
+def test_every_default_has_a_caller():
+    """With one value in use a parameter is a constant: each default of
+    the public surface is set by some call in src/ or perfbench/."""
+    missing = [found for found in unset_defaults(SOURCES, CALLERS)
+               if found[1].split(".")[-1] not in ALLOWED]
+    assert missing == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("__all__ = ['f']\ndef f(a, b=1):\n    return f(a, 2)\n",
+     [("m", "f", "b")]),
+    ("__all__ = ['f']\ndef f(a, b=1, *, c=2):\n    pass\n"
+     "def g():\n    f(0, 1)\n    f(0, c=3)\n", []),
+    ("__all__ = ['f']\ndef f(a, b=1):\n    pass\ndef g(xs):\n    f(*xs)\n", []),
+    ("__all__ = ['C']\nclass C:\n    def __init__(self, x=0):\n        pass\n"
+     "    def m(self, y=0):\n        pass\n    def _p(self, z=0):\n        pass\n"
+     "def g(c):\n    C(1)\n    c.m()\n", [("m", "C.m", "y")]),
+])
+def test_unset_defaults_reads_each_call(tmp_path, source, found):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert unset_defaults([path], [path]) == found
+
+
+def test_traced_benchmark_installs_and_restores(monkeypatch):
+    """perfbench/tracing.py wraps package names through owner.__dict__, so
+    deleting or renaming one breaks `run.py --trace 1`.  The tracer
+    installs, and uninstall puts back every original."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer._saved)
+        assert all(owner.__dict__[attr].__wrapped__ is orig
+                   for owner, attr, orig in wrapped)
+    finally:
+        tracer.uninstall()
+    assert wrapped
+    assert all(owner.__dict__[attr] is orig for owner, attr, orig in wrapped)
 
 
 def unused_imports(tree):
