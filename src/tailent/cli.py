@@ -219,11 +219,13 @@ def run_bounds(cfg):
     w = CsvWriter(cfg.out, ["map", "eps", "quasionedim", "wmulti",
                             "growth_R", "buzzi_r1", "buzzi_r2"], cfg)
     for eps in cfg.eps_schedule():
-        try:
-            wm = bound_wmulti(m, eps)
-        except TailentError:
-            wm = math.nan
-        w.add(m.name, eps, bound_quasionedim(m, eps), wm, big_r,
+        bounds = []
+        for bound in (bound_quasionedim, bound_wmulti):
+            try:
+                bounds.append(bound(m, eps))
+            except TailentError:
+                bounds.append(math.nan)
+        w.add(m.name, eps, *bounds, big_r,
               cr_bound_buzzi(big_r, 1, 1), cr_bound_buzzi(big_r, 2, 1))
     w.write()
     return w

@@ -603,7 +603,7 @@ def bound_quasionedim(m: IntervalMap, eps):
         raise ScaleError("need 0 < eps < 1")
     _, _, l = m.monotone_partition()
     norm = max(m.derivative_sup(k) for k in range(1, l + 1))
-    return max(math.log(norm), 0.0) / abs(math.log(eps))
+    return math.log(max(norm, 1.0)) / abs(math.log(eps))
 
 
 def bound_wmulti(m: IntervalMap, eps):
@@ -613,7 +613,7 @@ def bound_wmulti(m: IntervalMap, eps):
     if not 0 < eps < length:
         raise ScaleError(f"need 0 < eps < L(f) = {length:g}")
     w = m.modulus_of_continuity(eps)
-    num = math.log(2) * max(math.log(m.derivative_sup(1)), 0.0)
+    num = math.log(2) * math.log(max(m.derivative_sup(1), 1.0))
     if w >= 1.0:
         return math.inf
     if w == 0.0:
@@ -630,7 +630,7 @@ def growth_rate_R(m: IntervalMap):
     acc = np.zeros_like(xs)
     sups = []
     for n in range(1, n_max + 1):
-        d = np.abs(m.derivative_array(v, 1))
+        d = np.abs(m.derivative_array(v))
         acc = acc + np.log(np.maximum(d, 1e-300))
         sups.append(max(float(np.max(acc)), 0.0))
         v = m.evaluate_array(v)

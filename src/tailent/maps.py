@@ -37,6 +37,7 @@ __all__ = [
 _GRID_BITS_SUP = 14      # dense grid for sup-norm estimates on non-polynomials
 _GRID_BITS_CRIT = 16     # sampled sign changes for closed-form critical points
 _SAMPLES_PER_OSC = 100   # snake profile and oscillation samples per oscillation
+_SNAKE_SAMPLE_CAP = 1 << 24  # floats in one snake sample array (128 MiB)
 
 
 def _as_array(x):
@@ -69,10 +70,9 @@ class IntervalMap:
             raise UnsupportedOrderError(
                 f"order {order} not supported (k_max={self.k_max})")
 
-    def derivative_array(self, xs, order=1):
-        """Analytic derivative values of the given order."""
-        self._check_order(order)
-        return self._deriv_array(_as_array(xs), order)
+    def derivative_array(self, xs):
+        """Analytic first-derivative values."""
+        return self._deriv_array(_as_array(xs), 1)
 
     def _deriv_array(self, xs, order):
         raise NotImplementedError
@@ -188,7 +188,7 @@ class PolynomialMap(IntervalMap):
         if dp.is_zero() or dp.degree < 1:
             return []
         return self._turning_points(
-            [r for r in polyalg.isolate_roots(dp, 0, 1) if 0 < r < 1])
+            [r for r in polyalg.isolate_roots(dp) if 0 < r < 1])
 
     def derivative_sup(self, order):
         """sup of |f^(order)| over [0,1], exact for the polynomial kind:
@@ -200,7 +200,7 @@ class PolynomialMap(IntervalMap):
         cands = [0.0, 1.0]
         nxt = dk.diff()
         if not nxt.is_zero() and nxt.degree >= 1:
-            cands.extend(polyalg.isolate_roots(nxt, 0, 1))
+            cands.extend(polyalg.isolate_roots(nxt))
         return max(abs(float(dk(x))) for x in cands)
 
     def modulus_of_continuity(self, eps):
@@ -213,7 +213,7 @@ class PolynomialMap(IntervalMap):
         cands = {0.0, 1.0}
         gp = g.diff()
         if not gp.is_zero() and gp.degree >= 1:
-            cands.update(polyalg.isolate_roots(gp, 0, 1))
+            cands.update(polyalg.isolate_roots(gp))
         pairs = []
         pts = sorted(cands)
         for i, a in enumerate(pts):
@@ -226,7 +226,7 @@ class PolynomialMap(IntervalMap):
                 pairs.append((a - eps, a))
         slide = gp - gp.compose_affine(eps_f, 1)
         if not slide.is_zero() and slide.degree >= 1:
-            for x in polyalg.isolate_roots(slide, 0, Fraction(1) - eps_f):
+            for x in polyalg.isolate_roots(slide, Fraction(1) - eps_f):
                 pairs.append((x, x + eps))
         return max(abs(float(g(a)) - float(g(b))) for a, b in pairs)
 
@@ -234,10 +234,11 @@ class PolynomialMap(IntervalMap):
 class PiecewiseAffineMap(IntervalMap):
     """Continuous piecewise-affine map from breakpoint/value lists."""
 
+    name = "piecewise-affine"
     smooth = False
     k_max = 1
 
-    def __init__(self, xs, ys, name=None):
+    def __init__(self, xs, ys):
         super().__init__()
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
@@ -246,7 +247,6 @@ class PiecewiseAffineMap(IntervalMap):
         if self.ys.min() < 0 or self.ys.max() > 1:
             raise ValueError("values must lie in [0,1]")
         self.slopes = np.diff(self.ys) / np.diff(self.xs)
-        self.name = name or "piecewise-affine"
 
     def _eval_array(self, xs):
         return np.interp(xs, self.xs, self.ys)
@@ -444,6 +444,16 @@ class SnakeMap(IntervalMap):
         t = self._t(xs)
         return _chi(t) * self._h(t)
 
+    def _sample_count(self, per_osc):
+        """per_osc * N + 1 sample points, refused with ResourceError over
+        _SNAKE_SAMPLE_CAP before any array is built."""
+        n = per_osc * self.params.N + 1
+        if n > _SNAKE_SAMPLE_CAP:
+            raise ResourceError(
+                f"snake at eps={self.params.eps:g}: {per_osc} * N + 1 samples "
+                f"are over the cap {_SNAKE_SAMPLE_CAP}")
+        return n
+
     def _leibniz(self, t, order):
         """d^order/dt^order of chi(t) * h(t), by the Leibniz rule."""
         binom = {1: (1, 1), 2: (1, 2, 1), 3: (1, 3, 3, 1)}[order]
@@ -463,14 +473,13 @@ class SnakeMap(IntervalMap):
         size of the bump profile.
         """
         self._check_order(order)
-        n = 3 * _SAMPLES_PER_OSC * self.params.N
-        t = np.linspace(-1.0, 2.0, n + 1)
+        t = np.linspace(-1.0, 2.0, self._sample_count(3 * _SAMPLES_PER_OSC))
         return float(np.max(np.abs(self._leibniz(t, order))))
 
     def oscillation_count(self):
         """Sign changes of f - R on a 100*N grid over the window [c, d]."""
         p = self.params
-        xs = np.linspace(p.c, p.d, _SAMPLES_PER_OSC * p.N + 1)
+        xs = np.linspace(p.c, p.d, self._sample_count(_SAMPLES_PER_OSC))
         v = self._eval_array(xs) - p.R
         s = np.sign(v)
         s = s[s != 0]
@@ -516,7 +525,9 @@ def quadratic_map(a=4.0):
 
 
 def tent_map():
-    return PiecewiseAffineMap([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], name="tent")
+    m = PiecewiseAffineMap([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    m.name = "tent"
+    return m
 
 
 def identity_map():

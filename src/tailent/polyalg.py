@@ -403,21 +403,19 @@ def _refine_bisect(cs, lo_num, hi_num, depth):
     return (lo_num + hi_num) / 2 / (1 << depth)
 
 
-def isolate_roots(p: Polynomial, lo=0, hi=1):
-    """Distinct real roots of p in [lo, hi], refined to width _ROOT_TOL.
+def isolate_roots(p: Polynomial, hi=1):
+    """Distinct real roots of p in [0, hi], refined to width _ROOT_TOL.
 
     Exact sign-variation bisection on the square-free part over the
     rationals; the returned floats are dyadic approximations.
     """
     if p.is_zero():
         return []
-    lo_f, hi_f = Fraction(lo), Fraction(hi)
-    if hi_f <= lo_f:
+    hi_f = Fraction(hi)
+    if hi_f <= 0 or p.degree == 0:
         return []
-    if p.degree == 0:
-        return []
-    # map [lo, hi] to [0, 1]; on [0, 1] itself that map is the identity
-    q = p if (lo_f, hi_f) == (0, 1) else p.compose_affine(lo_f, hi_f - lo_f)
+    # map [0, hi] to [0, 1]; on [0, 1] itself that map is the identity
+    q = p if hi_f == 1 else p.compose_affine(0, hi_f)
     cs = _int_coeffs(q)
     roots = []
     while cs and cs[0] == 0:          # deflate roots at 0
@@ -428,9 +426,9 @@ def isolate_roots(p: Polynomial, lo=0, hi=1):
         if 1.0 not in roots:
             roots.append(1.0)
         cs = _synthetic_div_at_1(cs)
+    width = float(hi_f)
     if len(cs) <= 1:
-        width = float(hi_f - lo_f)
-        return sorted(float(lo_f) + r * width for r in roots)
+        return sorted(r * width for r in roots)
     try:
         intervals, exact = _vca_isolate(cs)
     except PrecisionError:
@@ -441,9 +439,7 @@ def isolate_roots(p: Polynomial, lo=0, hi=1):
         roots.append(num / (1 << depth))
     for lo_num, hi_num, depth in intervals:
         roots.append(_refine_bisect(cs, lo_num, hi_num, depth))
-    width = float(hi_f - lo_f)
-    base = float(lo_f)
-    out = sorted(base + r * width for r in roots)
+    out = sorted(r * width for r in roots)
     dedup = []
     for r in out:
         if not dedup or r - dedup[-1] > _ROOT_TOL:
@@ -801,7 +797,7 @@ def reparametrize_1d(polys, r):
     for b in boundary:
         if b.is_zero():
             continue
-        cuts.update(isolate_roots(b, 0, 1))
+        cuts.update(isolate_roots(b))
     pts = sorted(cuts)
 
     kept = []  # (lo, hi, kind, inv_index) with Fraction endpoints
@@ -828,7 +824,7 @@ def reparametrize_1d(polys, r):
         for k in range(2, r + 2):
             dk = polys[j].diff(k)
             if not dk.is_zero() and dk.degree >= 1:
-                acc.extend(isolate_roots(dk, 0, 1))
+                acc.extend(isolate_roots(dk))
                 # degree-0 derivatives have constant sign already
         return acc
 
@@ -844,11 +840,11 @@ def reparametrize_1d(polys, r):
         # identity cofactors control ||phi||, A-numerators control P_j o phi
         for kpoly in inverse_cofactors(i)[1:]:
             if not kpoly.is_zero() and kpoly.degree >= 1:
-                acc.extend(isolate_roots(kpoly, 0, 1))
+                acc.extend(isolate_roots(kpoly))
         for j in range(m):
             for apoly in _composition_numerators(polys[j], polys[i], r)[1:]:
                 if not apoly.is_zero() and apoly.degree >= 1:
-                    acc.extend(isolate_roots(apoly, 0, 1))
+                    acc.extend(isolate_roots(apoly))
         return acc
 
     pieces = []

@@ -2,6 +2,10 @@
 rate machinery: logarithmic convexity, the discrete inverse G of the
 normalized log-weight, admissibility, and the tail-entropy rate bounds.
 
+Every weight the module builds (`parse_weight`, `weight_from_rate`) is
+log-convex, so a_k = log+(M_k/M_0)/k is nondecreasing in k and `g_inverse`
+finds G by binary search.
+
 All weight arithmetic happens in log space: weights like k^(k^2) overflow
 any float at small k, while their logs stay tame.  The algebraic-complexity
 constant is the m^3 k^8 surrogate with constant 1 (honest-labeled: the true
@@ -30,7 +34,6 @@ class WeightSequence:
     """Weight (M_k) given through k -> log M_k."""
     log_m: object                 # callable int -> float
     name: str = "weight"
-    log_convex: bool | None = None
     cache: dict = field(default_factory=dict, repr=False)  # k -> log M_k
 
     def log_weight(self, k):
@@ -63,9 +66,11 @@ def is_log_convex(w: WeightSequence, k_max=50):
 def g_inverse(w: WeightSequence, x, cap=10 ** 6):
     """G(x) = sup { l <= cap : a_l <= x }.
 
-    Binary search when the weight is flagged log-convex (a nondecreasing),
-    linear scan otherwise.  If a stays below x all the way to the cap the
-    unboundedness of (a_k) cannot be certified and the weight is rejected.
+    Binary search, since a_k is nondecreasing for a log-convex weight: every
+    weight `parse_weight` and `weight_from_rate` build is one, and a weight
+    built by hand must be too (`is_log_convex`).  If a stays below x all the
+    way to the cap the unboundedness of (a_k) cannot be certified and the
+    weight is rejected.
     """
     if x < 0:
         raise DomainError("x must be >= 0")
@@ -73,20 +78,14 @@ def g_inverse(w: WeightSequence, x, cap=10 ** 6):
         raise DegenerateWeightError(
             f"a_k <= {x:g} up to the search cap {cap}: weight not "
             "certifiably superexponential")
-    if w.log_convex:
-        lo, hi = 0, cap  # a(lo) <= x < a(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if w.a(mid) <= x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    best = 0
-    for l in range(1, cap + 1):
-        if w.a(l) <= x:
-            best = l
-    return best
+    lo, hi = 0, cap  # a(lo) <= x < a(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if w.a(mid) <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def surrogate_chart_bound(k, l, m):
@@ -142,7 +141,7 @@ def iterate_bound_main(norm_dfp, r, l, m, c_bound=None):
     c_bound = c_bound or surrogate_chart_bound
     log_br = math.log(BellTable(r).bell_number(r))
     log_c = (l + 2 * m) * math.log(2) + math.log(c_bound(r, l, m))
-    return (l / r) * (max(math.log(norm_dfp), 0.0) + 2 * log_br) + log_c
+    return (l / r) * (math.log(max(norm_dfp, 1.0)) + 2 * log_br) + log_c
 
 
 def cr_bound_buzzi(big_r, r, dim):
@@ -191,7 +190,7 @@ def weight_from_rate(a, log_dt):
             return log_m0
         return log_m0 + k * math.log(1.0 / a_inv(log_dt / k))
 
-    w = WeightSequence(log_m=log_m, name="fromrate", log_convex=True)
+    w = WeightSequence(log_m=log_m, name="fromrate")
     if not is_log_convex(w, 120):
         raise HypothesisUnmetError(
             "produced weight is not logarithmically convex")
@@ -202,8 +201,7 @@ def weight_from_rate(a, log_dt):
         return 7 * k * math.log(2.0 * k) \
             + 2 * w.log_weight(k) - w.log_weight(0)
 
-    companion = WeightSequence(log_m=log_m_tilde, name="fromrate-companion",
-                               log_convex=True)
+    companion = WeightSequence(log_m=log_m_tilde, name="fromrate-companion")
     return w, companion
 
 
@@ -217,14 +215,13 @@ def parse_weight(spec):
     """Weight spec strings: kpow2 | analytic | const:M0 | fromrate:a=...,logDT=..."""
     if spec in _NAMED:
         name, fn = _NAMED[spec]
-        return WeightSequence(log_m=fn, name=spec, log_convex=True)
+        return WeightSequence(log_m=fn, name=spec)
     m = re.fullmatch(r"const:([0-9.eE+-]+)", spec)
     if m:
         m0 = float(m.group(1))
         if m0 < 1:
             raise ValueError("M0 must be >= 1")
-        return WeightSequence(log_m=lambda k: math.log(m0), name=spec,
-                              log_convex=True)
+        return WeightSequence(log_m=lambda k: math.log(m0), name=spec)
     m = re.fullmatch(r"fromrate:a=([^,]+),logDT=([0-9.eE+-]+)", spec)
     if m:
         from .maps import get_rate

@@ -4,11 +4,12 @@ thickness with the gap-lemma trichotomy.
 SFTs are realized by de Bruijn higher-block coding: states are admissible
 blocks of length max(forbidden word length) - 1 and transitions check the
 one-longer window.  Words are counted in one-sided admissible-word
-semantics; the entropies agree with the two-sided shift.  Cantor sets store
-their endpoints as integer numerators over one common denominator, so
-thickness ratios and gap-lemma decisions are exact integer comparisons;
-Fractions are built only where the API returns them (`levels`, `gaps`,
-`hull`, `intervals`, `thickness`).
+semantics; the entropies agree with the two-sided shift.  Cantor sets are
+built by `middle_cantor` and moved onto a hull by `CantorApprox.scaled`;
+they store their endpoints as integer numerators over one common
+denominator, and each gap as its two flanking bridges, so thickness ratios
+and gap-lemma decisions are exact integer comparisons.  Fractions are built
+only where the API returns them (`intervals`, `thickness`).
 """
 
 from __future__ import annotations
@@ -336,68 +337,29 @@ def load_sft_file(path):
 # Cantor sets, thickness, gap lemma
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapRecord:
-    level: int
-    gap: tuple             # (lo, hi) Fractions
-    left: tuple            # flanking bridge intervals at removal time
-    right: tuple
-
-
 class CantorApprox:
     """Nested finite unions of closed intervals with recorded gaps.
 
     The endpoints are integer numerators over one positive denominator
     `den`.  `ends[i]` lists lo_0, hi_0, lo_1, hi_1, ... of K_i; gap j was
     removed at level `gap_cols[0][j]`, and `gap_cols[1:]` hold the
-    numerators of its lo and hi and of the lo and hi of its left and right
-    flanking bridges, one list each.  `levels`, `gaps`, `hull()` and
-    `intervals()` build the Fractions on request; the constructor takes them.
+    numerators of the lo and hi of its left and of its right flanking
+    bridge, one list each.  The gap is the space between its two bridges,
+    from the left bridge's hi to the right bridge's lo.  Sets are built by
+    `middle_cantor` and moved by `scaled`; `intervals()` builds Fractions
+    on request.
     """
 
-    def __init__(self, levels, gaps):
-        """levels[i] is the list of (lo, hi) pairs of K_i; gaps are
-        GapRecords in removal order."""
-        levels = [[Fraction(x) for iv in lv for x in iv] for lv in levels]
-        flat = [Fraction(x) for g in gaps for x in (*g.gap, *g.left, *g.right)]
-        cols = [flat[k::6] for k in range(6)]
-        den = math.lcm(*(x.denominator for v in levels + cols for x in v))
-        self.den = den
-        self.ends = [_numerators(lv, den) for lv in levels]
-        self.gap_cols = ([g.level for g in gaps],
-                         *(_numerators(v, den) for v in cols))
-
-    @classmethod
-    def _over(cls, den, ends, gap_cols):
-        c = cls.__new__(cls)
-        c.den, c.ends, c.gap_cols = den, ends, gap_cols
-        return c
+    def __init__(self, den, ends, gap_cols):
+        self.den, self.ends, self.gap_cols = den, ends, gap_cols
 
     @property
     def depth(self):
         return len(self.ends) - 1
 
-    def _fractions(self, nums):
-        return [Fraction(x, self.den) for x in nums]
-
-    @property
-    def levels(self):
-        return [self._pairs(lv) for lv in self.ends]
-
     def _pairs(self, nums):
-        xs = self._fractions(nums)
+        xs = [Fraction(x, self.den) for x in nums]
         return list(zip(xs[::2], xs[1::2]))
-
-    @property
-    def gaps(self):
-        level, *cols = self.gap_cols
-        g0, g1, l0, l1, r0, r1 = map(self._fractions, cols)
-        return [GapRecord(*rec) for rec in zip(
-            level, zip(g0, g1), zip(l0, l1), zip(r0, r1))]
-
-    def hull(self):
-        k0 = self.ends[0]
-        return Fraction(k0[0], self.den), Fraction(k0[-1], self.den)
 
     def check_depth(self, depth):
         if depth < 0:
@@ -432,9 +394,8 @@ class CantorApprox:
         def mv(nums):
             return [offset + slope * x for x in nums]
 
-        return CantorApprox._over(den * span, [mv(lv) for lv in self.ends],
-                                   (self.gap_cols[0],
-                                    *map(mv, self.gap_cols[1:])))
+        return CantorApprox(den * span, [mv(lv) for lv in self.ends],
+                            (self.gap_cols[0], *map(mv, self.gap_cols[1:])))
 
 
 def middle_cantor(remove_ratio, depth):
@@ -454,22 +415,20 @@ def middle_cantor(remove_ratio, depth):
     kn, kd = keep.numerator, keep.denominator
     den = kd ** depth
     ends = [[0, den]]
-    gap_cols = ([], [], [], [], [], [], [])
-    level_col, g0, g1, l0, l1, r0, r1 = gap_cols
+    gap_cols = ([], [], [], [], [])
+    level_col, l0, l1, r0, r1 = gap_cols
     for level in range(1, depth + 1):
         nxt = []
         for a, b in zip(ends[-1][::2], ends[-1][1::2]):
             kw = (b - a) // kd * kn
             nxt += (a, a + kw, b - kw, b)
         level_col += [level] * (len(nxt) // 4)
-        g0 += nxt[1::4]
-        g1 += nxt[2::4]
         l0 += nxt[0::4]
         l1 += nxt[1::4]
         r0 += nxt[2::4]
         r1 += nxt[3::4]
         ends.append(nxt)
-    return CantorApprox._over(den, ends, gap_cols)
+    return CantorApprox(den, ends, gap_cols)
 
 
 def thickness(c: CantorApprox, depth=None):
@@ -483,10 +442,10 @@ def thickness(c: CantorApprox, depth=None):
         depth = c.depth
     c.check_depth(depth)
     best = None
-    for level, g0, g1, l0, l1, r0, r1 in zip(*c.gap_cols):
+    for level, l0, l1, r0, r1 in zip(*c.gap_cols):
         if level > depth:
             continue
-        num, gap_len = min(l1 - l0, r1 - r0), g1 - g0
+        num, gap_len = min(l1 - l0, r1 - r0), r0 - l1
         if gap_len < 0:
             num, gap_len = -num, -gap_len
         elif gap_len == 0:
@@ -535,8 +494,8 @@ def gap_lemma_check(k: CantorApprox, f: CantorApprox):
         olo, ohi = other.ends[0][0] * so, other.ends[0][-1] * so
         if hi <= olo or lo >= ohi:
             return True  # unbounded gap closure
-        _, g0, g1, *_ = other.gap_cols
-        return any(a * so <= lo and hi <= b * so for a, b in zip(g0, g1))
+        _, _, l1, r0, _ = other.gap_cols
+        return any(a * so <= lo and hi <= b * so for a, b in zip(l1, r0))
 
     if inside_gap(k, sk, f, sf):
         return {"alternative": "K-in-gap-of-F", "levels_checked": 0}

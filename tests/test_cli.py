@@ -186,6 +186,26 @@ def test_snake_thickness_weights_bounds_smoke(tmp_path):
                    tmp_path, "b.csv")[0] == 0
 
 
+def test_bounds_on_a_constant_map(tmp_path):
+    # ||f'|| = 0 there, and log+ 0 = 0
+    code, text = run_cli(["bounds", "--map", "poly:[0.5]", "--eps-count", "2"],
+                         tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert [(r["quasionedim"], r["wmulti"]) for r in rows] == [("0.0", "0.0")] * 2
+
+
+@pytest.mark.parametrize("spec", ["tent", "snake:eps=0.1"])
+def test_bounds_without_derivatives_of_order_l_write_nan(tmp_path, spec):
+    # quasionedim reads ||f^(l)|| for the branch count l, which neither map
+    # has; the row is written with NaN there, as for wmulti
+    code, text = run_cli(["bounds", "--map", spec, "--eps-count", "2"],
+                         tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert len(rows) == 2 and all(r["quasionedim"] == "nan" for r in rows)
+
+
 def test_modulus_smoke(tmp_path):
     code, text = run_cli(["modulus", "--map", "identity", "--eps-start", "0.1",
                           "--eps-count", "1", "--grid-bits", "10"], tmp_path)
@@ -381,12 +401,14 @@ def test_orbit_cap_boundary_without_allocating(monkeypatch, no_grid_allocation):
 
 @pytest.fixture
 def nothing_built(monkeypatch):
-    """Fail the test if a map, a weight, an SFT, a Cantor set or an
-    estimate is built."""
-    from tailent import cli, entropy, rates, symbolic
+    """Fail the test if a map, a weight, an SFT, a Cantor set, an estimate
+    or a snake sample is built."""
+    from tailent import cli, entropy, maps, rates, symbolic
 
     def refuse(*args, **kwargs):
         raise AssertionError("built")
+
+    monkeypatch.setattr(maps.np, "linspace", refuse)
 
     monkeypatch.setattr(symbolic, "build_Yp", refuse)
     monkeypatch.setattr(symbolic, "middle_cantor", refuse)
@@ -406,6 +428,9 @@ def nothing_built(monkeypatch):
     ["tail", "--n-max", "10000000000"],
     ["weights", "--k-max", "100001"],
     ["weights", "--k-max", "10000000000"],
+    ["snake", "--eps-start", "1e-6", "--eps-count", "1"],
+    ["snake", "--eps-start", "1e-9", "--eps-count", "1"],
+    ["snake", "--eps-start", "1e-300", "--eps-count", "1"],
 ])
 def test_size_over_cap_exits_3_before_building(tmp_path, capsys, nothing_built,
                                                args):

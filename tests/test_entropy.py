@@ -818,6 +818,13 @@ def test_bound_quasionedim_values():
         bound_quasionedim(F4, 1.5)
 
 
+def test_bounds_take_log_plus_of_a_zero_norm():
+    # a constant map has ||f'|| = 0, and log+ 0 = 0
+    const = PolynomialMap([0.5])
+    assert bound_quasionedim(const, 0.1) == 0.0
+    assert bound_wmulti(const, 0.1) == 0.0
+
+
 def test_bound_quasionedim_needs_smoothness():
     with pytest.raises(UnsupportedOrderError):
         bound_quasionedim(TENT, 0.01)  # 2-modal but only C^0 at the kink

@@ -1,5 +1,6 @@
 """Interval map structure, derivative sups, moduli, iterate scales, snake."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -92,7 +93,7 @@ def test_monotone_partition_from_fitted_polynomial():
     cands = [Fraction(0), Fraction(1)]
     dp = p.diff()
     cands += [Fraction(x).limit_denominator(1 << 40)
-              for x in polyalg.isolate_roots(dp, 0, 1)]
+              for x in polyalg.isolate_roots(dp)]
     vals = [p.eval_exact(c) for c in cands]
     lo, hi = min(vals), max(vals)
     rescaled = polyalg.Polynomial([(c - (lo if i == 0 else 0)) / (hi - lo)
@@ -130,8 +131,8 @@ def test_derivatives_match_finite_differences(m, orders, h, rel):
     rng = random.Random(5)
     pts = np.array([rng.uniform(0.05, 0.95) for _ in range(200)])
     for order in orders:
-        exact = m.derivative_array(pts, order)
-        prev = (m.derivative_array(pts[:, None] + np.arange(-4, 5) * h, order - 1)
+        exact = m._deriv_array(pts, order)
+        prev = (m._deriv_array(pts[:, None] + np.arange(-4, 5) * h, order - 1)
                 if order > 1 else
                 m.evaluate_array(np.clip(pts[:, None] + np.arange(-4, 5) * h, 0, 1)))
         fd = prev @ w1 / h
@@ -155,9 +156,9 @@ def test_snake_derivatives_match_finite_differences():
     pts = np.array([x for x in (rng.uniform(lo, hi) for _ in range(600))
                     if np.min(np.abs(x - joints)) > 20 * h][:200])
     for order in (1, 2, 3):
-        exact = sm.derivative_array(pts, order)
-        prev = (sm.derivative_array(pts[:, None] + np.arange(-4, 5) * h,
-                                    order - 1)
+        exact = sm._deriv_array(pts, order)
+        prev = (sm._deriv_array(pts[:, None] + np.arange(-4, 5) * h,
+                                order - 1)
                 if order > 1 else
                 sm.evaluate_array(pts[:, None] + np.arange(-4, 5) * h))
         fd = prev @ w1 / h
@@ -171,7 +172,7 @@ def test_tent_derivative_finite_differences_off_kink():
                     if abs(x - 0.5) > 0.01][:200])
     h = 1e-3
     fd = (TENT.evaluate_array(pts + h) - TENT.evaluate_array(pts - h)) / (2 * h)
-    assert np.allclose(fd, TENT.derivative_array(pts, 1), rtol=1e-10, atol=1e-10)
+    assert np.allclose(fd, TENT.derivative_array(pts), rtol=1e-10, atol=1e-10)
 
 
 def test_vanishing_derivative_lemma():
@@ -220,7 +221,7 @@ def test_min_branch_length_vs_exact_composition():
     comp = f4_poly
     lengths = []
     for p in range(1, 6):
-        crit = polyalg.isolate_roots(comp.diff(), 0, 1)
+        crit = polyalg.isolate_roots(comp.diff())
         pts = sorted({0.0, 1.0, *crit})
         lengths.append(min(b - a for a, b in zip(pts, pts[1:])))
         comp = compose(f4_poly, comp)
@@ -390,7 +391,38 @@ def test_snake_map_image_and_smoothness():
     assert v.min() >= 0 and v.max() <= params.R + params.M + 1e-15
     assert sm.k_max == 3 and sm.smooth
     with pytest.raises(UnsupportedOrderError):
-        sm.derivative_array(xs[:5], 4)
+        sm.derivative_sup(4)
+
+
+def test_snake_sample_cap_boundary_without_allocating(monkeypatch):
+    params, sm = build_snake(RATE, 0.01, 1.0)
+    n = params.N
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    # a sample array of per_osc * N + 1 floats fits a cap of exactly that
+    # many; one float less of cap does not
+    monkeypatch.setattr(maps, "_SNAKE_SAMPLE_CAP", 100 * n + 1)
+    with pytest.raises(AssertionError, match="sampled"):
+        sm.oscillation_count()
+    with pytest.raises(ResourceError, match="cap"):
+        sm.profile_derivative_sup(1)
+    monkeypatch.setattr(maps, "_SNAKE_SAMPLE_CAP", 100 * n)
+    with pytest.raises(ResourceError, match="cap"):
+        sm.oscillation_count()
+    monkeypatch.setattr(maps, "_SNAKE_SAMPLE_CAP", 300 * n + 1)
+    with pytest.raises(AssertionError, match="sampled"):
+        sm.profile_derivative_sup(3)
+    # at the real cap of 2^24 floats the profile reaches N = 55924
+    monkeypatch.undo()
+    monkeypatch.setattr(np, "linspace", refuse)
+    assert maps._SNAKE_SAMPLE_CAP == 1 << 24
+    for big_n, fits in ((55924, True), (55925, False), (10 ** 300, False)):
+        big = maps.SnakeMap(dataclasses.replace(params, N=big_n))
+        with pytest.raises(AssertionError if fits else ResourceError):
+            big.profile_derivative_sup(1)
 
 
 @pytest.mark.parametrize("scale", [1e-4, 0.01, 0.2, 0.26, 0.6, 0.95])
@@ -399,7 +431,7 @@ def test_snake_modulus_is_the_largest_window_spread(scale):
     # windows from a few samples to more than half the grid
     _, sm = build_snake(RATE, 0.02, 1.0)
     n = 1 << maps._GRID_BITS_SUP
-    d = sm.derivative_array(np.linspace(0.0, 1.0, n + 1), 1)
+    d = sm.derivative_array(np.linspace(0.0, 1.0, n + 1))
     k = math.ceil(scale * n)
     want = max(float(d[i:i + k + 1].max() - d[i:i + k + 1].min())
                for i in range(n + 1 - k))

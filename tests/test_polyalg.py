@@ -470,9 +470,9 @@ def test_isolate_roots_unit_interval_skips_the_identity_composition(monkeypatch)
     monkeypatch.setattr(Polynomial, "compose_affine",
                         lambda self, a, b: calls.append((a, b)) or orig(self, a, b))
     for p, q in zip(polys, composed):
-        assert isolate_roots(p, 0, 1) == isolate_roots(q, Fraction(0), Fraction(1))
+        assert isolate_roots(p) == isolate_roots(q, Fraction(1))
     assert calls == []
-    isolate_roots(polys[0], 0, Fraction(1, 2))
+    isolate_roots(polys[0], Fraction(1, 2))
     assert len(calls) == 1
 
 

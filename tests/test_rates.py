@@ -13,8 +13,7 @@ from tailent.rates import (WeightSequence, cr_bound_buzzi, g_inverse,
 
 KPOW2 = parse_weight("kpow2")
 ANALYTIC = parse_weight("analytic")
-EK2 = WeightSequence(log_m=lambda k: 1.0 + k * k, name="e^(k^2)",
-                     log_convex=True)  # a_k = k
+EK2 = WeightSequence(log_m=lambda k: 1.0 + k * k, name="e^(k^2)")  # a_k = k
 
 
 def seq_weight(values):
@@ -62,8 +61,8 @@ def test_g_inverse_monotone_and_inverse_property():
 
 def test_g_inverse_comparison_monotonicity():
     """a_k >= b_k pointwise implies a^-1(x) <= b^-1(x)."""
-    half = WeightSequence(log_m=lambda k: 1.0 + k * k / 2, name="e^(k^2/2)",
-                          log_convex=True)  # a_k = k/2 <= a_k of EK2
+    # a_k = k/2 <= a_k of EK2
+    half = WeightSequence(log_m=lambda k: 1.0 + k * k / 2, name="e^(k^2/2)")
     for x in (0.7, 2.5, 10.0, 31.4):
         assert g_inverse(EK2, x) <= g_inverse(half, x)
 
@@ -78,7 +77,7 @@ def test_admissibility_examples():
     assert not is_admissible(ANALYTIC, 1, 1, 10.0)  # M_0 = 1 < e
     inflated = WeightSequence(
         log_m=lambda k: 1.0 + (k * k * math.log(k) if k else 0.0) + 12.0 * k,
-        name="inflated", log_convex=True)
+        name="inflated")
     lo, hi = 0.5, 2000.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
@@ -129,6 +128,9 @@ def test_rate_bound_shape_loglog_over_log():
 def test_iterate_bound_main_example():
     expect = math.log(2) + math.log(8) + math.log(256)
     assert iterate_bound_main(1.0, 2, 1, 1) == pytest.approx(expect, rel=1e-12)
+    # log+ of a norm in [0, 1] is 0
+    assert (iterate_bound_main(0.0, 2, 1, 1) == iterate_bound_main(0.5, 2, 1, 1)
+            == iterate_bound_main(1.0, 2, 1, 1))
 
 
 def test_iterate_bound_norm_term_decays():

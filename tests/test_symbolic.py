@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -16,7 +17,7 @@ from tailent.errors import (DegenerateShiftError, DomainError,
                             HypothesisUnmetError, PrecisionError,
                             TailentError)
 from tailent import symbolic
-from tailent.symbolic import (CantorApprox, GapRecord, Sft, build_Yp,
+from tailent.symbolic import (CantorApprox, Sft, build_Yp,
                               gap_lemma_check, load_sft_file, middle_cantor,
                               parse_cantor_spec, power_system,
                               sft_from_forbidden_words, sft_entropy, thickness,
@@ -342,7 +343,7 @@ def test_thickness_exact_values():
 
 
 def test_thickness_no_gaps_sentinel():
-    c = CantorApprox(levels=[[(Fraction(0), Fraction(1))]], gaps=[])
+    c = middle_cantor(Fraction(1, 3), 0)
     assert thickness(c) == math.inf
 
 
@@ -350,7 +351,7 @@ def test_thickness_affine_invariance():
     c = middle_cantor(Fraction(1, 3), 10)
     s = c.scaled(Fraction(2, 7), Fraction(5, 7))
     assert thickness(s) == thickness(c)
-    assert s.hull() == (Fraction(2, 7), Fraction(5, 7))
+    assert s.intervals(0) == [(Fraction(2, 7), Fraction(5, 7))]
 
 
 def test_thickness_depth_control():
@@ -441,30 +442,36 @@ def ref_middle_cantor(remove_ratio, depth, hull=(0, 1)):
 
 def ref_scaled(c, a, b):
     a, b = Fraction(a), Fraction(b)
-    h0, h1 = c.hull()
+    levels, gaps = cantor_parts(c)
+    (h0, h1), = levels[0]
     span = h1 - h0
 
     def mv(x):
         return a + (b - a) * (x - h0) / span
 
-    levels = [[(mv(lo), mv(hi)) for lo, hi in lv] for lv in c.levels]
-    gaps = [(g.level, (mv(g.gap[0]), mv(g.gap[1])),
-             (mv(g.left[0]), mv(g.left[1])),
-             (mv(g.right[0]), mv(g.right[1]))) for g in c.gaps]
+    levels = [[(mv(lo), mv(hi)) for lo, hi in lv] for lv in levels]
+    gaps = [(level, *(tuple(map(mv, iv)) for iv in ivs))
+            for level, *ivs in gaps]
     return levels, gaps
 
 
 def cantor_parts(c):
-    return c.levels, [(g.level, g.gap, g.left, g.right) for g in c.gaps]
+    """The levels of a CantorApprox as (lo, hi) Fraction pairs, and its gaps
+    as (level, gap, left bridge, right bridge): a gap lies between its two
+    bridges."""
+    def fractions(nums):
+        return [Fraction(x, c.den) for x in nums]
+
+    levels = [list(zip(xs[::2], xs[1::2])) for xs in map(fractions, c.ends)]
+    level, *cols = c.gap_cols
+    gaps = [(lv, (l1, r0), (l0, l1), (r0, r1))
+            for lv, l0, l1, r0, r1 in zip(level, *map(fractions, cols))]
+    return levels, gaps
 
 
-def assert_fractions(parts):
-    levels, gaps = parts
-    for lv in levels:
-        for iv in lv:
-            assert all(type(x) is Fraction for x in iv)
-    for g in gaps:
-        assert all(type(x) is Fraction for iv in g[1:] for x in iv)
+def assert_fractions(c):
+    for i in range(c.depth + 1):
+        assert all(type(x) is Fraction for iv in c.intervals(i) for x in iv)
 
 
 @pytest.mark.parametrize("ratio", [Fraction(1, 3), Fraction(1, 5), Fraction(1, 2),
@@ -474,25 +481,13 @@ def test_middle_cantor_and_scaled_match_reference(ratio):
         for depth in (0, 1, 2, 5, 8):
             c = middle_cantor(ratio, depth).scaled(*hull)
             assert cantor_parts(c) == ref_middle_cantor(ratio, depth, hull)
-            assert_fractions(cantor_parts(c))
+            assert_fractions(c)
             for a, b in ((Fraction(2, 7), Fraction(9, 5)), (0, 1), (3, -1),
                          (Fraction(1, 1000), Fraction(1, 1000)),
                          (Fraction(87, 1000), Fraction(613, 1000))):
                 s = c.scaled(a, b)
                 assert cantor_parts(s) == ref_scaled(c, a, b)
-                assert_fractions(cantor_parts(s))
-
-
-def test_scaled_endpoints_with_equal_values_in_distinct_objects():
-    # the image cache is keyed by value, so equal endpoints that are
-    # distinct objects (here built by hand) map to the same image
-    lv0 = [(Fraction(0), Fraction(1))]
-    lv1 = [(Fraction(0), Fraction(2, 5)), (Fraction(6, 10), Fraction(1))]
-    gap = GapRecord(1, (Fraction(4, 10), Fraction(3, 5)), lv1[0], lv1[1])
-    c = CantorApprox([lv0, lv1], [gap])
-    s = c.scaled(Fraction(1, 7), Fraction(3, 2))
-    assert cantor_parts(s) == ref_scaled(c, Fraction(1, 7), Fraction(3, 2))
-    assert thickness(s) == thickness(c) == 2
+                assert_fractions(s)
 
 
 def test_gap_lemma_on_scaled_pairs_matches_reference_construction():
@@ -515,9 +510,13 @@ def test_gap_lemma_on_scaled_pairs_matches_reference_construction():
 # the integer Cantor layer against the Fraction code it replaced
 # ---------------------------------------------------------------------------
 
+GapRecord = namedtuple("GapRecord", "level gap left right")
+
+
 class FracCantor:
     """The Fraction-based CantorApprox: levels of (lo, hi) Fraction pairs and
-    GapRecords, every operation in Fraction arithmetic."""
+    GapRecords, each gap stored apart from its flanking bridges, every
+    operation in Fraction arithmetic."""
 
     def __init__(self, levels, gaps):
         self.levels, self.gaps = levels, gaps
@@ -650,9 +649,8 @@ def outcome(fn, *args):
 def same_cantor(c, ref):
     assert c.den > 0
     assert c.depth == ref.depth
-    assert cantor_parts(c) == cantor_parts(ref)
-    assert_fractions(cantor_parts(c))
-    assert c.hull() == ref.hull()
+    assert cantor_parts(c) == (ref.levels, [tuple(g) for g in ref.gaps])
+    assert_fractions(c)
     for i in range(c.depth + 1):
         assert c.intervals(i) == ref.intervals(i)
 
@@ -679,8 +677,10 @@ def test_integer_cantor_layer_matches_fraction_code(ratio, depth, hull, image):
         return
     same_cantor(s, sref)
     assert outcome(thickness, s) == outcome(frac_thickness, sref)
-    # a rebuilt copy of the scaled set goes through the public constructor
-    t = CantorApprox(sref.levels, sref.gaps)
+    # the scaled set over twice its denominator, through the constructor
+    t = CantorApprox(2 * s.den, [[2 * x for x in lv] for lv in s.ends],
+                     (s.gap_cols[0], *([2 * x for x in col]
+                                       for col in s.gap_cols[1:])))
     same_cantor(t, sref)
     for k, f, kref, fref in ((c, s, ref, sref), (s, c, sref, ref), (s, t, sref, sref)):
         assert (outcome(gap_lemma_check, k, f)
@@ -720,15 +720,20 @@ def test_negative_depths_are_refused():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(records=st.lists(st.tuples(st.integers(1, 4), st.lists(_POINTS, min_size=6,
-                                                               max_size=6)),
+@given(records=st.lists(st.tuples(st.integers(1, 4), st.lists(_POINTS, min_size=4,
+                                                               max_size=4)),
                         max_size=12),
        depth=st.integers(0, 4))
 def test_thickness_of_built_sets_matches_fraction_code(records, depth):
-    # gaps of any length, sign and ratio, unlike the self-similar sets
-    gaps = [GapRecord(level, (e[0], e[1]), (e[2], e[3]), (e[4], e[5]))
+    # bridges of any length, order and ratio, unlike the self-similar sets;
+    # each gap lies between its two bridges
+    gaps = [GapRecord(level, (e[1], e[2]), (e[0], e[1]), (e[2], e[3]))
             for level, e in records]
     levels = [[(Fraction(0), Fraction(1))]] * 5
-    c, ref = CantorApprox(levels, gaps), FracCantor(levels, gaps)
+    den = math.lcm(*(x.denominator for _, e in records for x in e))
+    cols = [[x.numerator * (den // x.denominator) for x in col]
+            for col in zip(*(e for _, e in records))] or [[]] * 4
+    c = CantorApprox(den, [[0, den]] * 5, ([level for level, _ in records], *cols))
+    ref = FracCantor(levels, gaps)
     same_cantor(c, ref)
     assert outcome(thickness, c, depth) == outcome(frac_thickness, ref, depth)
