@@ -175,12 +175,15 @@ def _map_for(cfg):
 
 
 def run_entropy(cfg):
-    from .entropy import eps_entropy
+    from .entropy import _orbit_rows_cap, eps_entropy
     m = _map_for(cfg)
-    ns = cfg.n_range()
+    bits = cfg.checked_grid_bits()
+    # the orbit byte cap bounds n-max; checked here because eps_entropy
+    # lists all n-max times before it reaches the cap
+    ns = cfg.n_range(_orbit_rows_cap(bits))
     w = CsvWriter(cfg.out, ["method", "map", "n", "eps", "delta", "count",
                             "rate", "slope", "direction"], cfg)
-    ests = [eps_entropy(m, eps, n_range=ns, grid_bits=cfg.checked_grid_bits())
+    ests = [eps_entropy(m, eps, n_range=ns, grid_bits=bits)
             for eps in cfg.eps_schedule()]
     for est in ests:
         for n, count in zip(est.ns, est.counts):

@@ -229,6 +229,16 @@ def _default_grid(grid_bits):
     return np.linspace(0.0, 1.0, n + 1)
 
 
+def _orbit_rows_cap(grid_bits):
+    """The most orbit rows of the 2^grid_bits grid that fit _ORBIT_BYTE_CAP,
+    after refusing a grid_bits over its cap (ResourceError)."""
+    if grid_bits > _GRID_BITS_CAP:
+        raise ResourceError(
+            f"grid-bits {grid_bits} is over the cap {_GRID_BITS_CAP}, the "
+            f"largest whose orbit rows fit in {_ORBIT_BYTE_CAP / 2 ** 30:g} GiB")
+    return _ORBIT_BYTE_CAP // (8 * ((1 << grid_bits) + 1))
+
+
 def _grid_orbits(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
     """Column-store orbits of length n of the dyadic grid of 2^grid_bits
     cells, after checking, before any allocation, that eps is positive (not
@@ -238,12 +248,8 @@ def _grid_orbits(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
         raise DomainError("n must be >= 1")
     if not eps > 0:
         raise DomainError("eps must be positive")
-    if grid_bits > _GRID_BITS_CAP:
-        raise ResourceError(
-            f"grid-bits {grid_bits} is over the cap {_GRID_BITS_CAP}, the "
-            f"largest whose orbit rows fit in {_ORBIT_BYTE_CAP / 2 ** 30:g} GiB")
-    size = (1 << grid_bits) + 1
-    if n * size * 8 > _ORBIT_BYTE_CAP:
+    if n > _orbit_rows_cap(grid_bits):
+        size = (1 << grid_bits) + 1
         raise ResourceError(
             f"orbit matrix of {n} x {size} float64 cells needs "
             f"{n * size * 8 / 2 ** 30:.3g} GiB, over the "

@@ -489,17 +489,23 @@ class SnakeMap(IntervalMap):
 def build_snake(rate, eps, lambda_u, big_c=1.0):
     """Snake parameters and the single-term map at scale eps.
 
-    rate: evaluable monotone function a(.) with a(eps) > 0.
+    rate: evaluable monotone function a(.) with a(eps) > 0.  An eps whose
+    oscillation count N is over _SNAKE_SAMPLE_CAP, so that no sample of the
+    map fits the cap, is refused (ResourceError) before any float arithmetic
+    on eps, which overflows for a subnormal eps.
     """
     if not 0 < eps < 1:
         raise DomainError("need 0 < eps < 1")
+    N = math.ceil(Fraction(1) / Fraction(eps))
+    if N > _SNAKE_SAMPLE_CAP:
+        raise ResourceError(f"snake at eps={eps:g}: ceil(1/eps) "
+                            f"oscillations are over the cap {_SNAKE_SAMPLE_CAP}")
     a_eps = float(rate(eps))
     if not (a_eps > 0 and 0 < lambda_u < math.inf):
         raise ValueError("need a(eps) > 0 and a finite lambda_u > 0")
-    if big_c <= eps:
-        raise ValueError("need C > eps so that R > M")
+    if not (math.isfinite(big_c) and big_c > eps):
+        raise ValueError("need a finite C > eps so that R > M")
     P = -math.log(eps) / a_eps
-    N = int(math.ceil(Fraction(1) / Fraction(eps)))
     M = eps * math.exp(-lambda_u * P)
     R = big_c * math.exp(-lambda_u * P)
     # window [1/(4n+1), 1/(4n)] whose width 1/(4n(4n+1)) is nearest eps

@@ -29,9 +29,9 @@ cofactors per inverting polynomial (shared with step 2), and inside each
 inverse-branch solve the top of the bisection tree, common to all lanes.
 Every shortcut keeps the float operations of the plain per-call code, so the
 atlas is the same bit for bit.  The atlas keeps what step 3 decides (each
-group's n3 and sampled norms); the n3 + 1 chart-image boundaries of a group,
-an inverse-branch solve on an inverse-branch group, are computed where they
-are read (`Atlas.image_intervals`, so `verify_atlas`).
+group's n3 and sampled norms); no chart-image boundary is ever solved, since
+the chart images of a group tile its base interval and `verify_atlas` reads
+coverage from the group intervals.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _VCA_MAX_DEPTH = 80   # deepest dyadic split before a root cluster is refused
 _N_SAMPLES = 4096     # Q_r-domain samples of every chart group's norms
 _NORM_TOL = 1e-6      # step 3 certifies the sampled C^r norms below 1 + this
 _N3_C_CAP = 1 << 20   # largest c of n3 = c*r^4 + 1 before step 3 gives up
-_COVER_SLACK = 1e-9   # verify_atlas: distance to a chart image that covers
+_COVER_SLACK = 1e-9   # verify_atlas: distance to a group interval that covers
 
 
 # ---------------------------------------------------------------------------
@@ -516,34 +516,6 @@ class Atlas:
     chart_count: int
     groups: list
 
-    def chart_boundaries(self, g):
-        """x at the n3 + 1 step-3 boundaries tau = q/n3 of group g, so chart
-        q has the image [out[q], out[q + 1]].  Float evaluation of Q_r can
-        wobble below its coefficient scale, so the boundaries are pinned to
-        the base interval and made monotone."""
-        a, b = float(g.x_lo), float(g.x_hi)
-        qb = q_polynomial(self.r)[0](np.linspace(0.0, 1.0, g.n3 + 1))
-        if g.kind == "affine":
-            imgs = a + qb * float(g.x_hi - g.x_lo)
-        else:
-            imgs = _u_of_q(self.polys[g.inv_index], g.x_lo, g.x_hi, qb)
-        imgs[0], imgs[-1] = a, b
-        return np.maximum.accumulate(np.clip(imgs, a, b))
-
-    def image_intervals(self):
-        """(starts, ends) arrays of all chart images, sorted by start."""
-        starts, ends = [], []
-        for g in self.groups:
-            tau = self.chart_boundaries(g)
-            starts.append(tau[:-1])
-            ends.append(tau[1:])
-        if not starts:
-            return np.empty(0), np.empty(0)
-        s = np.concatenate(starts)
-        e = np.concatenate(ends)
-        order = np.argsort(s, kind="stable")
-        return s[order], e[order]
-
     def max_norm_phi(self):
         return max((g.norm_phi for g in self.groups), default=0.0)
 
@@ -884,14 +856,24 @@ def verify_atlas(atlas: Atlas, grid_size=10000):
     """Check the three conclusions on a uniform grid.
 
     Coverage defect counts grid points inside every P_j^{-1}([0,1]) that are
-    farther than _COVER_SLACK from every chart image.
+    farther than _COVER_SLACK from every chart image.  The images of a
+    group's n3 charts run monotonically from phi(Q_r(0)) = x_lo to
+    phi(Q_r(1)) = x_hi, so together they are the group's base interval, and
+    the defect is read from one [x_lo, x_hi] per group.  That needs the
+    groups sorted and meeting at most at endpoints, as the step-2 pieces
+    are; an atlas whose groups are out of order or overlap is refused
+    (PrecisionError).
     """
+    bounds = [x for g in atlas.groups for x in (g.x_lo, g.x_hi)]
+    if any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
+        raise PrecisionError("atlas groups out of order or overlapping")
     xs = np.linspace(0.0, 1.0, grid_size)
     member = np.ones_like(xs, dtype=bool)
     for p in atlas.polys:
         v = p(xs)
         member &= (v >= 0.0) & (v <= 1.0)
-    starts, ends = atlas.image_intervals()
+    starts = np.array([float(g.x_lo) for g in atlas.groups])
+    ends = np.array([float(g.x_hi) for g in atlas.groups])
     pts = xs[member]
     defect = 0
     if len(starts) == 0:
@@ -907,4 +889,3 @@ def verify_atlas(atlas: Atlas, grid_size=10000):
         defect = int((~covered).sum())
     return AtlasReport(atlas.max_norm_comp(), atlas.max_norm_phi(),
                        defect, grid_size, int(member.sum()))
-

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailent import cli, entropy
 from tailent.cli import (_K_MAX_CAP, _TAIL_N_MAX_CAP, ExperimentConfig,
                          load_config, main)
 from tailent.entropy import _GRID_BITS_CAP
@@ -507,6 +508,50 @@ def test_refused_values_exit_2(tmp_path, capsys, nothing_built, args, field):
     code = main(args + ["--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+_MAP_FOR = cli._map_for
+_TAIL_ESTIMATE = entropy.tail_entropy_estimate
+
+
+@pytest.mark.parametrize("args,code,message", [
+    (["snake", "--eps-start", "5e-324", "--eps-count", "1"], 3, "cap"),
+    (["bounds", "--map", "snake:eps=5e-324"], 3, "cap"),
+    (["bounds", "--map", "snake:eps=1e-300"], 3, "cap"),
+    (["tail", "--map", "snake:eps=0.1,C=nan"], 2, "finite C > eps"),
+    (["modulus", "--map", "snake:eps=0.1,C=nan"], 2, "finite C > eps"),
+    (["entropy", "--n-max", "9223372036854775808"], 3, "cap"),
+    # 5e-324 * 0.5 rounds to 0; the smallest scale is estimated first
+    (["tail", "--eps-start", "5e-324"], 3, "0 < eps"),
+])
+def test_edge_values_in_range_exit_2_or_3_without_traceback(
+        capsys, monkeypatch, nothing_built, args, code, message):
+    """Values that pass the flag checks but overflow a snake's window search
+    or sample count, a NaN snake offset, an n-max whose time list would not
+    fit in memory and a schedule that underflows to 0.  The map spec and
+    the tail scale are what is refused, so the map is parsed and the tail
+    estimate is called; no sample, grid or pullback is built."""
+    monkeypatch.setattr(cli, "_map_for", _MAP_FOR)
+    monkeypatch.setattr(entropy, "tail_entropy_estimate", _TAIL_ESTIMATE)
+    assert main(args + ["--out", os.devnull]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_entropy_n_max_cap_is_the_orbit_byte_cap(no_grid_allocation):
+    for bits in (1, 14, _GRID_BITS_CAP):
+        cap = entropy._orbit_rows_cap(bits)
+        assert 8 * cap * (2 ** bits + 1) <= entropy._ORBIT_BYTE_CAP
+        assert 8 * (cap + 1) * (2 ** bits + 1) > entropy._ORBIT_BYTE_CAP
+    # at 2^1 cells the cap is 44.7 million rows, too many times to list here
+    for bits in (14, _GRID_BITS_CAP):
+        cap = entropy._orbit_rows_cap(bits)
+        args = ["entropy", "--grid-bits", str(bits), "--eps-count", "1",
+                "--out", os.devnull]
+        assert main(args + ["--n-max", str(cap + 1)]) == 3
+        # the largest n-max goes on to build the grid
+        with pytest.raises(AssertionError, match="grid allocated"):
+            main(args + ["--n-max", str(cap)])
 
 
 def _parses_as_float(text):

@@ -378,6 +378,20 @@ def sampled_derivative_sup(sm, order):
     return sm.profile_derivative_sup(order) / sm.params.ell ** order
 
 
+def test_snake_refuses_oscillations_over_the_cap_before_float_arithmetic():
+    def rate(eps):
+        raise AssertionError("rate evaluated")
+
+    cap = maps._SNAKE_SAMPLE_CAP
+    edge = 1.0 / cap                      # N = ceil(1/eps) = cap exactly
+    with pytest.raises(AssertionError, match="rate evaluated"):
+        build_snake(rate, edge, 1.0)
+    for eps in (math.nextafter(edge, 0.0), 1e-300, 5e-324):
+        with pytest.raises(ResourceError, match="cap"):
+            build_snake(rate, eps, 1.0)
+    assert build_snake(RATE, edge, 1.0)[0].N == cap
+
+
 def test_snake_first_derivative_decays_along_powers_of_ten():
     sups = [sampled_derivative_sup(build_snake(RATE, 10.0 ** -j, 1.0)[1], 1)
             for j in (1, 2, 3)]
@@ -488,8 +502,9 @@ def test_snake_critical_points_match_scalar_bisection(eps):
 def test_snake_rejects_bad_configs():
     with pytest.raises(DomainError):
         build_snake(RATE, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        build_snake(RATE, 0.5, 1.0, big_c=0.1)
+    for big_c in (0.1, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite C > eps"):
+            build_snake(RATE, 0.5, 1.0, big_c=big_c)
 
 
 # ---------------------------------------------------------------------------

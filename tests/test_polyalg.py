@@ -17,7 +17,7 @@ from tailent.combinatorics import BellTable
 from tailent.polyalg import (Polynomial, isolate_roots, q_polynomial,
                              q_derivative_factorization, reparametrize_1d,
                              verify_atlas)
-from tailent.errors import ResourceError
+from tailent.errors import PrecisionError, ResourceError
 
 S = Polynomial([0, 1, -1])        # X(1-X)
 S_PRIME = Polynomial([1, -2])
@@ -196,6 +196,73 @@ def test_q_derivative_growth_rate():
 
 
 # ---------------------------------------------------------------------------
+# chart images: the coverage oracle
+# ---------------------------------------------------------------------------
+
+def chart_boundaries(atlas, g):
+    """x at the n3 + 1 step-3 boundaries tau = q/n3 of group g, so chart
+    q has the image [out[q], out[q + 1]].  Float evaluation of Q_r can
+    wobble below its coefficient scale, so the boundaries are pinned to
+    the base interval and made monotone."""
+    a, b = float(g.x_lo), float(g.x_hi)
+    qb = q_polynomial(atlas.r)[0](np.linspace(0.0, 1.0, g.n3 + 1))
+    if g.kind == "affine":
+        imgs = a + qb * float(g.x_hi - g.x_lo)
+    else:
+        imgs = polyalg._u_of_q(atlas.polys[g.inv_index], g.x_lo, g.x_hi, qb)
+    imgs[0], imgs[-1] = a, b
+    return np.maximum.accumulate(np.clip(imgs, a, b))
+
+
+def image_intervals(atlas):
+    """(starts, ends) arrays of all chart images, sorted by start."""
+    starts, ends = [], []
+    for g in atlas.groups:
+        tau = chart_boundaries(atlas, g)
+        starts.append(tau[:-1])
+        ends.append(tau[1:])
+    if not starts:
+        return np.empty(0), np.empty(0)
+    s = np.concatenate(starts)
+    e = np.concatenate(ends)
+    order = np.argsort(s, kind="stable")
+    return s[order], e[order]
+
+
+def grid_members(atlas, grid_size=10000):
+    """verify_atlas's grid, and which of its points lie inside every
+    P_j^{-1}([0,1])."""
+    xs = np.linspace(0.0, 1.0, grid_size)
+    member = np.ones_like(xs, dtype=bool)
+    for p in atlas.polys:
+        v = p(xs)
+        member &= (v >= 0.0) & (v <= 1.0)
+    return xs, member
+
+
+def oracle_defect(atlas, grid_size=10000):
+    """The coverage defect as verify_atlas counted it from every chart image
+    (`image_intervals`), before it read one interval per group."""
+    xs, member = grid_members(atlas, grid_size)
+    starts, ends = image_intervals(atlas)
+    pts = xs[member]
+    defect = 0
+    if len(starts) == 0:
+        defect = int(member.sum())
+    elif pts.size:
+        idx = np.searchsorted(starts, pts, side="right") - 1
+        covered = np.zeros(pts.shape, dtype=bool)
+        valid = idx >= 0
+        covered[valid] = pts[valid] <= ends[idx[valid]] + polyalg._COVER_SLACK
+        nxt = idx + 1
+        has_next = nxt < len(starts)
+        covered[has_next] |= ((starts[nxt[has_next]] - pts[has_next])
+                              <= polyalg._COVER_SLACK)
+        defect = int((~covered).sum())
+    return defect
+
+
+# ---------------------------------------------------------------------------
 # reparametrizer
 # ---------------------------------------------------------------------------
 
@@ -203,7 +270,7 @@ def test_reparam_constant_polynomial_identity_chart():
     atlas = reparametrize_1d([Polynomial([Fraction(1, 2)])], 1)
     assert atlas.chart_count == 1
     assert atlas.groups[0].kind == "affine"
-    starts, ends = atlas.image_intervals()
+    starts, ends = image_intervals(atlas)
     assert (starts.tolist(), ends.tolist()) == ([0.0], [1.0])
     rep = verify_atlas(atlas, 1000)
     assert rep.coverage_defect == 0
@@ -245,7 +312,7 @@ def test_reparam_random_pair_and_negative_control():
 def _without_widest_chart_group(atlas):
     """(the atlas less the group that holds its widest chart image, the
     width of that chart)."""
-    widths = [float(np.diff(atlas.chart_boundaries(g)).max())
+    widths = [float(np.diff(chart_boundaries(atlas, g)).max())
               for g in atlas.groups]
     g = int(np.argmax(widths))
     return (dataclasses.replace(atlas, groups=atlas.groups[:g] + atlas.groups[g + 1:]),
@@ -264,7 +331,79 @@ def test_atlas_counts_consistent_and_images_are_intervals():
     assert atlas.chart_count == sum(g.n3 for g in atlas.groups)
     assert atlas.step2_count == len(atlas.groups)
     for g in atlas.groups:
-        assert np.all(np.diff(atlas.chart_boundaries(g)) >= -1e-12)
+        assert np.all(np.diff(chart_boundaries(atlas, g)) >= -1e-12)
+
+
+def _controls(atlas, count=5):
+    """(group, the atlas less that group) for each of its first `count`
+    groups: negative controls of the coverage check."""
+    return [(g, dataclasses.replace(atlas, groups=atlas.groups[:k] + atlas.groups[k + 1:]))
+            for k, g in enumerate(atlas.groups[:count])]
+
+
+def _holds_a_member_point(atlas, g):
+    """Whether a grid point inside every P_j^{-1}([0,1]) lies farther than
+    _COVER_SLACK inside g's interval, so that no other group can cover it."""
+    xs, member = grid_members(atlas)
+    inside = ((xs > float(g.x_lo) + polyalg._COVER_SLACK)
+              & (xs < float(g.x_hi) - polyalg._COVER_SLACK))
+    return bool((member & inside).any())
+
+
+def _check_coverage_against_oracle(atlas):
+    assert verify_atlas(atlas, 10000).coverage_defect == oracle_defect(atlas) == 0
+    for g, control in _controls(atlas):
+        defect = verify_atlas(control, 10000).coverage_defect
+        assert defect == oracle_defect(control)
+        if _holds_a_member_point(atlas, g):
+            assert defect > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_group_coverage_matches_chart_images_on_fixed_systems(m):
+    for r in range(2, 6):
+        atlas = reparametrize_1d(fixed_reparam_system(m, r), r)
+        _check_coverage_against_oracle(atlas)
+        # every first-five control of these systems is a real one
+        assert all(_holds_a_member_point(atlas, g) for g, _ in _controls(atlas))
+
+
+@st.composite
+def reparam_systems(draw):
+    """(polys, r): m <= 2 polynomials of degree <= r <= 5, dyadic
+    coefficients in [-2, 2], each shifted so that it maps a drawn dyadic x0
+    into [0, 1], so the preimage of the cube is never empty."""
+    r = draw(st.integers(1, 5))
+    x0 = Fraction(draw(st.integers(0, 64)), 64)
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        cs = [Fraction(draw(st.integers(-128, 128)), 64) for _ in range(r + 1)]
+        target = Fraction(draw(st.integers(0, 64)), 64)
+        cs[0] += target - Polynomial(cs).eval_exact(x0)
+        polys.append(Polynomial(cs))
+    return polys, r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(reparam_systems())
+def test_group_coverage_matches_chart_images(system):
+    polys, r = system
+    _check_coverage_against_oracle(reparametrize_1d(polys, r))
+
+
+def test_verify_atlas_refuses_groups_out_of_order_or_overlapping():
+    atlas = reparametrize_1d(fixed_reparam_system(1, 2), 2)
+    groups = atlas.groups
+    assert len(groups) >= 3
+    wider = dataclasses.replace(groups[0], x_hi=groups[1].x_lo + Fraction(1, 1 << 20))
+    flipped = dataclasses.replace(groups[1], x_lo=groups[1].x_hi, x_hi=groups[1].x_lo)
+    for bad in (groups[::-1], groups[1:2] + groups[:1] + groups[2:],
+                [wider] + groups[1:], groups[:1] + [flipped] + groups[2:]):
+        with pytest.raises(PrecisionError, match="out of order or overlapping"):
+            verify_atlas(dataclasses.replace(atlas, groups=bad), 10000)
+    # groups that meet at an endpoint are a tiling, not an overlap
+    assert groups[0].x_hi == groups[1].x_lo
+    assert verify_atlas(atlas, 10000).coverage_defect == 0
 
 
 def test_reparam_rejects_degree_above_r():
@@ -484,7 +623,7 @@ def atlas_digest(atlas):
     for g in atlas.groups:
         h.update(f"{g.kind},{g.inv_index},{g.x_lo},{g.x_hi},{g.n3},"
                  f"{g.norm_phi!r},{g.norm_comp!r}".encode())
-        h.update(atlas.chart_boundaries(g).tobytes())
+        h.update(chart_boundaries(atlas, g).tobytes())
     return (atlas.step1_count, atlas.step2_count, atlas.chart_count,
             repr(rep.max_norm_comp), repr(rep.max_norm_phi),
             rep.coverage_defect, rep.members, h.hexdigest())
@@ -597,8 +736,9 @@ def test_building_an_atlas_runs_no_boundary_solve(monkeypatch):
     # the chain solves only: one per inverse-branch piece, on the Q_r samples
     assert lanes == [polyalg._N_SAMPLES] * len(inverse) and inverse
     del lanes[:]
-    atlas.image_intervals()
-    assert lanes == inverse
+    # coverage is read from the group intervals: verifying solves nothing
+    assert verify_atlas(atlas, 10000).coverage_defect == 0
+    assert lanes == []
 
 
 # ---------------------------------------------------------------------------
