@@ -341,12 +341,12 @@ def verify_all(tag="full"):
                                  f"full, {', '.join(known)}")
     all_ok = True
     for name, _, fn, budget in chosen:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # noqa: BLE001 - report, do not hide
             ok, detail = False, f"exception: {exc!r}"
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         if ok and elapsed > budget:
             ok = False
             detail += f" [over runtime budget {budget}s]"

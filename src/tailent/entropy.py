@@ -12,13 +12,17 @@ are pulled back exactly as unions of monotone interval pieces.
 
 Grid orbits are kept as a column store: an (n, N) array whose row t is
 f^t of the N grid points, so grid point k is column k and the first row is
-the sorted grid itself.  A center's scale window [c - eps, c + eps] is then
-a contiguous column slice, and both greedy kernels test a whole window with
-one reduction along axis 0, written into one scratch buffer that the
-kernel call reuses for every window (`_window_distances`).  The kernels
-scan columns left to right and trim each window to the part the scan has
-not settled yet: every column left of the current one is dead or an
-earlier center, so neither kernel ever tests it again.
+the sorted grid itself.  One store (`_GridOrbits`) serves each grid
+computation and maps a row only when a kernel first reads it: a count
+series stops at its grid-starvation knee, so the rows past it are never
+mapped, and `continuity_modulus` reads every fit and cover of all its
+scales from one store.  A center's scale window [c - eps, c + eps] is
+then a contiguous column slice, and both greedy kernels test a whole
+window with one reduction along axis 0, written into one scratch buffer
+that the kernel call reuses for every window (`_window_distances`).  The
+kernels scan columns left to right and trim each window to the part the
+scan has not settled yet: every column left of the current one is dead or
+an earlier center, so neither kernel ever tests it again.
 
 The tail pullback is batched the same way: the pieces of every center's
 ball live in one set of arrays (left end, right end, length-maximum, owning
@@ -239,26 +243,68 @@ def _orbit_rows_cap(grid_bits):
     return _ORBIT_BYTE_CAP // (8 * ((1 << grid_bits) + 1))
 
 
-def _grid_orbits(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
-    """Column-store orbits of length n of the dyadic grid of 2^grid_bits
-    cells, after checking, before any allocation, that eps is positive (not
-    NaN), that grid_bits and the orbit matrix stay under their caps
-    (ResourceError) and then that the grid resolves scale eps."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not eps > 0:
-        raise DomainError("eps must be positive")
-    if n > _orbit_rows_cap(grid_bits):
-        size = (1 << grid_bits) + 1
-        raise ResourceError(
-            f"orbit matrix of {n} x {size} float64 cells needs "
-            f"{n * size * 8 / 2 ** 30:.3g} GiB, over the "
-            f"{_ORBIT_BYTE_CAP / 2 ** 30:g} GiB cap")
-    xs = _default_grid(grid_bits)
-    if eps * (xs.size - 1) < 8:
-        raise ResolutionError(
-            f"fewer than 8 grid points per eps={eps:g} at grid size {xs.size}")
-    return _orbit_matrix(m, xs, n)
+class _GridOrbits:
+    """Column-store orbits of the dyadic grid of 2^grid_bits cells under m,
+    filled on demand for one computation.
+
+    `rows(n, eps)` gives the first n rows, row t being f^t of the grid.
+    Row t is computed as m.evaluate_array(row t - 1) the first time a
+    request reads it and is kept, so a count series that stops at its knee
+    never maps the rows past it, and every later request of the computation
+    (at any time, at any scale) reads the rows already there.  The buffer
+    holds as many rows as the largest request so far and no more: numpy
+    asks for huge pages from 4 MiB up, so spare rows would be faulted in
+    with the rows in use.
+    """
+
+    def __init__(self, m: IntervalMap, grid_bits):
+        self.m = m
+        self.grid_bits = grid_bits
+        self.filled = 0             # rows computed so far
+        self._buf = np.empty((0, 0))
+
+    def check(self, n, eps):
+        """Refuse n rows at scale eps before any allocation: n below 1 or an
+        eps that is not positive (NaN included) with DomainError, grid_bits
+        or the orbit matrix over its cap with ResourceError, then a grid
+        with fewer than 8 points per eps with ResolutionError."""
+        if n < 1:
+            raise DomainError("n must be >= 1")
+        if not eps > 0:
+            raise DomainError("eps must be positive")
+        rows_cap = _orbit_rows_cap(self.grid_bits)
+        size = (1 << self.grid_bits) + 1
+        if n > rows_cap:
+            raise ResourceError(
+                f"orbit matrix of {n} x {size} float64 cells needs "
+                f"{n * size * 8 / 2 ** 30:.3g} GiB, over the "
+                f"{_ORBIT_BYTE_CAP / 2 ** 30:g} GiB cap")
+        if eps * (size - 1) < 8:
+            raise ResolutionError(
+                f"fewer than 8 grid points per eps={eps:g} at grid size {size}")
+
+    def reserve(self, n, eps):
+        """`check(n, eps)`, then room for n rows; the first request builds
+        the grid as row 0."""
+        self.check(n, eps)
+        if n > self._buf.shape[0]:
+            buf = np.empty((n, (1 << self.grid_bits) + 1))
+            if self.filled:
+                buf[:self.filled] = self._buf[:self.filled]
+            else:
+                buf[0] = _default_grid(self.grid_bits)
+                self.filled = 1
+            self._buf = buf
+
+    def rows(self, n, eps):
+        """The first n rows, an (n, 2^grid_bits + 1) view, after
+        `reserve(n, eps)`."""
+        self.reserve(n, eps)
+        buf, evaluate = self._buf, self.m.evaluate_array
+        while self.filled < n:
+            buf[self.filled] = evaluate(buf[self.filled - 1])
+            self.filled += 1
+        return buf[:n]
 
 
 def spanning_count(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
@@ -267,7 +313,7 @@ def spanning_count(m: IntervalMap, n, eps, grid_bits=_DEFAULT_GRID_BITS):
     Spanning comes from the closed-ball greedy cover, separated from the
     greedy strictly-separated family; spanning <= separated.
     """
-    orbits = _grid_orbits(m, n, eps, grid_bits)
+    orbits = _GridOrbits(m, grid_bits).rows(n, eps)
     cover, _ = _greedy_cover(orbits, n, eps)
     net, _ = _greedy_net(orbits, n, eps)
     return cover, net
@@ -316,25 +362,29 @@ def _fit_counts(ns, counts, clean_upto=None):
     return max(slope, 0.0), rate
 
 
-def _count_series(m, eps, n_range, grid_bits):
-    """Greedy-net counts per n; stops once the grid starves (count at the cap
-    max(64, one sixteenth of the grid), i.e. under ~16 points per ball).
-    Returns (ns, counts, clean_upto), clean_upto being the index of the
-    first starved n (None if the grid never starved)."""
+def _count_series(store, eps, n_range):
+    """Greedy-net counts per n over the rows of `store`, a `_GridOrbits`;
+    stops once the grid starves (count at the cap max(64, one sixteenth of
+    the grid), i.e. under ~16 points per ball), so no row past the first
+    starved n is filled.  The refusals that do not read the times run
+    before n_range is listed.  Returns (ns, counts, clean_upto), clean_upto
+    being the index of the first starved n (None if the grid never
+    starved)."""
+    store.check(1, eps)         # one row passes the two checks that read n
     ns = list(n_range)
     if not ns:
         raise DomainError("n_range must be nonempty")
     if min(ns) < 1:
         raise DomainError("n must be >= 1")
-    orbits = _grid_orbits(m, max(ns), eps, grid_bits=grid_bits)
-    cap = max(64, orbits.shape[1] // 16)
+    store.reserve(max(ns), eps)
+    cap = max(64, ((1 << store.grid_bits) + 1) // 16)
     counts = []
     clean_upto = None
     for j, n in enumerate(ns):
         if clean_upto is not None:
             counts.append(counts[-1])
             continue
-        c, capped = _greedy_net(orbits, n, eps, cap=cap)
+        c, capped = _greedy_net(store.rows(n, eps), n, eps, cap=cap)
         counts.append(c)
         if capped or c >= cap:
             clean_upto = j
@@ -349,15 +399,17 @@ def eps_entropy(m: IntervalMap, eps, n_range=_DEFAULT_N_RANGE,
     cover the grid, so it is simultaneously an upper-biased spanning count);
     counts past the grid-starvation knee are excluded from the slope fit.
     The knee, the index into ns of the first starved count (None if the
-    grid never starved), is reported as extra["clean_upto"].
+    grid never starved), is reported as extra["clean_upto"], and the orbit
+    rows computed to reach it (the grid included) as extra["orbit_rows"].
     """
-    ns, counts, clean_upto = _count_series(m, eps, n_range, grid_bits)
+    store = _GridOrbits(m, grid_bits)
+    ns, counts, clean_upto = _count_series(store, eps, n_range)
     slope, rate = _fit_counts(ns, counts, clean_upto)
     return EntropyEstimate(
         method="eps-entropy", map_name=m.name, eps=eps, delta=None,
         ns=ns, counts=counts, rate=rate, slope=slope,
         direction="upper-bias", saturated=clean_upto is not None,
-        extra={"clean_upto": clean_upto})
+        extra={"clean_upto": clean_upto, "orbit_rows": store.filled})
 
 
 def _iterate_periods(m: IntervalMap, xs, qs):
@@ -711,8 +763,14 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
     p_eps, N(eps), the bound and capped are those of deciding every scale
     over the full p range with uncapped covers.  The DomainError past
     _P_CAP is raised only where the answer reads it: for p_eps at eps, or
-    at a scale whose P*(s) is _P_CAP; likewise an orbit matrix, and its
-    ResourceError, only for a p whose cover runs.
+    at a scale whose P*(s) is _P_CAP; likewise the orbit rows of p, and
+    their ResourceError, only for a p whose cover runs.
+
+    Every fit and cover of the call reads one `_GridOrbits` store: the
+    grid orbits do not depend on the scale, so each row is mapped at most
+    once per call, and only if a fit before its knee or a cover reads it.
+    The fits are `_count_series` and `_fit_counts`, the numbers of
+    eps_entropy(m, scale, grid_bits=grid_bits).slope.
     """
     if not 2 <= m0 < math.inf:
         raise DomainError("m0 must be finite and >= 2")
@@ -726,11 +784,15 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
         raise DomainError("hloc_g must not increase toward 0 "
                           "(nondecreasing in t on the probe)")
 
+    store = _GridOrbits(m, grid_bits)
     h_cache = {}
 
     def h_est(scale):
+        """eps_entropy(m, scale, grid_bits=grid_bits).slope, over `store`."""
         if scale not in h_cache:
-            h_cache[scale] = eps_entropy(m, scale, grid_bits=grid_bits).slope
+            ns, counts, clean_upto = _count_series(store, scale,
+                                                   _DEFAULT_N_RANGE)
+            h_cache[scale] = _fit_counts(ns, counts, clean_upto)[0]
         return h_cache[scale]
 
     def least_p(scale, p_max):
@@ -743,8 +805,8 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
             cap = _modulus_cap(p, h, target, n_cols)
             if cap is None:
                 return p
-            orbits = _grid_orbits(m, p, scale / 4, grid_bits=grid_bits)
-            r_p, _ = _greedy_cover(orbits, p, scale / 4, cap=cap)
+            r_p, _ = _greedy_cover(store.rows(p, scale / 4), p, scale / 4,
+                                   cap=cap)
             if _modulus_holds(r_p, p, h, target):
                 return p
         if p_max == _P_CAP:

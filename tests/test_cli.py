@@ -1,11 +1,14 @@
 """CLI subcommands, config handling, CSV schema, determinism."""
 
 import contextlib
+import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +240,20 @@ def test_threads_accepts_only_one(tmp_path, capsys):
     assert out == "" and err.startswith("config error: threads:")
 
 
+GOLDEN_CLI = json.loads(
+    (Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_CLI))
+def test_csv_matches_golden_hash(tmp_path, command):
+    """The cheap fixed runs, each command of tests/golden/cli.json, write
+    the CSV whose sha256 the file holds.  A change that moves one CSV
+    re-captures its hash and says why."""
+    out = tmp_path / "out.csv"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CLI[command]
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("map_spec = identity\neps-count = 2\nn_max = 5\n")
@@ -378,22 +395,23 @@ def test_orbit_cap_boundary_without_allocating(monkeypatch, no_grid_allocation):
     from tailent.maps import tent_map
     cap = entropy._ORBIT_BYTE_CAP
     # n rows of 2^b + 1 float64 cells fit a cap of exactly that many bytes;
-    # one more row, or one byte less of cap, does not
+    # one more row, or one byte less of cap, does not.  eps 0.5 has 8 grid
+    # points even at 2^4 cells, so a request in the cap builds the grid.
     for n, bits in ((1, 4), (2, 10), (8, 20)):
         need = 8 * n * (2 ** bits + 1)
         monkeypatch.setattr(entropy, "_ORBIT_BYTE_CAP", need)
         with pytest.raises(AssertionError, match="grid allocated"):
-            entropy._grid_orbits(tent_map(), n, 0.1, grid_bits=bits)
+            entropy._GridOrbits(tent_map(), bits).rows(n, 0.5)
         with pytest.raises(ResourceError):
-            entropy._grid_orbits(tent_map(), n + 1, 0.1, grid_bits=bits)
+            entropy._GridOrbits(tent_map(), bits).rows(n + 1, 0.5)
         monkeypatch.setattr(entropy, "_ORBIT_BYTE_CAP", need - 1)
         with pytest.raises(ResourceError):
-            entropy._grid_orbits(tent_map(), n, 0.1, grid_bits=bits)
+            entropy._GridOrbits(tent_map(), bits).rows(n, 0.5)
     monkeypatch.setattr(entropy, "_ORBIT_BYTE_CAP", cap)
     with pytest.raises(ResourceError):
-        entropy._grid_orbits(tent_map(), 24, 0.1, grid_bits=23)
+        entropy._GridOrbits(tent_map(), 23).rows(24, 0.1)
     with pytest.raises(AssertionError, match="grid allocated"):
-        entropy._grid_orbits(tent_map(), 7, 0.1, grid_bits=23)
+        entropy._GridOrbits(tent_map(), 23).rows(7, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +499,11 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
     assert (2 ** bits + 1) * 8 <= entropy._ORBIT_BYTE_CAP
     assert (2 ** (bits + 1) + 1) * 8 > entropy._ORBIT_BYTE_CAP
     with pytest.raises(AssertionError, match="grid allocated"):
-        entropy._grid_orbits(tent_map(), 1, 0.1, grid_bits=bits)
+        entropy._GridOrbits(tent_map(), bits).rows(1, 0.1)
     # 2^(10^12) would not fit in memory as an int, let alone as a grid
     for over in (bits + 1, 10 ** 12):
         with pytest.raises(ResourceError, match="grid-bits"):
-            entropy._grid_orbits(tent_map(), 1, 0.1, grid_bits=over)
+            entropy._GridOrbits(tent_map(), over).rows(1, 0.1)
 
 
 @pytest.mark.parametrize("args,field", [
@@ -543,15 +561,17 @@ def test_entropy_n_max_cap_is_the_orbit_byte_cap(no_grid_allocation):
         cap = entropy._orbit_rows_cap(bits)
         assert 8 * cap * (2 ** bits + 1) <= entropy._ORBIT_BYTE_CAP
         assert 8 * (cap + 1) * (2 ** bits + 1) > entropy._ORBIT_BYTE_CAP
-    # at 2^1 cells the cap is 44.7 million rows, too many times to list here
-    for bits in (14, _GRID_BITS_CAP):
-        cap = entropy._orbit_rows_cap(bits)
         args = ["entropy", "--grid-bits", str(bits), "--eps-count", "1",
                 "--out", os.devnull]
         assert main(args + ["--n-max", str(cap + 1)]) == 3
-        # the largest n-max goes on to build the grid
-        with pytest.raises(AssertionError, match="grid allocated"):
-            main(args + ["--n-max", str(cap)])
+        if bits == 1:
+            # 2^1 cells resolve no eps below 1: the 44.7 million times of
+            # the largest n-max are refused before they are listed
+            assert main(args + ["--n-max", str(cap)]) == 3
+        else:
+            # the largest n-max goes on to build the grid
+            with pytest.raises(AssertionError, match="grid allocated"):
+                main(args + ["--n-max", str(cap)])
 
 
 def _parses_as_float(text):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tailent import entropy
 from tailent.entropy import (_P_CAP, _S_HI, _default_grid, _fold_cycle_centers,
-                             _greedy_cover, _greedy_net, _grid_orbits,
+                             _greedy_cover, _greedy_net, _GridOrbits,
                              _modulus_cap, _modulus_holds, _orbit_matrix,
                              _tail_centers, _tail_counts, bound_quasionedim,
                              bound_wmulti, continuity_modulus, eps_entropy,
@@ -120,6 +120,78 @@ def test_orbit_matrix_is_column_store():
         v = F4.evaluate_array(v)
 
 
+@pytest.fixture
+def evaluated_sizes(monkeypatch):
+    """The size of every array passed to IntervalMap.evaluate_array."""
+    sizes = []
+    orig = maps.IntervalMap.evaluate_array
+
+    def evaluate_array(self, xs):
+        sizes.append(np.size(xs))
+        return orig(self, xs)
+
+    monkeypatch.setattr(maps.IntervalMap, "evaluate_array", evaluate_array)
+    return sizes
+
+
+@pytest.mark.parametrize("m", [TENT, F4, QUARTIC3, SNAKE], ids=lambda m: m.name)
+def test_grid_orbit_rows_match_orbit_matrix(m, evaluated_sizes):
+    """Rows filled on demand, requested in any order, are bit for bit the
+    rows of `_orbit_matrix`, and each row is mapped once."""
+    full = _orbit_matrix(m, _default_grid(10), 9)
+    del evaluated_sizes[:]
+    store = _GridOrbits(m, 10)
+    for n in (3, 1, 7, 2, 9, 5):
+        rows = store.rows(n, 0.05)
+        assert rows.shape == (n, 2 ** 10 + 1)
+        assert rows.tobytes() == full[:n].tobytes()
+    assert store.filled == 9
+    assert evaluated_sizes == [2 ** 10 + 1] * 8
+
+
+def test_eps_entropy_maps_only_the_rows_up_to_its_knee(evaluated_sizes):
+    """The count series stops at the knee, and so does the orbit store: no
+    row past the first starved n is mapped.  The counts are those of the
+    full orbit matrix."""
+    m, eps, ns = maps.get_map("quadratic:4"), 1 / 32, range(1, 13)
+    est = eps_entropy(m, eps, ns, grid_bits=15)
+    knee = est.ns[est.extra["clean_upto"]]
+    assert knee < max(ns)
+    assert est.extra["orbit_rows"] == knee
+    assert evaluated_sizes == [2 ** 15 + 1] * (knee - 1)
+    full = _orbit_matrix(m, _default_grid(15), knee)
+    cap = (2 ** 15 + 1) // 16
+    assert est.counts[:knee] == [_greedy_net(full, n, eps, cap)[0]
+                                 for n in range(1, knee + 1)]
+    assert est.counts[knee:] == [cap] * (max(ns) - knee)
+
+
+def test_continuity_modulus_maps_each_grid_row_once(monkeypatch,
+                                                   evaluated_sizes):
+    """One orbit store serves every fit and cover of a call, at all its
+    scales, so each grid row is mapped at most once."""
+    stores, fits = [], []
+    fit = entropy._count_series
+
+    class Recorded(_GridOrbits):
+        def __init__(self, m, grid_bits):
+            super().__init__(m, grid_bits)
+            stores.append(self)
+
+    def record_fit(store, eps, n_range):
+        fits.append(eps)
+        return fit(store, eps, n_range)
+
+    monkeypatch.setattr(entropy, "_GridOrbits", Recorded)
+    monkeypatch.setattr(entropy, "_count_series", record_fit)
+    m = maps.get_map("quadratic:4")
+    continuity_modulus(m, 0.0768, 2.0, lambda t: 1.0 / abs(math.log(t)),
+                       grid_bits=12)
+    [store] = stores
+    assert len(set(fits)) > 1
+    assert evaluated_sizes == [2 ** 12 + 1] * (store.filled - 1)
+
+
 @pytest.mark.parametrize("m", [IDENT, TENT, F4], ids=lambda m: m.name)
 @pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 0.1, 0.0371])
 def test_greedy_kernels_match_brute_force(m, eps):
@@ -190,12 +262,12 @@ def test_capped_cover_matches_spanning_count():
     its cap and stops at the cap."""
     for n in (1, 3, 6):
         cover, _ = spanning_count(F4, n, 0.03, grid_bits=11)
-        orbits = _grid_orbits(F4, n, 0.03, grid_bits=11)
+        orbits = _GridOrbits(F4, 11).rows(n, 0.03)
         assert _greedy_cover(orbits, n, 0.03, cap=cover + 1) == (cover, False)
         assert _greedy_cover(orbits, n, 0.03, cap=cover) == (cover, True)
         assert _greedy_cover(orbits, n, 0.03, cap=cover - 1) == (cover - 1, True)
     with pytest.raises(ResolutionError, match="fewer than 8 grid points"):
-        _grid_orbits(TENT, 3, 1e-5, grid_bits=10)
+        _GridOrbits(TENT, 10).rows(3, 1e-5)
 
 
 _MODULUS_MAPS = {"tent": TENT, "quadratic:4": F4, "quadratic:3.7": F37}
@@ -211,7 +283,7 @@ def test_capped_modulus_decision_matches_uncapped(data, name, bits, p, h):
     at and one ulp around the test value of counts near the full one, as
     well as anywhere, infinite and NaN."""
     eps = data.draw(st.floats(min_value=8 / 2 ** bits, max_value=0.5))
-    orbits = _grid_orbits(_MODULUS_MAPS[name], p, eps, grid_bits=bits)
+    orbits = _GridOrbits(_MODULUS_MAPS[name], bits).rows(p, eps)
     full, _ = _greedy_cover(orbits, p, eps)
     near = math.log(max(full + data.draw(st.integers(-3, 3)), 1)) / p - h
     target = data.draw(st.one_of(
@@ -777,7 +849,8 @@ def no_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("_orbit_matrix", "_tail_centers", "_tail_counts"):
+    for name in ("_default_grid", "_orbit_matrix", "_tail_centers",
+                 "_tail_counts"):
         monkeypatch.setattr(entropy, name, refuse)
 
 
@@ -998,7 +1071,7 @@ def ref_continuity_modulus(m, eps, m0, hloc_g, grid_bits=14):
             h = h_est(scale / 4)
             target = hloc_g(scale)
             for p in range(1, _P_CAP + 1):
-                orbits = _grid_orbits(m, p, scale / 4, grid_bits=grid_bits)
+                orbits = _orbit_matrix(m, _default_grid(grid_bits), p)
                 cap = _modulus_cap(p, h, target, orbits.shape[1])
                 r_p, _ = _greedy_cover(orbits, p, scale / 4, cap=cap)
                 if _modulus_holds(r_p, p, h, target):
@@ -1033,14 +1106,15 @@ def ref_continuity_modulus(m, eps, m0, hloc_g, grid_bits=14):
 def test_greedy_cover_matches_reference(data, m, bits, n):
     eps = data.draw(st.floats(min_value=8 / 2 ** bits, max_value=0.5))
     cap = data.draw(st.one_of(st.none(), st.integers(1, 2 ** bits + 2)))
-    orbits = _grid_orbits(m, n, eps, grid_bits=bits)
+    orbits = _GridOrbits(m, bits).rows(n, eps)
     assert _greedy_cover(orbits, n, eps, cap) == ref_greedy_cover(orbits, n, eps, cap)
 
 
 @pytest.fixture
 def shared_fits(monkeypatch):
-    """eps_entropy is deterministic, so the oracle and the code under test
-    may share its fits across calls; both read them through the module."""
+    """eps_entropy is deterministic, so the oracle may share its fits across
+    calls, read through the module; continuity_modulus fits from its own
+    orbit store, whose slopes are eps_entropy's."""
     fit, fits = entropy.eps_entropy, {}
 
     def shared(m, eps, grid_bits):
@@ -1102,18 +1176,18 @@ def test_continuity_modulus_runs_only_read_work(monkeypatch):
     that passes at every count (cap None), and no fit runs at 0.35/4, the
     scale of the top of the bracket, where P*(0.35) = 0."""
     covers, fits = [], []
-    cover, fit = entropy._greedy_cover, entropy.eps_entropy
+    cover, fit = entropy._greedy_cover, entropy._count_series
 
     def record_cover(orbits, n, eps, cap=None):
         covers.append(cap)
         return cover(orbits, n, eps, cap)
 
-    def record_fit(m, eps, **kwargs):
+    def record_fit(store, eps, n_range):
         fits.append(eps)
-        return fit(m, eps, **kwargs)
+        return fit(store, eps, n_range)
 
     monkeypatch.setattr(entropy, "_greedy_cover", record_cover)
-    monkeypatch.setattr(entropy, "eps_entropy", record_fit)
+    monkeypatch.setattr(entropy, "_count_series", record_fit)
     hloc = lambda t: math.log(abs(math.log(t))) / abs(math.log(t))  # noqa: E731
     assert continuity_modulus(TENT, 0.05, 2.0, hloc)[0] == 10
     assert covers and None not in covers
@@ -1127,7 +1201,7 @@ def test_continuity_modulus_refuses_eps_outside_bracket(monkeypatch, eps):
     def never(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(entropy, "_orbit_matrix", never)
-    monkeypatch.setattr(entropy, "eps_entropy", never)
+    monkeypatch.setattr(entropy, "_default_grid", never)
+    monkeypatch.setattr(entropy, "_count_series", never)
     with pytest.raises(DomainError, match=r"eps must lie in \(0, 0.35\)"):
         continuity_modulus(TENT, eps, 2.0, never, grid_bits=10)
