@@ -33,11 +33,14 @@ np.bincount, exact in any order.  Fold-cycle centers likewise bisect all
 their (period, critical point, side) brackets in one `polyalg._bisect`
 call, cut from the pullback levels that the map keeps across scales; each
 level pulls back only the points its predecessor added, all branches in one
-bisection.  The map also keeps its solved fold-cycle roots, one entry
-ordered by period: a smaller eps reads every period a larger one reads, so
-a sweep over scales that starts at its smallest eps (as `tailent tail` and
-the tail criteria do) solves the fold cycles once, and the two estimates
-of `power_bound_check` find them once.
+bisection whose lanes share the top of their branch's tree.  The walk stops
+before the first level over _FOLD_POINT_CAP points; when the first
+cap - |level k| + 1 new targets of level k + 1 already overflow the cap,
+the rest of that level is never solved.  The map also keeps its solved
+fold-cycle roots, one entry ordered by period: a smaller eps reads every
+period a larger one reads, so a sweep over scales that starts at its
+smallest eps (as `tailent tail` and the tail criteria do) solves the fold
+cycles once, and the two estimates of `power_bound_check` find them once.
 
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
@@ -367,16 +370,19 @@ def _count_series(store, eps, n_range):
     stops once the grid starves (count at the cap max(64, one sixteenth of
     the grid), i.e. under ~16 points per ball), so no row past the first
     starved n is filled.  The refusals that do not read the times run
-    before n_range is listed.  Returns (ns, counts, clean_upto), clean_upto
-    being the index of the first starved n (None if the grid never
-    starved)."""
+    before n_range is listed, and so does the orbit cap's refusal of the
+    largest n when n_range is a range, whose extremes are its ends.
+    Returns (ns, counts, clean_upto), clean_upto being the index of the
+    first starved n (None if the grid never starved)."""
     store.check(1, eps)         # one row passes the two checks that read n
-    ns = list(n_range)
+    ns = n_range if isinstance(n_range, range) else list(n_range)
     if not ns:
         raise DomainError("n_range must be nonempty")
-    if min(ns) < 1:
+    ends = (ns[0], ns[-1]) if isinstance(ns, range) else ns
+    if min(ends) < 1:
         raise DomainError("n must be >= 1")
-    store.reserve(max(ns), eps)
+    store.reserve(max(ends), eps)
+    ns = list(ns)
     cap = max(64, ((1 << store.grid_bits) + 1) // 16)
     counts = []
     clean_upto = None
@@ -432,9 +438,10 @@ def _fold_cycle_centers(m: IntervalMap, eps):
     fastest branch growth, which generic centers never see.
 
     The brackets of all (q, c, side) come from the critical-point pullback
-    (stopped once a level holds more than _FOLD_POINT_CAP points; levels
-    are cached on the map); their endpoints are then evaluated in one pass
-    and every sign-change bracket is bisected at once, 60 halvings each.
+    (levels cached on the map; the walk ends before the first level over
+    _FOLD_POINT_CAP points, which is found without being solved in full);
+    their endpoints are then evaluated in one pass and every sign-change
+    bracket is bisected at once, 60 halvings each.
 
     The brackets of periods q <= Q are a prefix of those of any larger Q,
     and a lane's root does not depend on the lanes bisected beside it, so
@@ -454,18 +461,16 @@ def _solve_fold_cycles(m: IntervalMap, q_max):
     """The solved brackets of `_fold_cycle_centers` for periods q <= q_max:
     (q_solved, qs, cs, ys), the period, critical point and root of every
     bracket that has a root, in bracket order (q ascending).  q_solved is
-    q_max, or the cap when _FOLD_POINT_CAP stopped the pullback first,
-    since no larger period then adds a bracket."""
+    q_max, or _FOLD_Q_CAP when the pullback walk ended first at
+    _FOLD_POINT_CAP, since no larger period then adds a bracket; the level
+    over the cap is neither solved in full nor kept on the map."""
     crit = sorted(m.critical_points)
     empty = np.empty(0)
     if not crit:
         return _FOLD_Q_CAP, empty, empty, empty
-    q_solved = q_max
     brackets = []
-    for q, cur in zip(range(1, q_max + 1), _critical_pullbacks(m)):
-        if q > 1 and cur.size > _FOLD_POINT_CAP:
-            q_solved = _FOLD_Q_CAP
-            break
+    for q, cur in zip(range(1, q_max + 1),
+                      _critical_pullbacks(m, _FOLD_POINT_CAP)):
         pts = np.unique(np.concatenate([[0.0], cur, [1.0]]))
         for c in crit:
             j = int(np.searchsorted(pts, c))
@@ -477,6 +482,8 @@ def _solve_fold_cycles(m: IntervalMap, q_max):
             for lo, hi in sides:
                 if hi - lo >= 1e-13:
                     brackets.append((lo, hi, q, c))
+    # a walk that ended before q_max met the cap: no larger period follows
+    q_solved = q_max if q == q_max else _FOLD_Q_CAP
     if not brackets:
         return q_solved, empty, empty, empty
     lo, hi, qs, cs = (np.array(col) for col in zip(*brackets))

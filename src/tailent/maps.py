@@ -288,9 +288,11 @@ def _preimages(m: IntervalMap, ys):
     """Solutions of f(x) = y over all monotone branches, for an array ys:
     one lane per (y, branch) with y in the branch's image, 52 halvings each.
 
-    All branches run in one `polyalg._bisect` call; each lane keeps its
-    branch's bracket and direction, so its bits are those of bisecting its
-    own branch alone, and a preimage depends only on its target and branch.
+    The lanes of each branch share the top of that branch's bisection tree
+    (`polyalg._bisection_top`), and all branches then run in one
+    `polyalg._bisect` call; each lane keeps its branch's bracket and
+    direction, so its bits are those of 52 plain halvings of its own branch
+    alone, and a preimage depends only on its target and branch.
     """
     if isinstance(m, PiecewiseAffineMap):
         return m.branch_preimages(np.asarray(ys, dtype=float))
@@ -300,13 +302,19 @@ def _preimages(m: IntervalMap, ys):
     lo, hi, tgt, increasing = [], [], [], []
     for (a, b), fa, fb in zip(branches, ends[0::2], ends[1::2]):
         t = ys[(ys >= min(fa, fb)) & (ys <= max(fa, fb))]
-        lo.append(np.full_like(t, a))
-        hi.append(np.full_like(t, b))
-        tgt.append(t)
-        increasing.append(np.full(t.size, fb > fa))
-    x = polyalg._bisect(lambda x, lane: m.evaluate_array(x),
-                        np.concatenate(lo), np.concatenate(hi),
-                        np.concatenate(tgt), np.concatenate(increasing), 52)
+        if t.size:
+            lo.append(a)
+            hi.append(b)
+            tgt.append(t)
+            increasing.append(fb > fa)
+    if not tgt:
+        return np.empty(0)
+    start_lo, start_hi, depth = polyalg._bisection_top(
+        m.evaluate_array, lo, hi, tgt, increasing)
+    x = polyalg._bisect(lambda x, lane: m.evaluate_array(x), start_lo,
+                        start_hi, np.concatenate(tgt),
+                        np.repeat(increasing, [t.size for t in tgt]),
+                        52 - depth)
     return np.sort(x)
 
 
@@ -318,7 +326,31 @@ def _new_points(cur, prev):
     return cur[prev[idx] != cur]
 
 
-def _critical_pullbacks(m: IntervalMap):
+def _next_level(m: IntervalMap, cur, new, cap):
+    """Level k + 1 of the pullback from level k (cur) and the points level k
+    added (new), or None when it holds more than cap points.
+
+    Level k + 1 is cur together with the preimages of new, so it has room
+    for cap - |cur| new points.  The first room + 1 targets are solved
+    first: when their preimages outside cur already overflow the room, the
+    level is over the cap and the other targets are never solved.
+    Otherwise the rest are solved too (targets outside f's image have no
+    preimage, so the level may still overflow); since a preimage depends
+    only on its target and branch, the union is the level that one solve
+    of every target gives, bit for bit.
+    """
+    room = cap - cur.size
+    if room < 0:
+        return None
+    head = _preimages(m, new[:room + 1])
+    if _new_points(np.unique(head), cur).size > room:
+        return None
+    rest = [_preimages(m, new[room + 1:])] if new.size > room + 1 else []
+    level = np.unique(np.concatenate([cur, head] + rest))
+    return level if level.size <= cap else None
+
+
+def _critical_pullbacks(m: IntervalMap, cap):
     """Level sets of the critical-point pullback: level 0 is crit(f) and
     level k + 1 is crit(f) together with the f-preimages of level k, i.e.
     the critical points of f^(k+1) (sorted, deduplicated from level 1 on).
@@ -328,9 +360,12 @@ def _critical_pullbacks(m: IntervalMap):
     together with the preimages of the points level k added to level k - 1:
     only those new points are pulled back.
 
-    Endless and lazy: a level is built only when it is asked for, so each
-    caller applies its own cap policy between levels.  Built levels are
-    kept on the map, read-only, for every later walk.
+    Lazy, and ended by the point cap: a level is built only when it is
+    asked for, and the walk ends before the first level k >= 1 with more
+    than cap points, which `_next_level` finds without solving it in full.
+    Built levels are kept on the map, read-only, for every later walk; a
+    level over the cap is not kept, and a kept level over a smaller cap
+    ends that walk as well.
     """
     levels = m._pullbacks
     for k in count():
@@ -339,9 +374,13 @@ def _critical_pullbacks(m: IntervalMap):
                 nxt = np.array(sorted(m.critical_points), dtype=float)
             else:
                 new = _new_points(levels[-1], levels[-2]) if k > 1 else levels[0]
-                nxt = np.unique(np.concatenate([levels[-1], _preimages(m, new)]))
+                nxt = _next_level(m, levels[-1], new, cap)
+                if nxt is None:
+                    return
             nxt.flags.writeable = False
             levels.append(nxt)
+        elif k > 0 and levels[k].size > cap:
+            return
         yield levels[k]
 
 
@@ -349,7 +388,9 @@ def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
     """Largest p <= p_cap with L(f^p) > eps, by critical-point pullback.
 
     Returns (p_eps, saturated); saturated means the cap was reached with the
-    minimal branch length still above eps.
+    minimal branch length still above eps.  A pullback level the answer
+    reads with more than point_cap points raises ResourceError, found
+    before that level is solved (`_critical_pullbacks`).
     """
     if not 0 < eps < 1:
         raise DomainError("need 0 < eps < 1")
@@ -357,12 +398,14 @@ def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
         return p_cap, True
     # level k holds crit(f^(k+1)); every level before it had L(f^p) > eps.
     # islice stops before level p_cap, which the answer never needs.
-    for k, cur in enumerate(islice(_critical_pullbacks(m), max(p_cap, 0))):
-        if k > 0 and cur.size > point_cap:
-            raise ResourceError(f"branch explosion beyond {point_cap} points")
+    k = -1
+    for k, cur in enumerate(islice(_critical_pullbacks(m, point_cap),
+                                   max(p_cap, 0))):
         pts = np.concatenate([[0.0], cur, [1.0]])
         if float(np.min(np.diff(np.unique(pts)))) <= eps:
             return k, False
+    if k + 1 < p_cap:
+        raise ResourceError(f"branch explosion beyond {point_cap} points")
     return p_cap, True
 
 

@@ -597,50 +597,64 @@ def _bisect(evaluate, lo, hi, target, increasing, steps):
     return out
 
 
-def _bisection_top(cs, a, b, depth):
-    """The first `depth` levels of the bisection tree of [a, b].
+def _bisection_top(evaluate, a, b, targets, increasing):
+    """Start brackets for bisection lanes grouped by branch, the lanes of
+    each branch sharing the top of the bisection tree of its bracket.
 
-    Returns the polynomial's values at the 2^depth - 1 midpoints, in x
-    order, and the (lo, hi) brackets of the 2^depth leaves.  The midpoints
-    are computed as the lanes of `_u_of_q` compute them: each level halves
-    every bracket of the sorted boundary array [a, midpoints..., b], whose
-    neighbouring entries are the brackets."""
-    bounds = np.array([a, b])
+    Branch i is [a[i], b[i]] with lane targets targets[i], on which the
+    function rises if increasing[i].  The shared depth is floor(log2) of
+    the smallest branch's lane count, so no branch has more tree midpoints
+    than lanes.  The midpoints of every branch's first `depth` levels are
+    computed as bisection lanes compute them (each level halves every
+    bracket of the sorted boundary array [a, midpoints..., b]) and
+    evaluated in one evaluate(x) call.  Where every branch's values are
+    monotone in its direction, the midpoints at which a lane goes right
+    are a prefix, so one binary search of its target places each lane at
+    its leaf.  Otherwise the depth is 0 and every lane starts from its
+    branch's bracket.  Returns (lo, hi, depth), one bracket per lane in
+    branch order: `_bisect` from them for `steps - depth` halvings gives
+    the bits of `steps` plain halvings.
+    """
+    sizes = [t.size for t in targets]
+    depth = max(min(sizes).bit_length() - 1, 0)
+    bounds = np.column_stack([np.asarray(a, dtype=float),
+                              np.asarray(b, dtype=float)])
     for _ in range(depth):
-        finer = np.empty(2 * bounds.size - 1)
-        finer[0::2] = bounds
-        finer[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
+        finer = np.empty((bounds.shape[0], 2 * bounds.shape[1] - 1))
+        finer[:, 0::2] = bounds
+        finer[:, 1::2] = 0.5 * (bounds[:, :-1] + bounds[:, 1:])
         bounds = finer
-    return _horner(cs, bounds[1:-1]), bounds[:-1], bounds[1:]
+    if depth:
+        mids = bounds[:, 1:-1]
+        vals = evaluate(mids.ravel()).reshape(mids.shape)
+        keys = [(v, t) if inc else (-v, -t)
+                for v, t, inc in zip(vals, targets, increasing)]
+        if all(np.all(key[1:] >= key[:-1]) for key, _ in keys):
+            # leaf j of branch i is bracket (flat[at], flat[at + 1])
+            at = np.concatenate([i * bounds.shape[1]
+                                 + np.searchsorted(key, tkey, side="left")
+                                 for i, (key, tkey) in enumerate(keys)])
+            flat = bounds.ravel()
+            return flat[at], flat[at + 1], depth
+    return np.repeat(bounds[:, 0], sizes), np.repeat(bounds[:, -1], sizes), 0
 
 
 def _u_of_q(p, a, b, qv):
     """Invert p on [a, b] at p(a) + qv*(p(b)-p(a)) by bisection.
 
-    Each lane (one entry of qv) runs 60 halvings of [a, b] in `_bisect`,
-    with p evaluated by Horner's rule in place (`_horner`).  The first
-    `depth` levels, with 2^depth <= lanes, are the same tree of midpoints
-    for every lane.  p is evaluated there once; when those values are
-    monotone in x, the midpoints where a lane goes right are a prefix, so
-    one binary search of the target places every lane at its leaf and
-    `_bisect` runs the remaining 60 - depth halvings.  Otherwise all lanes
-    start from [a, b].  The bits are those of 60 plain halvings.
+    Each lane (one entry of qv) runs 60 halvings of [a, b], with p
+    evaluated by Horner's rule in place (`_horner`): the lanes share the
+    top of the bisection tree (`_bisection_top`), and `_bisect` runs the
+    rest.  The bits are those of 60 plain halvings.
     """
     pa, pb = p.eval_exact(a), p.eval_exact(b)
     target = float(pa) + qv * (float(pb) - float(pa))
-    fa, fb = float(a), float(b)
     increasing = pb > pa
     cs = p.float_coeffs()
-    depth = max(qv.size.bit_length() - 1, 0)
-    vals, leaf_lo, leaf_hi = _bisection_top(cs, fa, fb, depth)
-    key, tkey = (vals, target) if increasing else (-vals, -target)
-    if np.all(key[1:] >= key[:-1]):
-        leaf = np.searchsorted(key, tkey, side="left")
-        lo, hi, first = leaf_lo[leaf], leaf_hi[leaf], depth
-    else:
-        lo, hi, first = np.full_like(qv, fa), np.full_like(qv, fb), 0
+    lo, hi, depth = _bisection_top(lambda x: _horner(cs, x), [float(a)],
+                                   [float(b)], [target], [increasing])
     return _bisect(lambda x, lane: _horner(cs, x), lo, hi, target,
-                   increasing, 60 - first)
+                   increasing, 60 - depth)
 
 
 class _GroupBuilder:

@@ -1,6 +1,8 @@
 """Spanning/tail estimators, closed-form bounds, continuity modulus."""
 
 import math
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,10 +19,11 @@ from tailent.entropy import (_P_CAP, _S_HI, _default_grid, _fold_cycle_centers,
                              tail_entropy_estimate)
 from tailent.errors import (DomainError, ResolutionError, ResourceError,
                             ScaleError, TailentError, UnsupportedOrderError)
-from tailent import maps
-from tailent.maps import (PolynomialMap, _preimages, identity_map,
+from tailent import maps, polyalg
+from tailent.maps import (PolynomialMap, _critical_pullbacks, _preimages,
+                          identity_map, min_branch_length_iterate,
                           quadratic_map, tent_map)
-from test_maps import ref_preimages
+from test_maps import ref_critical_pullbacks, ref_preimages
 
 F4 = quadratic_map()
 TENT = tent_map()
@@ -302,10 +305,29 @@ def test_capped_modulus_decision_matches_uncapped(data, name, bits, p, h):
 
 
 def test_eps_entropy_rejects_empty_n_range():
-    with pytest.raises(DomainError):
-        eps_entropy(TENT, 0.1, n_range=range(1, 1))
-    with pytest.raises(DomainError):
-        eps_entropy(TENT, 0.1, n_range=range(0, 3))
+    for n_range in (range(1, 1), range(0, 3), range(3, -1, -1), [], [3, 0]):
+        with pytest.raises(DomainError):
+            eps_entropy(TENT, 0.1, n_range=n_range)
+
+
+def test_eps_entropy_refuses_a_long_range_before_listing_it():
+    """The orbit cap refuses the largest n of a range from its ends, so the
+    two million times are never listed."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="over the 1 GiB cap"):
+            eps_entropy(TENT, 0.1, range(1, 2 * 10 ** 6), grid_bits=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a descending range reads its largest n from its first end
+    with pytest.raises(ResourceError, match="over the 1 GiB cap"):
+        eps_entropy(TENT, 0.1, range(2 * 10 ** 6, 0, -1), grid_bits=20)
+    down = eps_entropy(TENT, 0.1, range(6, 0, -1), grid_bits=10)
+    assert down.ns == [6, 5, 4, 3, 2, 1]
+    assert down.counts == eps_entropy(TENT, 0.1, [6, 5, 4, 3, 2, 1],
+                                      grid_bits=10).counts
 
 
 def test_eps_entropy_resolution_error_text():
@@ -356,12 +378,22 @@ def test_eps_entropy_nondecreasing_as_eps_shrinks():
 # tail entropy
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("m", [F4, F37, QUARTIC3], ids=lambda m: m.name)
-def test_preimages_match_per_branch_loop(m):
-    rng = np.random.default_rng(3)
-    ys = np.concatenate([np.linspace(0.0, 1.0, 513), rng.random(300),
-                         m.evaluate_array(np.array([0.0, 1.0])),
-                         np.asarray(m.critical_points)])
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(3.0, 4.0).map(quadratic_map),
+                 st.sampled_from([QUARTIC3, SNAKE])),
+       st.integers(1, 5000), st.integers(0, 2 ** 32 - 1))
+def test_preimages_match_per_branch_loop(m, size, seed):
+    """Any number of targets, from 1 (no shared tree top) to 5,000 (a top
+    of depth 12 when one branch gets them all), give the bytes of 52 plain
+    halvings per branch.  The targets are images of random points, branch
+    end values, critical values, 0 and 1, with repeats."""
+    rng = np.random.default_rng(seed)
+    branches, _, _ = m.monotone_partition()
+    special = np.concatenate([
+        m.evaluate_array(np.array(branches).ravel()),
+        m.evaluate_array(np.asarray(m.critical_points)), [0.0, 1.0]])
+    pool = np.concatenate([m.evaluate_array(rng.random(size)), special])
+    ys = rng.choice(pool, size)
     got = _preimages(m, ys)
     want = ref_preimages(m, ys)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -607,14 +639,117 @@ def test_fold_cycle_point_cap_stop_ends_the_solves(monkeypatch, bisect_calls):
     assert len(bisect_calls) == 1
 
 
+_CAP_MAPS = ("quadratic:4", "quadratic:3.9", "quadratic:3.7", "poly:[0,4,-4]",
+             "poly:[0,9,-24,16]", "poly:[0.05,3.6,-3.6]", "snake:eps=0.05")
+
+
+@pytest.mark.parametrize("spec", _CAP_MAPS)
+def test_fold_cycle_solves_match_oracles_that_build_the_over_cap_level(spec):
+    """q_solved, the roots and every kept level equal the oracles, which
+    build each level in full, the one over the point cap too; the walk
+    keeps the levels before the cap and no more."""
+    for q_max in (12, 15, 20, 28):
+        m = maps.get_map(spec)
+        q_solved, _, _, ys = entropy._solve_fold_cycles(m, q_max)
+        # eps = 2 keeps every root of every period up to q_max
+        assert ys.tolist() == ref_fold_cycle_centers(m, 2.0, q_max)
+        kept = m._pullbacks
+        want = ref_critical_pullbacks(m, len(kept) + 1)
+        for level, ref in zip(kept, want):
+            assert level.tobytes() == ref.tobytes()
+        if len(kept) < q_max:
+            assert want[-1].size > entropy._FOLD_POINT_CAP
+            assert q_solved == entropy._FOLD_Q_CAP
+        else:
+            assert len(kept) == q_max and q_solved == q_max
+
+
+@pytest.fixture
+def pullback_lanes(monkeypatch):
+    """Record the lane count of every bisection `maps._preimages` runs."""
+    lanes = []
+    orig = polyalg._bisect
+
+    def counted(evaluate, lo, *args):
+        lanes.append(lo.size)
+        return orig(evaluate, lo, *args)
+
+    monkeypatch.setattr(polyalg, "_bisect", counted)
+    return lanes
+
+
+def test_fold_cycle_pullback_probes_the_over_cap_level(preimage_calls,
+                                                       pullback_lanes):
+    """quadratic:4 level k holds 2^(k+1) - 1 points, so level 14 is over the
+    2^14 cap.  Levels 1-13 pull back their 2^(k-1) new targets, two lanes
+    each; level 14 solves only cap - |level 13| + 1 = 2 targets, whose four
+    preimages overflow its room of one point, and is not kept."""
+    m = quadratic_map()
+    q_solved, _, _, _ = entropy._solve_fold_cycles(m, 15)
+    assert q_solved == entropy._FOLD_Q_CAP
+    assert preimage_calls == [2 ** j for j in range(13)] + [2]
+    assert sum(pullback_lanes) == 16386
+    assert len(m._pullbacks) == 14
+
+
+def test_branch_length_cap_probes_the_over_cap_level(preimage_calls,
+                                                     pullback_lanes):
+    """min_branch_length_iterate raises at its 2^17 cap after solving two
+    targets of level 17, not its 2^16."""
+    m = quadratic_map()
+    with pytest.raises(ResourceError,
+                       match=r"^branch explosion beyond 131072 points$"):
+        min_branch_length_iterate(m, 1e-13)
+    assert preimage_calls == [2 ** j for j in range(16)] + [2]
+    assert sum(pullback_lanes) == 2 ** 17 - 2 + 4
+    assert len(m._pullbacks) == 17
+
+
+def test_pullback_split_solve_that_fits_gives_the_one_solve_level(
+        preimage_calls):
+    """The 37 critical points of snake:eps=0.05 have no preimage: its image
+    is tiny.  At a cap of 37 the first target is solved alone, adds nothing,
+    and the other 36 follow; the later levels add no target.  Every level
+    equals the full construction."""
+    m = maps.get_map("snake:eps=0.05")
+    got = list(islice(_critical_pullbacks(m, 37), 4))
+    assert preimage_calls == [1, 36, 0, 0]
+    for level, want in zip(got, ref_critical_pullbacks(m, 4)):
+        assert level.size == 37 and level.tobytes() == want.tobytes()
+
+
+def test_next_level_split_solve_with_targets_outside_the_image():
+    """f = 0.05 + 3.6 x (1 - x) maps onto [0.05, 0.95], so the ten sorted
+    targets below 0.05 have no preimage.  They fill the first solve, which
+    then adds nothing, and the level rests on the two targets after them:
+    four preimages, the one-solve level at cap 5, over cap 4 and cap 3."""
+    m = maps.get_map("poly:[0.05,3.6,-3.6]")
+    cur = np.array([0.5])
+    new = np.concatenate([np.linspace(0.0, 0.04, 10), [0.3, 0.6]])
+    want = np.unique(np.concatenate([cur, ref_preimages(m, new)]))
+    assert want.size == 5
+    assert maps._next_level(m, cur, new, 5).tobytes() == want.tobytes()
+    assert maps._next_level(m, cur, new, 4) is None
+    assert maps._next_level(m, cur, new, 3) is None
+
+
+def test_pullback_walk_ends_at_a_kept_level_over_its_cap():
+    """A level kept by a walk with a larger cap ends a walk with a smaller
+    one; F4 level k holds 2^(k+1) - 1 points."""
+    m = quadratic_map()
+    assert len(list(islice(_critical_pullbacks(m, 1 << 20), 7))) == 7
+    assert [lv.size for lv in _critical_pullbacks(m, 40)] == [1, 3, 7, 15, 31]
+    assert len(m._pullbacks) == 7
+
+
 def test_fold_cycle_solve_that_raises_keeps_nothing(monkeypatch):
     """A pullback that fails part way keeps no roots on the map, and the
     next call solves from the start."""
     m = quadratic_map()
     real = entropy._critical_pullbacks
 
-    def failing(m):
-        levels = real(m)
+    def failing(m, cap):
+        levels = real(m, cap)
         for _ in range(3):
             yield next(levels)
         raise ResourceError("branch explosion beyond 7 points")

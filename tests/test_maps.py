@@ -22,6 +22,8 @@ TENT = tent_map()
 IDENT = identity_map()
 QUARTIC3 = PolynomialMap([0, 0, 16, -40, 25], name="three-branch-quartic")
 # f(x) = x^2 (5x-4)^2: quartic with monotone branches [0,.4],[.4,.8],[.8,1]
+# a pullback point cap that no level a test walks reaches
+NO_CAP = 1 << 20
 
 
 def test_evaluate_examples():
@@ -305,7 +307,7 @@ def ref_critical_pullbacks(m, levels):
 def test_critical_pullbacks_match_full_construction(m):
     """Levels 0-14, which pull back only each level's new points, equal the
     levels that pull back every point of the level before, byte for byte."""
-    got = list(islice(_critical_pullbacks(m), 15))
+    got = list(islice(_critical_pullbacks(m, NO_CAP), 15))
     for level, want in zip(got, ref_critical_pullbacks(m, 15)):
         assert level.dtype == want.dtype and level.tobytes() == want.tobytes()
 
@@ -313,18 +315,18 @@ def test_critical_pullbacks_match_full_construction(m):
 def test_critical_pullbacks_levels():
     """Level k holds the critical points of f^(k+1): for the tent map the
     dyadic points j / 2^(k+1), exactly."""
-    levels = _critical_pullbacks(TENT)
+    levels = _critical_pullbacks(TENT, NO_CAP)
     for k in range(7):
         size = 2 ** (k + 1)
         assert np.array_equal(next(levels), np.arange(1, size) / size)
-    assert next(_critical_pullbacks(QUARTIC3)).tolist() == QUARTIC3.critical_points
+    assert next(_critical_pullbacks(QUARTIC3, NO_CAP)).tolist() == QUARTIC3.critical_points
 
 
 @pytest.mark.parametrize("p", [1, 2, 5])
 def test_critical_pullbacks_match_sampled_iterate(p):
     """Level p - 1 of the F4 pullback against the sampled sign changes of
     (f^p)' = prod f'(f^t x), found with no pullback at all."""
-    level = next(islice(_critical_pullbacks(F4), p - 1, None))
+    level = next(islice(_critical_pullbacks(F4, NO_CAP), p - 1, None))
     sampled = np.array(IterateMap(F4, p).critical_points)
     assert level.size == sampled.size == 2 ** p - 1
     assert np.max(np.abs(level - sampled)) <= 1e-12

@@ -569,8 +569,17 @@ def test_u_of_q_non_monotone_values_take_the_plain_path():
     # the midpoints where a lane goes right are no prefix of the shared tree
     # top, so it must be refused and the lanes bisect from [a, b]
     p = Polynomial([0, 6, -15, 10])
-    vals, _, _ = polyalg._bisection_top(p.float_coeffs(), 0.0, 1.0, 6)
-    assert np.any(np.diff(vals) < 0)
+    t = np.linspace(0.0, 1.0, 64)
+    lo, hi, depth = polyalg._bisection_top(p, [0.0], [1.0], [t], [True])
+    assert depth == 0 and np.all(lo == 0.0) and np.all(hi == 1.0)
+    # one branch whose top is not monotone sends every branch's lanes to
+    # the root, the monotone branch [0, 1/5] too
+    _, _, depth = polyalg._bisection_top(p, [0.0], [0.2], [t], [True])
+    assert depth == 6
+    lo, hi, depth = polyalg._bisection_top(p, [0.0, 0.0], [0.2, 1.0],
+                                           [t, t], [True, True])
+    assert depth == 0 and np.array_equal(lo, np.zeros(128))
+    assert np.array_equal(hi, np.repeat([0.2, 1.0], 64))
     qv = np.linspace(0.0, 1.0, 300)
     for a, b in ((Fraction(0), Fraction(1)), (Fraction(1, 5), Fraction(9, 10)),
                  (Fraction(1), Fraction(0))):
