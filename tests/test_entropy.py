@@ -378,11 +378,24 @@ def test_eps_entropy_nondecreasing_as_eps_shrinks():
 # tail entropy
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("m", [F4, F37, QUARTIC3], ids=lambda m: m.name)
+def test_preimages_match_per_branch_loop(m):
+    """A grid of targets, random targets, the images of 0 and 1 and the
+    critical points give the bytes of 52 plain halvings per branch."""
+    rng = np.random.default_rng(3)
+    ys = np.concatenate([np.linspace(0.0, 1.0, 513), rng.random(300),
+                         m.evaluate_array(np.array([0.0, 1.0])),
+                         np.asarray(m.critical_points)])
+    got = _preimages(m, ys)
+    want = ref_preimages(m, ys)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.floats(3.0, 4.0).map(quadratic_map),
                  st.sampled_from([QUARTIC3, SNAKE])),
        st.integers(1, 5000), st.integers(0, 2 ** 32 - 1))
-def test_preimages_match_per_branch_loop(m, size, seed):
+def test_preimages_match_per_branch_loop_any_targets(m, size, seed):
     """Any number of targets, from 1 (no shared tree top) to 5,000 (a top
     of depth 12 when one branch gets them all), give the bytes of 52 plain
     halvings per branch.  The targets are images of random points, branch
