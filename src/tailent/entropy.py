@@ -31,16 +31,17 @@ centers, and at most 2^14 pieces per center (_PIECE_CAP) are held between
 steps.  Per-center counts are sums of integer-valued floats gathered with
 np.bincount, exact in any order.  Fold-cycle centers likewise bisect all
 their (period, critical point, side) brackets in one `polyalg._bisect`
-call, cut from the pullback levels that the map keeps across scales; each
-level pulls back only the points its predecessor added, all branches in one
-bisection whose lanes share the top of their branch's tree.  The walk stops
-before the first level over _FOLD_POINT_CAP points; when the first
-cap - |level k| + 1 new targets of level k + 1 already overflow the cap,
-the rest of that level is never solved.  The map also keeps its solved
-fold-cycle roots, one entry ordered by period: a smaller eps reads every
-period a larger one reads, so a sweep over scales that starts at its
-smallest eps (as `tailent tail` and the tail criteria do) solves the fold
-cycles once, and the two estimates of `power_bound_check` find them once.
+call, cut from the levels of one critical-point pullback walk; each level
+pulls back only the points its predecessor added, all branches in one
+bisection whose lanes share the top of their branch's tree.  The walk
+counts a level's lanes (one per target and branch) before it solves any,
+and ends when they overflow the room _FOLD_POINT_CAP - |level k|; a level
+that adds no point serves every later period with no further solve.  No
+level is kept; the map keeps only its solved fold-cycle roots, one entry
+ordered by period.  A smaller eps reads every period a larger one reads,
+so a sweep over scales that starts at its smallest eps (as `tailent tail`
+and the tail criteria do) solves the fold cycles once, and the two
+estimates of `power_bound_check` find them once.
 
 Everything is deterministic: fixed grids, fixed scan orders, and reductions
 (max, integer counts) that do not depend on evaluation order, so results
@@ -438,16 +439,17 @@ def _fold_cycle_centers(m: IntervalMap, eps):
     fastest branch growth, which generic centers never see.
 
     The brackets of all (q, c, side) come from the critical-point pullback
-    (levels cached on the map; the walk ends before the first level over
-    _FOLD_POINT_CAP points, which is found without being solved in full);
-    their endpoints are then evaluated in one pass and every sign-change
-    bracket is bisected at once, 60 halvings each.
+    (the walk ends before a level whose lanes overflow _FOLD_POINT_CAP
+    points, counted before any is solved, and stops solving at a level that
+    adds no point); their endpoints are then evaluated in one pass and
+    every sign-change bracket is bisected at once, 60 halvings each.
 
     The brackets of periods q <= Q are a prefix of those of any larger Q,
     and a lane's root does not depend on the lanes bisected beside it, so
-    the map keeps the roots of every period solved so far and solves again
-    only when eps reads a larger period: a sweep that visits its scales
-    smallest eps first runs one bisection in all.
+    the map keeps only the roots of every period solved so far, no
+    pullback level, and solves again only when eps reads a larger period:
+    a sweep that visits its scales smallest eps first runs one bisection
+    in all.
     """
     q_max = min(_FOLD_Q_CAP, int(abs(math.log(eps)) / math.log(2)) + 6)
     if m._fold_cycles is None or m._fold_cycles[0] < q_max:
@@ -461,9 +463,11 @@ def _solve_fold_cycles(m: IntervalMap, q_max):
     """The solved brackets of `_fold_cycle_centers` for periods q <= q_max:
     (q_solved, qs, cs, ys), the period, critical point and root of every
     bracket that has a root, in bracket order (q ascending).  q_solved is
-    q_max, or _FOLD_Q_CAP when the pullback walk ended first at
-    _FOLD_POINT_CAP, since no larger period then adds a bracket; the level
-    over the cap is neither solved in full nor kept on the map."""
+    q_max, or _FOLD_Q_CAP when the pullback walk ended first, since no
+    larger period then adds a bracket: it ends when the lanes of a level
+    overflow _FOLD_POINT_CAP - |level k|, before any is solved.  A level
+    that adds no point is read for every later period without a solve.
+    No level is kept on the map."""
     crit = sorted(m.critical_points)
     empty = np.empty(0)
     if not crit:

@@ -3,15 +3,17 @@ single-bump oscillation ("snake") family, with derivatives, monotone
 structure, and a string registry used by the CLI.
 
 All map objects are immutable after construction; caches (critical points,
-monotone partition, critical-point pullback levels, one entry of solved
-fold-cycle roots) are built lazily and without locks, so a map must not be
-shared across threads.
+monotone partition, one entry of solved fold-cycle roots) are built lazily
+and without locks, so a map must not be shared across threads.
 The critical points of a map are its turning points, the zeros of f' at
 which f' changes sign; they cut the monotone partition and seed the
-pullback.  Candidate zeros come from exact root isolation for the
-polynomial kind and from sampled sign changes and exact zeros elsewhere,
-refined by the lane-array bisection `polyalg._bisect`, which also solves
-f(x) = y on each monotone branch.
+pullback, a walk that keeps no level on the map: it ends before a level
+whose lanes (one per target and branch) overflow its cap, counted before
+any is solved, and stops solving at a level that adds no point.
+Candidate zeros come from exact root isolation for the polynomial kind and
+from sampled sign changes and exact zeros elsewhere, refined by the
+lane-array bisection `polyalg._bisect`, which also solves f(x) = y on each
+monotone branch.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -54,7 +56,6 @@ class IntervalMap:
     def __init__(self):
         self._crit = None
         self._branches = None
-        self._pullbacks = []    # levels of _critical_pullbacks built so far
         self._fold_cycles = None  # fold-cycle roots by period, once solved
 
     # -- evaluation -----------------------------------------------------
@@ -267,16 +268,16 @@ class PiecewiseAffineMap(IntervalMap):
             last = i
         return pts
 
-    def branch_preimages(self, ys):
-        """All preimages of each y (flattened, sorted); exact per segment."""
-        out = []
-        for i in range(len(self.slopes)):
-            y0, y1 = self.ys[i], self.ys[i + 1]
-            lo, hi = min(y0, y1), max(y0, y1)
-            if self.slopes[i] == 0:
-                continue
-            sel = (ys >= lo) & (ys <= hi)
-            out.append(self.xs[i] + (ys[sel] - y0) / self.slopes[i])
+    def branch_preimages(self, ys, room):
+        """All preimages of each y (flattened, sorted), exact per segment;
+        None, before any is computed, when there are more than room."""
+        sels = [(i, (ys >= min(y0, y1)) & (ys <= max(y0, y1)))
+                for i, (y0, y1) in enumerate(zip(self.ys[:-1], self.ys[1:]))
+                if self.slopes[i] != 0]
+        if sum(int(sel.sum()) for _, sel in sels) > room:
+            return None
+        out = [self.xs[i] + (ys[sel] - self.ys[i]) / self.slopes[i]
+               for i, sel in sels]
         return np.sort(np.concatenate(out)) if out else np.empty(0)
 
 
@@ -284,9 +285,10 @@ class PiecewiseAffineMap(IntervalMap):
 # branch pullback and the p_eps scale
 # ---------------------------------------------------------------------------
 
-def _preimages(m: IntervalMap, ys):
+def _preimages(m: IntervalMap, ys, room):
     """Solutions of f(x) = y over all monotone branches, for an array ys:
-    one lane per (y, branch) with y in the branch's image, 52 halvings each.
+    one lane per (y, branch) with y in the branch's image, 52 halvings each;
+    None, before any lane is solved, when there are more than room lanes.
 
     The lanes of each branch share the top of that branch's bisection tree
     (`polyalg._bisection_top`), and all branches then run in one
@@ -294,10 +296,10 @@ def _preimages(m: IntervalMap, ys):
     direction, so its bits are those of 52 plain halvings of its own branch
     alone, and a preimage depends only on its target and branch.
     """
-    if isinstance(m, PiecewiseAffineMap):
-        return m.branch_preimages(np.asarray(ys, dtype=float))
-    branches, _, _ = m.monotone_partition()
     ys = np.asarray(ys, dtype=float)
+    if isinstance(m, PiecewiseAffineMap):
+        return m.branch_preimages(ys, room)
+    branches, _, _ = m.monotone_partition()
     ends = m.evaluate_array(np.array(branches).ravel()).tolist()
     lo, hi, tgt, increasing = [], [], [], []
     for (a, b), fa, fb in zip(branches, ends[0::2], ends[1::2]):
@@ -307,6 +309,8 @@ def _preimages(m: IntervalMap, ys):
             hi.append(b)
             tgt.append(t)
             increasing.append(fb > fa)
+    if sum(t.size for t in tgt) > room:
+        return None
     if not tgt:
         return np.empty(0)
     start_lo, start_hi, depth = polyalg._bisection_top(
@@ -326,30 +330,6 @@ def _new_points(cur, prev):
     return cur[prev[idx] != cur]
 
 
-def _next_level(m: IntervalMap, cur, new, cap):
-    """Level k + 1 of the pullback from level k (cur) and the points level k
-    added (new), or None when it holds more than cap points.
-
-    Level k + 1 is cur together with the preimages of new, so it has room
-    for cap - |cur| new points.  The first room + 1 targets are solved
-    first: when their preimages outside cur already overflow the room, the
-    level is over the cap and the other targets are never solved.
-    Otherwise the rest are solved too (targets outside f's image have no
-    preimage, so the level may still overflow); since a preimage depends
-    only on its target and branch, the union is the level that one solve
-    of every target gives, bit for bit.
-    """
-    room = cap - cur.size
-    if room < 0:
-        return None
-    head = _preimages(m, new[:room + 1])
-    if _new_points(np.unique(head), cur).size > room:
-        return None
-    rest = [_preimages(m, new[room + 1:])] if new.size > room + 1 else []
-    level = np.unique(np.concatenate([cur, head] + rest))
-    return level if level.size <= cap else None
-
-
 def _critical_pullbacks(m: IntervalMap, cap):
     """Level sets of the critical-point pullback: level 0 is crit(f) and
     level k + 1 is crit(f) together with the f-preimages of level k, i.e.
@@ -358,30 +338,27 @@ def _critical_pullbacks(m: IntervalMap, cap):
     A preimage depends only on its target and branch (`_preimages`), so
     level k lies inside level k + 1 by induction, and level k + 1 is level k
     together with the preimages of the points level k added to level k - 1:
-    only those new points are pulled back.
+    only those new points are pulled back.  The walk holds just the current
+    level and its new points; a level that adds none is every later level,
+    so it is yielded again for each later period with no further solve.
 
-    Lazy, and ended by the point cap: a level is built only when it is
-    asked for, and the walk ends before the first level k >= 1 with more
-    than cap points, which `_next_level` finds without solving it in full.
-    Built levels are kept on the map, read-only, for every later walk; a
-    level over the cap is not kept, and a kept level over a smaller cap
-    ends that walk as well.
+    Lazy, and ended by a lane cap: a level is built only when it is asked
+    for, and level k + 1 solves at most cap - |level k| lanes, which
+    `_preimages` counts before it solves any; when there are more, the
+    walk ends.  A lane adds at most one point, so no level k >= 1 holds
+    more than cap points.  Where lanes collide (a lane gives a point that
+    level k or another lane already has), the walk can end one level
+    sooner than a point count would end it.
     """
-    levels = m._pullbacks
-    for k in count():
-        if k == len(levels):
-            if not levels:
-                nxt = np.array(sorted(m.critical_points), dtype=float)
-            else:
-                new = _new_points(levels[-1], levels[-2]) if k > 1 else levels[0]
-                nxt = _next_level(m, levels[-1], new, cap)
-                if nxt is None:
-                    return
-            nxt.flags.writeable = False
-            levels.append(nxt)
-        elif k > 0 and levels[k].size > cap:
-            return
-        yield levels[k]
+    level = new = np.array(sorted(m.critical_points), dtype=float)
+    while True:
+        yield level
+        if new.size:
+            pre = _preimages(m, new, cap - level.size)
+            if pre is None:
+                return
+            nxt = np.unique(np.concatenate([level, pre]))
+            level, new = nxt, _new_points(nxt, level)
 
 
 def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
@@ -389,8 +366,9 @@ def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
 
     Returns (p_eps, saturated); saturated means the cap was reached with the
     minimal branch length still above eps.  A pullback level the answer
-    reads with more than point_cap points raises ResourceError, found
-    before that level is solved (`_critical_pullbacks`).
+    reads whose lanes overflow point_cap raises ResourceError, before any
+    of them is solved; a level that adds no point ends the solves, and
+    every later p reads it (`_critical_pullbacks`).
     """
     if not 0 < eps < 1:
         raise DomainError("need 0 < eps < 1")

@@ -6,7 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailent import entropy
@@ -386,7 +386,7 @@ def test_preimages_match_per_branch_loop(m):
     ys = np.concatenate([np.linspace(0.0, 1.0, 513), rng.random(300),
                          m.evaluate_array(np.array([0.0, 1.0])),
                          np.asarray(m.critical_points)])
-    got = _preimages(m, ys)
+    got = _preimages(m, ys, math.inf)
     want = ref_preimages(m, ys)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -407,7 +407,7 @@ def test_preimages_match_per_branch_loop_any_targets(m, size, seed):
         m.evaluate_array(np.asarray(m.critical_points)), [0.0, 1.0]])
     pool = np.concatenate([m.evaluate_array(rng.random(size)), special])
     ys = rng.choice(pool, size)
-    got = _preimages(m, ys)
+    got = _preimages(m, ys, math.inf)
     want = ref_preimages(m, ys)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -419,7 +419,7 @@ def test_preimages_match_per_branch_loop_at_branch_ends(m):
     branches, _, _ = m.monotone_partition()
     ends = m.evaluate_array(np.array(branches).ravel())
     ys = np.concatenate([ends, ends[::-1], np.repeat([0.25, 0.5, 0.75], 3)])
-    got = _preimages(m, ys)
+    got = _preimages(m, ys, math.inf)
     want = ref_preimages(m, ys)
     assert got.size == want.size >= 2 * ends.size
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -658,15 +658,16 @@ _CAP_MAPS = ("quadratic:4", "quadratic:3.9", "quadratic:3.7", "poly:[0,4,-4]",
 
 @pytest.mark.parametrize("spec", _CAP_MAPS)
 def test_fold_cycle_solves_match_oracles_that_build_the_over_cap_level(spec):
-    """q_solved, the roots and every kept level equal the oracles, which
-    build each level in full, the one over the point cap too; the walk
-    keeps the levels before the cap and no more."""
+    """q_solved, the roots and every level the walk yields equal the
+    oracles, which build each level in full, the one over the point cap
+    too; the walk yields the levels before the cap and no more."""
     for q_max in (12, 15, 20, 28):
         m = maps.get_map(spec)
         q_solved, _, _, ys = entropy._solve_fold_cycles(m, q_max)
         # eps = 2 keeps every root of every period up to q_max
         assert ys.tolist() == ref_fold_cycle_centers(m, 2.0, q_max)
-        kept = m._pullbacks
+        kept = list(islice(_critical_pullbacks(m, entropy._FOLD_POINT_CAP),
+                           q_max))
         want = ref_critical_pullbacks(m, len(kept) + 1)
         for level, ref in zip(kept, want):
             assert level.tobytes() == ref.tobytes()
@@ -675,6 +676,51 @@ def test_fold_cycle_solves_match_oracles_that_build_the_over_cap_level(spec):
             assert q_solved == entropy._FOLD_Q_CAP
         else:
             assert len(kept) == q_max and q_solved == q_max
+
+
+def ref_lanes(m, ys):
+    """The lanes of a pullback of ys: one per target and monotone branch
+    whose image holds it, each branch's image read from its end values."""
+    branches, _, _ = m.monotone_partition()
+    ends = m.evaluate_array(np.array(branches).ravel())
+    return sum(int(((ys >= min(fa, fb)) & (ys <= max(fa, fb))).sum())
+               for fa, fb in zip(ends[0::2], ends[1::2]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.floats(3.0, 4.0).map(quadratic_map), st.just(QUARTIC3)),
+       st.integers(1, 4096))
+@example(quadratic_map(4.0), 4096)
+@example(quadratic_map(4.0), 4094)
+@example(QUARTIC3, 3307)
+@example(quadratic_map(3.0), 68)
+@example(quadratic_map(1 + math.sqrt(5)), 6)
+def test_pullback_walk_ends_where_the_full_construction_passes_its_cap(m, cap):
+    """Every level of the walk (at most 40) equals the level built in full,
+    byte for byte.  Level k + 1 is solved exactly when the lanes of the
+    points level k added fit in cap - |level k|; where each of those lanes
+    adds a point, that is exactly when the full level k + 1 holds at most
+    cap points, so the walk ends where a point count would end it.
+
+    The examples put the cap on the size of a level, where the two rules
+    could part.  At quadratic:4 (cap 2^12 - 2) and the quartic (cap 3,307)
+    no lanes collide.  They do at a = 3 (level 34, cap 68): a lane rounds
+    to 1.0, which level 33 already holds.  At the superstable period-2
+    parameter 1 + sqrt(5) (level 2, cap 6) the lane for the critical value
+    on the right branch lands on the critical point.  There the walk ends
+    one level before a point count would end it."""
+    got = list(islice(_critical_pullbacks(m, cap), 40))
+    want = ref_critical_pullbacks(m, len(got) + 1)
+    for level, ref in zip(got, want):
+        assert level.tobytes() == ref.tobytes()
+    # a walk of 40 levels was never asked for level 40
+    for k in range(min(len(got), 39)):
+        new = want[k][~np.isin(want[k], want[k - 1])] if k else want[k]
+        lanes = ref_lanes(m, new)
+        solved = k + 1 < len(got)
+        assert solved == (lanes <= cap - want[k].size)
+        if lanes == want[k + 1].size - want[k].size:
+            assert solved == (want[k + 1].size <= cap)
 
 
 @pytest.fixture
@@ -693,66 +739,69 @@ def pullback_lanes(monkeypatch):
 
 def test_fold_cycle_pullback_probes_the_over_cap_level(preimage_calls,
                                                        pullback_lanes):
-    """quadratic:4 level k holds 2^(k+1) - 1 points, so level 14 is over the
-    2^14 cap.  Levels 1-13 pull back their 2^(k-1) new targets, two lanes
-    each; level 14 solves only cap - |level 13| + 1 = 2 targets, whose four
-    preimages overflow its room of one point, and is not kept."""
-    m = quadratic_map()
-    q_solved, _, _, _ = entropy._solve_fold_cycles(m, 15)
+    """The walk counts a level's lanes before it solves any.  quadratic:4
+    level k holds 2^(k+1) - 1 points: levels 1-13 pull back their 2^(k-1)
+    new targets, two lanes each, and the 8,192 targets of level 14 give
+    16,384 lanes for a room of one point, so they are refused before any
+    bisection.  The three-branch cubic solves the 6,558 lanes of its levels
+    1-7 and none of level 8, which would hold 19,682 points."""
+    q_solved, _, _, _ = entropy._solve_fold_cycles(quadratic_map(), 15)
     assert q_solved == entropy._FOLD_Q_CAP
-    assert preimage_calls == [2 ** j for j in range(13)] + [2]
-    assert sum(pullback_lanes) == 16386
-    assert len(m._pullbacks) == 14
+    assert preimage_calls == [2 ** j for j in range(14)]
+    assert len(pullback_lanes) == 13 and sum(pullback_lanes) == 2 ** 14 - 2
+    preimage_calls.clear()
+    pullback_lanes.clear()
+    cubic = maps.get_map("poly:[0,9,-24,16]")
+    assert entropy._solve_fold_cycles(cubic, 15)[0] == entropy._FOLD_Q_CAP
+    assert len(preimage_calls) == 8 and len(pullback_lanes) == 7
+    assert sum(pullback_lanes) == 6558
 
 
 def test_branch_length_cap_probes_the_over_cap_level(preimage_calls,
                                                      pullback_lanes):
-    """min_branch_length_iterate raises at its 2^17 cap after solving two
-    targets of level 17, not its 2^16."""
+    """min_branch_length_iterate raises at its 2^17 cap after solving the
+    2^17 - 2 lanes of levels 1-16; the 2^16 targets of level 17 are refused
+    before any bisection."""
     m = quadratic_map()
     with pytest.raises(ResourceError,
                        match=r"^branch explosion beyond 131072 points$"):
         min_branch_length_iterate(m, 1e-13)
-    assert preimage_calls == [2 ** j for j in range(16)] + [2]
-    assert sum(pullback_lanes) == 2 ** 17 - 2 + 4
-    assert len(m._pullbacks) == 17
+    assert preimage_calls == [2 ** j for j in range(17)]
+    assert len(pullback_lanes) == 16 and sum(pullback_lanes) == 2 ** 17 - 2
 
 
-def test_pullback_split_solve_that_fits_gives_the_one_solve_level(
+def test_pullback_walk_stops_solving_at_a_level_that_adds_no_point(
         preimage_calls):
     """The 37 critical points of snake:eps=0.05 have no preimage: its image
-    is tiny.  At a cap of 37 the first target is solved alone, adds nothing,
-    and the other 36 follow; the later levels add no target.  Every level
-    equals the full construction."""
+    is tiny.  Level 1 pulls them back with no lane and adds no point, so it
+    is every later level: a 28-level walk calls `_preimages` once, at a cap
+    of 37 (no room) and at 2^14 alike.  Every level equals the full
+    construction."""
     m = maps.get_map("snake:eps=0.05")
-    got = list(islice(_critical_pullbacks(m, 37), 4))
-    assert preimage_calls == [1, 36, 0, 0]
-    for level, want in zip(got, ref_critical_pullbacks(m, 4)):
-        assert level.size == 37 and level.tobytes() == want.tobytes()
+    want = ref_critical_pullbacks(m, 28)
+    for cap in (37, 1 << 14):
+        preimage_calls.clear()
+        got = list(islice(_critical_pullbacks(m, cap), 28))
+        assert preimage_calls == [37] and len(got) == 28
+        for level, ref in zip(got, want):
+            assert level.size == 37 and level.tobytes() == ref.tobytes()
 
 
-def test_next_level_split_solve_with_targets_outside_the_image():
-    """f = 0.05 + 3.6 x (1 - x) maps onto [0.05, 0.95], so the ten sorted
-    targets below 0.05 have no preimage.  They fill the first solve, which
-    then adds nothing, and the level rests on the two targets after them:
-    four preimages, the one-solve level at cap 5, over cap 4 and cap 3."""
+def test_preimages_room_counts_lanes_not_targets(pullback_lanes):
+    """f = 0.05 + 3.6 x (1 - x) maps onto [0.05, 0.95], so the ten targets
+    below 0.05 have no preimage and no lane, and 0.3 and 0.6 have two lanes
+    each: a room of 4 solves them, a room of 3 is refused before any
+    bisection.  The tent map counts its lanes per segment the same way."""
     m = maps.get_map("poly:[0.05,3.6,-3.6]")
-    cur = np.array([0.5])
-    new = np.concatenate([np.linspace(0.0, 0.04, 10), [0.3, 0.6]])
-    want = np.unique(np.concatenate([cur, ref_preimages(m, new)]))
-    assert want.size == 5
-    assert maps._next_level(m, cur, new, 5).tobytes() == want.tobytes()
-    assert maps._next_level(m, cur, new, 4) is None
-    assert maps._next_level(m, cur, new, 3) is None
-
-
-def test_pullback_walk_ends_at_a_kept_level_over_its_cap():
-    """A level kept by a walk with a larger cap ends a walk with a smaller
-    one; F4 level k holds 2^(k+1) - 1 points."""
-    m = quadratic_map()
-    assert len(list(islice(_critical_pullbacks(m, 1 << 20), 7))) == 7
-    assert [lv.size for lv in _critical_pullbacks(m, 40)] == [1, 3, 7, 15, 31]
-    assert len(m._pullbacks) == 7
+    ys = np.concatenate([np.linspace(0.0, 0.04, 10), [0.3, 0.6]])
+    got = _preimages(m, ys, 4)
+    assert got.size == 4 and got.tobytes() == ref_preimages(m, ys).tobytes()
+    assert len(pullback_lanes) == 1
+    assert _preimages(m, ys, 3) is None
+    assert len(pullback_lanes) == 1
+    ys = np.array([0.25, 0.5, 1.0])
+    assert _preimages(TENT, ys, 6).tobytes() == ref_preimages(TENT, ys).tobytes()
+    assert _preimages(TENT, ys, 5) is None
 
 
 def test_fold_cycle_solve_that_raises_keeps_nothing(monkeypatch):
@@ -809,7 +858,8 @@ def test_power_bound_check_solves_fold_cycles_once(monkeypatch, spec, p):
                    "est_fp": est_fp, "bound": bound, "holds": True}
 
 
-def test_power_bound_check_work_reaches_traced_names(monkeypatch):
+def test_power_bound_check_work_reaches_traced_names(monkeypatch,
+                                                    preimage_calls):
     """The benchmark tracer wraps `tail_entropy_estimate` and
     `IntervalMap.evaluate_array` by name.  One power_bound_check enters the
     estimate twice, and every map evaluation of its pullback, fold-cycle and
@@ -837,49 +887,23 @@ def test_power_bound_check_work_reaches_traced_names(monkeypatch):
     monkeypatch.setattr(PolynomialMap, "_eval_array", eval_raw)
     power_bound_check(m, 2.0 ** -6, 2)
     assert tails == [2.0 ** -6, 2.0 ** -6]
-    assert len(m._pullbacks) > 1
+    assert preimage_calls
     assert len(evals) == len(raw) > 0
 
 
 @pytest.fixture
 def preimage_calls(monkeypatch):
-    """Count the _preimages calls that build pullback levels."""
+    """Count the targets of each _preimages call that builds a pullback
+    level."""
     calls = []
     orig = maps._preimages
 
-    def counted(m, ys):
+    def counted(m, ys, room):
         calls.append(ys.size)
-        return orig(m, ys)
+        return orig(m, ys, room)
 
     monkeypatch.setattr(maps, "_preimages", counted)
     return calls
-
-
-def test_fold_cycle_centers_reuse_cached_pullback_levels(preimage_calls):
-    m = quadratic_map(3.9)
-    coarse = _fold_cycle_centers(m, 2.0 ** -4)
-    built = len(preimage_calls)
-    assert built == len(m._pullbacks) - 1 > 0
-    # the same eps again builds no level
-    assert _fold_cycle_centers(m, 2.0 ** -4) == coarse
-    assert len(preimage_calls) == built
-    # a smaller eps asks for more periods and builds only the missing levels
-    fine = _fold_cycle_centers(m, 2.0 ** -7)
-    assert len(preimage_calls) - built == len(m._pullbacks) - 1 - built > 0
-    # a fresh map builds the same levels from scratch, byte for byte
-    fresh = quadratic_map(3.9)
-    assert _fold_cycle_centers(fresh, 2.0 ** -7) == fine
-    assert len(fresh._pullbacks) == len(m._pullbacks)
-    for cached, new in zip(m._pullbacks, fresh._pullbacks):
-        assert cached.tobytes() == new.tobytes()
-
-
-def test_cached_pullback_levels_are_read_only():
-    m = quadratic_map(3.9)
-    _fold_cycle_centers(m, 2.0 ** -4)
-    for level in m._pullbacks:
-        with pytest.raises(ValueError):
-            level[0] = 0.25
 
 
 @pytest.mark.parametrize("m", TAIL_MAPS, ids=lambda m: m.name)

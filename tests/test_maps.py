@@ -269,7 +269,7 @@ def ref_preimages(m, ys):
     """Solutions of f(x) = y branch by branch: all lanes of a branch run
     52 halvings, with no lane dropped."""
     if isinstance(m, PiecewiseAffineMap):
-        return m.branch_preimages(np.asarray(ys, dtype=float))
+        return m.branch_preimages(np.asarray(ys, dtype=float), math.inf)
     branches, _, _ = m.monotone_partition()
     ys = np.asarray(ys, dtype=float)
     out = []

@@ -2,9 +2,10 @@
 used by the package itself or by the benchmark in perfbench/, and so is
 every public method, property and constructor of its classes and every
 defaulted parameter of those names, set to more than one value, so code and
-knobs that only tests reach do not grow back into the library; every name a
-module of the package or of the tests imports is used there; and the
-benchmark's tracer still finds every name it wraps."""
+knobs that only tests reach do not grow back into the library; every
+private module-level name of the package is used by the package; every
+name a module of the package or of the tests imports is used there; and
+the benchmark's tracer still finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -45,7 +46,7 @@ def _references(tree):
         owner = top.name if isinstance(
             top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.append((node.id, owner))
             elif isinstance(node, ast.Attribute):
                 out.append((node.attr, owner))
@@ -54,18 +55,24 @@ def _references(tree):
     return out
 
 
-def unused_exports(sources, callers):
-    """(module, name) for each __all__ name that no caller uses outside the
-    name's own definition."""
+def _unused(sources, callers, names):
+    """(module, name) for each of names(tree) of a source that no caller
+    uses outside the name's own definition."""
     refs = {path: _references(ast.parse(path.read_text())) for path in callers}
     missing = []
     for path in sources:
-        for name in _exported(ast.parse(path.read_text())):
+        for name in names(ast.parse(path.read_text())):
             if not any(ref == name and not (where == path and owner == name)
                        for where, found in refs.items()
                        for ref, owner in found):
                 missing.append((path.stem, name))
     return missing
+
+
+def unused_exports(sources, callers):
+    """(module, name) for each __all__ name that no caller uses outside the
+    name's own definition."""
+    return _unused(sources, callers, _exported)
 
 
 def test_every_export_has_a_caller_outside_the_tests():
@@ -89,6 +96,42 @@ def test_a_self_reference_is_not_a_use(tmp_path, source, found):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert unused_exports([path], [path]) == found
+
+
+def _private(tree):
+    """The module-level functions, classes and assigned names of tree that
+    start with a single underscore."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [top.name]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and n[1:2] != "_")
+
+
+def test_every_private_name_has_a_use_in_src():
+    """A private helper that only tests reach is dead code kept alive by
+    its tests."""
+    assert _unused(SOURCES, SOURCES, _private) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _f():\n    return _f()\n", [("m", "_f")]),
+    ("_X, _Y = 1, 2\nclass _C:\n    pass\ndef g():\n    return _X, _C\n",
+     [("m", "_Y")]),
+    ("_X: int = 1\n", [("m", "_X")]),
+    ("def __f():\n    pass\ndef g(m):\n    return m._h\ndef _h():\n    pass\n",
+     []),
+])
+def test_a_private_name_needs_a_use_beyond_its_definition(tmp_path, source,
+                                                          found):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert _unused([path], [path], _private) == found
 
 
 def _called(call):
