@@ -4,8 +4,11 @@ Subcommands: entropy | tail | bounds | reparam | sft | thickness | weights |
 snake | modulus | verify.  Configs are flat key=value files plus flag
 overrides; every CSV row carries the schema version and a hash of the
 semantic config (output path excluded), so a rerun writing elsewhere
-produces a byte-identical file.  Every run is single-threaded; `--threads`
-accepts only 1.
+produces a byte-identical file.  Each `run_*` returns (columns, rows) and
+`main` writes them, once every row exists, through the stdlib `csv`
+writer: a field holding a comma or a quote, such as a `poly:[...]` map
+name, is quoted, so every row has the header's field count.  Every run is
+single-threaded; `--threads` accepts only 1.
 
 Exit codes: 0 success, 2 config error, 3 numeric/resource error.
 """
@@ -13,6 +16,8 @@ Exit codes: 0 success, 2 config error, 3 numeric/resource error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import hashlib
 import math
 import sys
@@ -138,32 +143,18 @@ def load_config(name, path=None, overrides=None):
     return cfg
 
 
-class CsvWriter:
-    def __init__(self, path, columns, cfg):
-        self.columns = ["schema", "config"] + columns
-        self.prefix = [SCHEMA_VERSION, cfg.config_hash()]
-        self.rows = []
-        self.path = path
-
-    def add(self, *values):
-        assert len(values) == len(self.columns) - 2
-        self.rows.append(self.prefix + [_fmt(v) for v in values])
-
-    def write(self):
-        text = ",".join(self.columns) + "\n"
-        text += "".join(",".join(map(str, row)) + "\n" for row in self.rows)
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return text
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_csv(cfg, columns, rows):
+    """Write the header and rows, each led by the schema version and the
+    config hash, to cfg.out or else to the current sys.stdout.  Floats are
+    written by repr, the rest by str; a field holding a comma or a quote is
+    quoted."""
+    prefix = [SCHEMA_VERSION, cfg.config_hash()]
+    with (open(cfg.out, "w", newline="") if cfg.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["schema", "config", *columns])
+        out.writerows(prefix + [repr(v) if isinstance(v, float) else str(v)
+                                for v in row] for row in rows)
 
 
 def _map_for(cfg):
@@ -181,16 +172,13 @@ def run_entropy(cfg):
     # the orbit byte cap bounds n-max; checked here because eps_entropy
     # lists all n-max times before it reaches the cap
     ns = cfg.n_range(_orbit_rows_cap(bits))
-    w = CsvWriter(cfg.out, ["method", "map", "n", "eps", "delta", "count",
-                            "rate", "slope", "direction"], cfg)
     ests = [eps_entropy(m, eps, n_range=ns, grid_bits=bits)
             for eps in cfg.eps_schedule()]
-    for est in ests:
-        for n, count in zip(est.ns, est.counts):
-            w.add(est.method, est.map_name, n, est.eps, "", count,
-                  est.rate, est.slope, est.direction)
-    w.write()
-    return w
+    return (["method", "map", "n", "eps", "delta", "count", "rate", "slope",
+             "direction"],
+            [(est.method, est.map_name, n, est.eps, "", count, est.rate,
+              est.slope, est.direction)
+             for est in ests for n, count in zip(est.ns, est.counts)])
 
 
 def run_tail(cfg):
@@ -198,20 +186,18 @@ def run_tail(cfg):
     ns = cfg.n_range(_TAIL_N_MAX_CAP)
     schedule = cfg.eps_schedule()
     m = _map_for(cfg)
-    w = CsvWriter(cfg.out, ["method", "map", "eps", "delta", "count", "rate",
-                            "slope", "direction", "residual",
-                            "bound_log2", "bound_log4"], cfg)
     # smallest eps first: its fold-cycle solve covers every period a larger
     # eps reads (`entropy._fold_cycle_centers`); rows keep schedule order
     ests = {eps: tail_entropy_estimate(m, eps, n_range=ns)
             for eps in sorted(schedule)}
+    rows = []
     for est in [ests[eps] for eps in schedule]:
         alog = abs(math.log(est.eps))
-        w.add(est.method, est.map_name, est.eps, est.delta, est.counts[-1],
-              est.rate, est.slope, est.direction, est.residual,
-              math.log(2) / alog, math.log(4) / alog)
-    w.write()
-    return w
+        rows.append((est.method, est.map_name, est.eps, est.delta,
+                     est.counts[-1], est.rate, est.slope, est.direction,
+                     est.residual, math.log(2) / alog, math.log(4) / alog))
+    return (["method", "map", "eps", "delta", "count", "rate", "slope",
+             "direction", "residual", "bound_log2", "bound_log4"], rows)
 
 
 def run_bounds(cfg):
@@ -219,8 +205,7 @@ def run_bounds(cfg):
     from .rates import cr_bound_buzzi
     m = _map_for(cfg)
     big_r = growth_rate_R(m)
-    w = CsvWriter(cfg.out, ["map", "eps", "quasionedim", "wmulti",
-                            "growth_R", "buzzi_r1", "buzzi_r2"], cfg)
+    rows = []
     for eps in cfg.eps_schedule():
         bounds = []
         for bound in (bound_quasionedim, bound_wmulti):
@@ -228,43 +213,39 @@ def run_bounds(cfg):
                 bounds.append(bound(m, eps))
             except TailentError:
                 bounds.append(math.nan)
-        w.add(m.name, eps, *bounds, big_r,
-              cr_bound_buzzi(big_r, 1, 1), cr_bound_buzzi(big_r, 2, 1))
-    w.write()
-    return w
+        rows.append((m.name, eps, *bounds, big_r,
+                     cr_bound_buzzi(big_r, 1, 1), cr_bound_buzzi(big_r, 2, 1)))
+    return (["map", "eps", "quasionedim", "wmulti", "growth_R", "buzzi_r1",
+             "buzzi_r2"], rows)
 
 
 def run_reparam(cfg):
     from .acceptance import fixed_reparam_system
     from .polyalg import reparametrize_1d, verify_atlas
-    w = CsvWriter(cfg.out, ["m", "r", "step1", "step2", "charts",
-                            "max_norm_comp", "max_norm_phi", "defect"], cfg)
+    rows = []
     for m_dim in (1, 2, 3):
         for r in range(2, 11):
             atlas = reparametrize_1d(fixed_reparam_system(m_dim, r), r)
             rep = verify_atlas(atlas, 10000)
-            w.add(m_dim, r, atlas.step1_count, atlas.step2_count,
-                  atlas.chart_count, rep.max_norm_comp, rep.max_norm_phi,
-                  rep.coverage_defect)
-    w.write()
-    return w
+            rows.append((m_dim, r, atlas.step1_count, atlas.step2_count,
+                         atlas.chart_count, rep.max_norm_comp,
+                         rep.max_norm_phi, rep.coverage_defect))
+    return (["m", "r", "step1", "step2", "charts", "max_norm_comp",
+             "max_norm_phi", "defect"], rows)
 
 
 def run_sft(cfg):
     from .symbolic import build_Yp, sft_entropy, load_sft_file
-    w = CsvWriter(cfg.out, ["shift", "p", "entropy", "reference"], cfg)
     if cfg.sft_spec:
         try:
             sft = load_sft_file(cfg.sft_spec)
         except (OSError, ValueError) as exc:
             raise ConfigError("sft-spec", str(exc))
-        w.add(cfg.sft_spec, "", sft_entropy(sft), "")
+        rows = [(cfg.sft_spec, "", sft_entropy(sft), "")]
     else:
-        for p in cfg.p_range():
-            h = sft_entropy(build_Yp(p))
-            w.add(f"Y_{p}", p, h, math.log(2 ** p - 1) / p)
-    w.write()
-    return w
+        rows = [(f"Y_{p}", p, sft_entropy(build_Yp(p)),
+                 math.log(2 ** p - 1) / p) for p in cfg.p_range()]
+    return ["shift", "p", "entropy", "reference"], rows
 
 
 def run_thickness(cfg):
@@ -273,11 +254,10 @@ def run_thickness(cfg):
         c = parse_cantor_spec(cfg.cantor_spec)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("cantor", str(exc))
-    w = CsvWriter(cfg.out, ["spec", "depth", "thickness"], cfg)
     t = thickness(c)
-    w.add(cfg.cantor_spec, c.depth, float(t) if t != math.inf else math.inf)
-    w.write()
-    return w
+    return (["spec", "depth", "thickness"],
+            [(cfg.cantor_spec, c.depth,
+              float(t) if t != math.inf else math.inf)])
 
 
 def run_weights(cfg):
@@ -287,12 +267,10 @@ def run_weights(cfg):
         weight = parse_weight(cfg.weight_spec)
     except (KeyError, ValueError) as exc:
         raise ConfigError("weight", str(exc))
-    w = CsvWriter(cfg.out, ["weight", "k", "log_m", "a_k", "log_convex"], cfg)
     convex = is_log_convex(weight, min(cfg.k_max, 120))
-    for k in ks:
-        w.add(weight.name, k, weight.log_weight(k), weight.a(k), convex)
-    w.write()
-    return w
+    return (["weight", "k", "log_m", "a_k", "log_convex"],
+            [(weight.name, k, weight.log_weight(k), weight.a(k), convex)
+             for k in ks])
 
 
 def run_snake(cfg):
@@ -301,33 +279,30 @@ def run_snake(cfg):
         rate = get_rate(cfg.rate_spec)
     except (KeyError, ValueError) as exc:
         raise ConfigError("rate", str(exc))
-    w = CsvWriter(cfg.out, ["eps", "P", "N", "M", "R", "window", "osc",
-                            "profile_d1", "profile_d2", "profile_d3"], cfg)
+    rows = []
     for eps in cfg.eps_schedule():
         try:
             params, sm = build_snake(rate, eps, cfg.lambda_u)
         except ValueError as exc:
             raise ConfigError("snake", str(exc))
-        w.add(eps, params.P, params.N, params.M, params.R, params.ell,
-              sm.oscillation_count(),
-              sm.profile_derivative_sup(1), sm.profile_derivative_sup(2),
-              sm.profile_derivative_sup(3))
-    w.write()
-    return w
+        rows.append((eps, params.P, params.N, params.M, params.R, params.ell,
+                     sm.oscillation_count(), sm.profile_derivative_sup(1),
+                     sm.profile_derivative_sup(2),
+                     sm.profile_derivative_sup(3)))
+    return (["eps", "P", "N", "M", "R", "window", "osc", "profile_d1",
+             "profile_d2", "profile_d3"], rows)
 
 
 def run_modulus(cfg):
     from .entropy import continuity_modulus
     m = _map_for(cfg)
-    w = CsvWriter(cfg.out, ["map", "eps", "m0", "p_eps", "N_eps", "bound",
-                            "capped"], cfg)
+    rows = []
     for eps in cfg.eps_schedule():
         p_eps, n_eps, bound, capped = continuity_modulus(
             m, eps, cfg.m0, lambda t: 1.0 / abs(math.log(t)),
             grid_bits=cfg.checked_grid_bits())
-        w.add(m.name, eps, cfg.m0, p_eps, n_eps, bound, capped)
-    w.write()
-    return w
+        rows.append((m.name, eps, cfg.m0, p_eps, n_eps, bound, capped))
+    return ["map", "eps", "m0", "p_eps", "N_eps", "bound", "capped"], rows
 
 
 _RUNNERS = {
@@ -381,13 +356,14 @@ def main(argv=None):
         if args.experiment == "verify":
             from .acceptance import verify_all
             return 0 if verify_all(cfg.verify_tag) else 1
-        _RUNNERS[args.experiment](cfg)
+        columns, rows = _RUNNERS[args.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TailentError as exc:
         print(f"numeric/resource error: {exc}", file=sys.stderr)
         return 3
+    _write_csv(cfg, columns, rows)
     return 0
 
 

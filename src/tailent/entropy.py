@@ -619,8 +619,9 @@ def tail_entropy_estimate(m: IntervalMap, eps, n_range=range(1, 29), stride=1):
     count of the ball is the sum over pieces.  Counts are maximized over
     centers, the slope fitted in n at each delta = eps/2^j, j = 1..4, the
     estimate taken at the smallest delta with the difference to the
-    previous delta as residual.  eps must be positive and finite
-    (ScaleError otherwise, raised before any work).
+    previous delta as residual.  eps must be positive and finite, and
+    its smallest delta eps/16 must not round to 0 (ScaleError otherwise,
+    raised before any work).
 
     All centers are pulled back together (`_tail_counts`): each live center
     holds at most _PIECE_CAP = 2^14 pieces between steps.  A center that
@@ -639,6 +640,8 @@ def tail_entropy_estimate(m: IntervalMap, eps, n_range=range(1, 29), stride=1):
     if not 0 < eps < math.inf:
         raise ScaleError(f"need 0 < eps < inf, got {eps!r}")
     deltas = [eps / 2 ** j for j in range(1, 5)]
+    if deltas[-1] == 0:
+        raise ScaleError(f"eps {eps!r} is too small: eps/16 rounds to 0")
     ns = sorted(n_range)
     if not ns:
         raise DomainError("n_range must be nonempty")
@@ -717,8 +720,8 @@ def power_bound_check(m: IntervalMap, eps, p, tolerance=0.02):
     time range is capped by the float expansion horizon: beyond roughly
     52 + log2(eps) steps a doubling map amplifies the last bit of the
     center past the window width and periodic centers drift off cycle.
-    p below 2 is a DomainError and an eps outside (0, inf) a ScaleError,
-    both raised before any work.
+    p below 2 is a DomainError and an eps outside (0, inf), or one whose
+    eps/16 rounds to 0, a ScaleError, both raised before any work.
     """
     if p < 2:
         raise DomainError("p must be >= 2")
@@ -796,15 +799,13 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
                           "(nondecreasing in t on the probe)")
 
     store = _GridOrbits(m, grid_bits)
-    h_cache = {}
 
     def h_est(scale):
-        """eps_entropy(m, scale, grid_bits=grid_bits).slope, over `store`."""
-        if scale not in h_cache:
-            ns, counts, clean_upto = _count_series(store, scale,
-                                                   _DEFAULT_N_RANGE)
-            h_cache[scale] = _fit_counts(ns, counts, clean_upto)[0]
-        return h_cache[scale]
+        """eps_entropy(m, scale, grid_bits=grid_bits).slope, over `store`.
+        No scale is fitted twice, so nothing is memoized: eps/4 and eps are
+        fitted once each, and s/4 only when P*(s) > 0, so s/4 >= m0 eps >
+        eps, at distinct bisection scales s."""
+        return _fit_counts(*_count_series(store, scale, _DEFAULT_N_RANGE))[0]
 
     def least_p(scale, p_max):
         """Least p <= p_max passing the p_eps test at scale; past _P_CAP a

@@ -516,13 +516,18 @@ def gap_lemma_check(k: CantorApprox, f: CantorApprox):
             "interior_nonempty_all_levels": interior_ok}
 
 
-_CANTOR_DEPTH_CAP = 16  # 2^16 intervals: about 0.05 s and 10 MB of ints
+# 2^16 intervals, and numerators over kd^depth of at most
+# depth * bits(kd) <= 1024 bits: at depth 16 about 0.05 s and 9 MB of ints
+# at r = 1/3, 0.3 s and 25 MB at r = 2^-62 (64-bit kd).  The thickness, at
+# most kn < 2^1023, then converts to a float.
+_CANTOR_DEPTH_CAP, _CANTOR_BITS_CAP = 16, 1024
 
 
 def parse_cantor_spec(spec):
     """CantorApprox spec string: 'remove-middle 1/3 depth 12'.  A negative
-    depth raises ValueError and a depth over _CANTOR_DEPTH_CAP raises
-    ResourceError, before anything is built."""
+    depth raises ValueError; a depth over _CANTOR_DEPTH_CAP, or a depth
+    times the bit length of kd, the denominator of (1 - r)/2, over
+    _CANTOR_BITS_CAP, raises ResourceError, before anything is built."""
     toks = spec.split()
     if len(toks) != 4 or toks[0] != "remove-middle" or toks[2] != "depth":
         raise ValueError(f"bad Cantor spec {spec!r}")
@@ -532,4 +537,9 @@ def parse_cantor_spec(spec):
     if depth > _CANTOR_DEPTH_CAP:
         raise ResourceError(f"Cantor depth {depth} is over the cap "
                             f"{_CANTOR_DEPTH_CAP}")
-    return middle_cantor(Fraction(toks[1]), depth)
+    r = Fraction(toks[1])
+    bits = depth * ((1 - r) / 2).denominator.bit_length()
+    if bits > _CANTOR_BITS_CAP:
+        raise ResourceError(f"Cantor numerators of {bits} bits are over the "
+                            f"cap {_CANTOR_BITS_CAP}")
+    return middle_cantor(r, depth)

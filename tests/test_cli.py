@@ -1,6 +1,7 @@
 """CLI subcommands, config handling, CSV schema, determinism."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailent import cli, entropy
@@ -29,10 +30,9 @@ def run_cli(args, tmp_path, name="out.csv", env=None):
 
 
 def parse_csv(text):
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-    return header, rows
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
+    return reader.fieldnames, rows
 
 
 def test_unknown_map_spec_exits_2(tmp_path, capsys):
@@ -244,13 +244,21 @@ GOLDEN_CLI = json.loads(
     (Path(__file__).parent / "golden" / "cli.json").read_text())
 
 
+def assert_rows_fit_header(text):
+    """Every row read by csv.reader has as many fields as the header."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert rows and all(len(row) == len(header) for row in rows), text
+
+
 @pytest.mark.parametrize("command", list(GOLDEN_CLI))
 def test_csv_matches_golden_hash(tmp_path, command):
     """The cheap fixed runs, each command of tests/golden/cli.json, write
-    the CSV whose sha256 the file holds.  A change that moves one CSV
-    re-captures its hash and says why."""
+    the CSV whose sha256 the file holds, and each row of it has the
+    header's field count (a `poly:[...]` map name is one quoted field).  A
+    change that moves one CSV re-captures its hash and says why."""
     out = tmp_path / "out.csv"
     assert main(command.split() + ["--out", str(out)]) == 0
+    assert_rows_fit_header(out.read_text())
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CLI[command]
 
 
@@ -450,6 +458,10 @@ def nothing_built(monkeypatch):
     ["snake", "--eps-start", "1e-6", "--eps-count", "1"],
     ["snake", "--eps-start", "1e-9", "--eps-count", "1"],
     ["snake", "--eps-start", "1e-300", "--eps-count", "1"],
+    # depth times the bits of the denominator of (1 - r)/2 over 1024
+    ["thickness", "--cantor", f"remove-middle 1/{2 ** 63} depth 16"],
+    ["thickness", "--cantor", "remove-middle 5e-324 depth 1"],
+    ["thickness", "--cantor", "remove-middle 1e-300 depth 2"],
 ])
 def test_size_over_cap_exits_3_before_building(tmp_path, capsys, nothing_built,
                                                args):
@@ -488,6 +500,11 @@ def test_size_caps_boundaries(nothing_built):
         symbolic.parse_cantor_spec(f"remove-middle 1/3 depth {depth}")
     with pytest.raises(ResourceError):
         symbolic.parse_cantor_spec(f"remove-middle 1/3 depth {depth + 1}")
+    # (1 - 2^-62)/2 has a 64-bit denominator: 16 * 64 bits is the cap
+    with pytest.raises(AssertionError, match="built"):
+        symbolic.parse_cantor_spec(f"remove-middle 1/{2 ** 62} depth {depth}")
+    with pytest.raises(ResourceError):
+        symbolic.parse_cantor_spec(f"remove-middle 1/{2 ** 63} depth {depth}")
 
 
 def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
@@ -541,12 +558,16 @@ _TAIL_ESTIMATE = entropy.tail_entropy_estimate
     (["entropy", "--n-max", "9223372036854775808"], 3, "cap"),
     # 5e-324 * 0.5 rounds to 0; the smallest scale is estimated first
     (["tail", "--eps-start", "5e-324"], 3, "0 < eps"),
+    # one scale, whose least delta 5e-324 / 16 rounds to 0
+    (["tail", "--eps-start", "5e-324", "--eps-count", "1", "--n-max", "4"], 3,
+     "eps/16 rounds to 0"),
 ])
 def test_edge_values_in_range_exit_2_or_3_without_traceback(
         capsys, monkeypatch, nothing_built, args, code, message):
     """Values that pass the flag checks but overflow a snake's window search
     or sample count, a NaN snake offset, an n-max whose time list would not
-    fit in memory and a schedule that underflows to 0.  The map spec and
+    fit in memory, a schedule that underflows to 0 and a scale whose least
+    delta does.  The map spec and
     the tail scale are what is refused, so the map is parsed and the tail
     estimate is called; no sample, grid or pullback is built."""
     monkeypatch.setattr(cli, "_map_for", _MAP_FOR)
@@ -654,3 +675,84 @@ def test_refused_flag_values_exit_2_or_3_without_traceback(args):
             code = exc.code
     assert code in (2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# Edge values: subnormal, tiny, near-one and one-half floats for every
+# float flag and spec field, the least, near-least and huge values of the
+# flags bounded below by 1 or 2, and the lower bounds of the int flags.  A
+# value outside a field's range (a snake C at or below its eps) must be
+# refused like any other.  The caps of the int flags are left out: none is
+# cheap (tail n-max 1024 takes about 11 s, sft p-max 20 about 0.8 s).
+_EDGE = st.sampled_from(["5e-324", "1e-320", "1e-300", repr(2.0 ** -52),
+                         repr(1 - 2.0 ** -53), "0.5"])
+
+
+def _spec(*formats):
+    return st.builds(str.format, st.sampled_from(formats), _EDGE)
+
+
+# Each subcommand's cheap run, and for each flag the subcommands that read
+# it and its edge values.  reparam and verify read no numeric flag.
+_CHEAP = {
+    "entropy": ["--grid-bits", "10", "--eps-count", "1", "--n-max", "4"],
+    "tail": ["--eps-count", "1", "--n-max", "4"],
+    "bounds": ["--eps-count", "1"],
+    "modulus": ["--grid-bits", "10", "--eps-count", "1"],
+    "snake": ["--eps-count", "1"],
+    "sft": [],
+    "thickness": [],
+    "weights": ["--k-max", "10"],
+}
+_SCALED = ("entropy", "tail", "bounds", "modulus", "snake")
+_MAPPED = ("entropy", "tail", "bounds", "modulus")
+_IN_RANGE = {
+    "--eps-start": (_SCALED, _EDGE),
+    "--eps-ratio": (_SCALED, _EDGE),
+    "--map": (_MAPPED, st.one_of(
+        st.sampled_from(["quadratic:4", "poly:[0,9,-24,16]"]),
+        _spec("quadratic:{}", "poly:[{}]", "poly:[0,{}]", "snake:eps={}",
+              "snake:eps=0.1,C={}", "snake:eps=0.1,lambda={}",
+              "snake:eps=0.1,rate=pow:{}"))),
+    "--n-max": (("entropy", "tail"), st.sampled_from(["1", "4"])),
+    "--grid-bits": (("entropy", "modulus"), st.sampled_from(["1", "10"])),
+    "--m0": (("modulus",), st.sampled_from(
+        ["2.0", repr(2 + 2.0 ** -51), "1e300", repr(sys.float_info.max)])),
+    "--lambda-u": (("snake",), st.one_of(_EDGE, st.sampled_from(
+        ["1e300", repr(sys.float_info.max)]))),
+    "--rate": (("snake",), _spec("pow:{}")),
+    "--p-min": (("sft",), st.sampled_from(["2", "3"])),
+    "--p-max": (("sft",), st.sampled_from(["3", "10"])),
+    "--cantor": (("thickness",), st.builds(
+        "remove-middle {} depth {}".format, _EDGE, st.integers(0, 3))),
+    "--k-max": (("weights",), st.sampled_from(["2", "10"])),
+    "--weight": (("weights",), st.one_of(
+        st.sampled_from(["const:1", f"const:{1 + 2.0 ** -52!r}",
+                         "const:1e300"]),
+        _spec("fromrate:a=pow:{},logDT=1.0", "fromrate:a=pow:0.5,logDT={}"))),
+}
+
+
+@st.composite
+def _in_range_flag(draw):
+    flag = draw(st.sampled_from(sorted(_IN_RANGE)))
+    experiments, values = _IN_RANGE[flag]
+    experiment = draw(st.sampled_from(experiments))
+    return [experiment, *_CHEAP[experiment], f"{flag}={draw(values)}"]
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True)
+@given(_in_range_flag())
+@example(["tail", *_CHEAP["tail"], "--eps-start=5e-324"])
+@example(["thickness", "--cantor=remove-middle 5e-324 depth 3"])
+@example(["tail", *_CHEAP["tail"], "--map=poly:[0,9,-24,16]"])
+def test_in_range_flag_values_exit_0_2_or_3_without_traceback(args):
+    """An edge value inside a flag's or a spec field's accepted range runs
+    or is refused with exit 2 or 3, never with an exception; a run writes
+    rows of the header's field count."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 2, 3), (args, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert_rows_fit_header(out.getvalue())

@@ -1034,6 +1034,24 @@ def test_tail_scales_outside_zero_inf_raise_scale_error(no_work, eps):
         power_bound_check(TENT, eps, 2)
 
 
+def test_tail_scales_whose_least_delta_rounds_to_0_raise_scale_error(
+        monkeypatch):
+    """The least delta eps/16 must be positive: at 5e-324 and 2.5e-323 it
+    rounds to 0 and both functions refuse before any tail center is
+    built, while 5e-323 / 16 rounds up to the least subnormal and runs."""
+    assert tail_entropy_estimate(TENT, 5e-323, range(1, 5)).delta == 5e-324
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(entropy, "_tail_centers", refuse)
+    for eps in (5e-324, 2.5e-323):
+        with pytest.raises(ScaleError, match="eps/16 rounds to 0"):
+            tail_entropy_estimate(TENT, eps)
+        with pytest.raises(ScaleError, match="eps/16 rounds to 0"):
+            power_bound_check(TENT, eps, 2)
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan], ids=repr)
 def test_grid_scales_not_above_zero_raise_domain_error(no_work, eps):
     with pytest.raises(DomainError, match="eps must be positive"):
@@ -1346,7 +1364,9 @@ def test_continuity_modulus_skips_undecided_top_of_bracket():
 def test_continuity_modulus_runs_only_read_work(monkeypatch):
     """On the config of `test_continuity_modulus_tent`: no cover runs for a p
     that passes at every count (cap None), and no fit runs at 0.35/4, the
-    scale of the top of the bracket, where P*(0.35) = 0."""
+    scale of the top of the bracket, where P*(0.35) = 0.  At eps 0.02 and
+    m0 2.5, P*(0.35) = 1 and 0.35/4 is fitted.  No scale is fitted twice
+    (h_est keeps no memo)."""
     covers, fits = [], []
     cover, fit = entropy._greedy_cover, entropy._count_series
 
@@ -1365,6 +1385,9 @@ def test_continuity_modulus_runs_only_read_work(monkeypatch):
     assert covers and None not in covers
     assert sorted(fits) == [0.05 / 4, 0.05]
     assert _S_HI / 4 not in fits
+    fits.clear()
+    continuity_modulus(TENT, 0.02, 2.5, hloc)
+    assert sorted(fits) == [0.02 / 4, 0.02, _S_HI / 4]
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf, _S_HI, 2.0])
