@@ -27,11 +27,11 @@ from .errors import ConfigError, ResourceError, TailentError
 
 SCHEMA_VERSION = "1"
 
-# Size caps, checked before anything is built (ResourceError, exit 3); Y_p
-# has 2^(p-1) states and takes about 0.8 s and 75 MB at p = 18.  `tail` on
-# quadratic:4 with 3 scales takes about 11 s at --n-max 1536, and `weights`
-# about 1 s and 84 MB at --k-max 10^5 (660 MB at 10^6).
-_EPS_COUNT_CAP, _SFT_P_CAP = 256, 20
+# Size caps, checked before anything is built (ResourceError, exit 3); the
+# p-max cap is `symbolic._SFT_P_CAP`.  `tail` on quadratic:4 with 3 scales
+# takes about 11 s at --n-max 1536, and `weights` about 1 s and 84 MB at
+# --k-max 10^5 (660 MB at 10^6).
+_EPS_COUNT_CAP = 256
 _TAIL_N_MAX_CAP, _K_MAX_CAP = 1024, 100_000
 
 
@@ -91,6 +91,7 @@ class ExperimentConfig:
         return self.grid_bits
 
     def p_range(self):
+        from .symbolic import _SFT_P_CAP
         if self.p_min < 2:
             raise ConfigError("p-min", "must be >= 2")
         if self.p_max < self.p_min:
@@ -157,12 +158,17 @@ def _write_csv(cfg, columns, rows):
                                 for v in row] for row in rows)
 
 
+def _spec(field, parse, *args):
+    """parse(*args); a malformed spec's ValueError or OSError is exit 2."""
+    try:
+        return parse(*args)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(field, str(exc))
+
+
 def _map_for(cfg):
     from .maps import get_map
-    try:
-        return get_map(cfg.map_spec)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("map", str(exc))
+    return _spec("map", get_map, cfg.map_spec)
 
 
 def run_entropy(cfg):
@@ -237,10 +243,7 @@ def run_reparam(cfg):
 def run_sft(cfg):
     from .symbolic import build_Yp, sft_entropy, load_sft_file
     if cfg.sft_spec:
-        try:
-            sft = load_sft_file(cfg.sft_spec)
-        except (OSError, ValueError) as exc:
-            raise ConfigError("sft-spec", str(exc))
+        sft = _spec("sft-spec", load_sft_file, cfg.sft_spec)
         rows = [(cfg.sft_spec, "", sft_entropy(sft), "")]
     else:
         rows = [(f"Y_{p}", p, sft_entropy(build_Yp(p)),
@@ -250,10 +253,7 @@ def run_sft(cfg):
 
 def run_thickness(cfg):
     from .symbolic import parse_cantor_spec, thickness
-    try:
-        c = parse_cantor_spec(cfg.cantor_spec)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError("cantor", str(exc))
+    c = _spec("cantor", parse_cantor_spec, cfg.cantor_spec)
     t = thickness(c)
     return (["spec", "depth", "thickness"],
             [(cfg.cantor_spec, c.depth,
@@ -263,10 +263,7 @@ def run_thickness(cfg):
 def run_weights(cfg):
     from .rates import parse_weight, is_log_convex
     ks = cfg.k_range()
-    try:
-        weight = parse_weight(cfg.weight_spec)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("weight", str(exc))
+    weight = _spec("weight", parse_weight, cfg.weight_spec)
     convex = is_log_convex(weight, min(cfg.k_max, 120))
     return (["weight", "k", "log_m", "a_k", "log_convex"],
             [(weight.name, k, weight.log_weight(k), weight.a(k), convex)
@@ -275,16 +272,10 @@ def run_weights(cfg):
 
 def run_snake(cfg):
     from .maps import build_snake, get_rate
-    try:
-        rate = get_rate(cfg.rate_spec)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("rate", str(exc))
+    rate = _spec("rate", get_rate, cfg.rate_spec)
     rows = []
     for eps in cfg.eps_schedule():
-        try:
-            params, sm = build_snake(rate, eps, cfg.lambda_u)
-        except ValueError as exc:
-            raise ConfigError("snake", str(exc))
+        params, sm = _spec("snake", build_snake, rate, eps, cfg.lambda_u)
         rows.append((eps, params.P, params.N, params.M, params.R, params.ell,
                      sm.oscillation_count(), sm.profile_derivative_sup(1),
                      sm.profile_derivative_sup(2),

@@ -753,8 +753,8 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
     eps must lie in (0, _S_HI), the bracket of N(eps); any other eps is a
     DomainError, raised before hloc_g is probed or an orbit is built.
     hloc_g must not increase toward 0, i.e. be nondecreasing in t; this is
-    probed only at 12 points of [1e-6, min(eps, 0.06)] (a DomainError if
-    it falls there), although hloc_g is read up to _S_HI.
+    probed only at 12 ascending points between 1e-6 and min(eps, 0.06) (a
+    DomainError if it falls there), although hloc_g is read up to _S_HI.
 
     Each p is decided by a capped greedy cover.  In floating point the
     test value log(c)/p - h is nondecreasing in the integer count c:
@@ -792,7 +792,7 @@ def continuity_modulus(m: IntervalMap, eps, m0, hloc_g,
         raise DomainError(f"eps must lie in (0, {_S_HI:g}), the bracket of "
                           f"N(eps); got {eps!r}")
     # the hypothesis is monotone decay at small scales
-    probe = np.geomspace(1e-6, min(eps, 0.06), 12)
+    probe = np.geomspace(*sorted((1e-6, min(eps, 0.06))), 12)
     vals = [hloc_g(t) for t in probe]
     if any(a > b + 1e-12 for a, b in zip(vals, vals[1:])):
         raise DomainError("hloc_g must not increase toward 0 "

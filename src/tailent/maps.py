@@ -32,7 +32,7 @@ from .errors import (DomainError, NotC1Error, ResourceError,
 
 __all__ = [
     "IntervalMap", "PolynomialMap", "PiecewiseAffineMap", "SnakeMap",
-    "SnakeParams", "build_snake", "get_map", "get_rate",
+    "SnakeParams", "build_snake", "get_map", "get_rate", "spec_number",
     "min_branch_length_iterate", "quadratic_map", "tent_map", "identity_map",
 ]
 
@@ -168,7 +168,10 @@ class PolynomialMap(IntervalMap):
                      else polyalg.Polynomial(coeffs))
         self.name = name or f"poly:[{','.join(str(float(c)) for c in self.poly.coeffs)}]"
         self._derivs = {0: self.poly}
-        v = self.poly(np.linspace(0.0, 1.0, 4097))
+        try:
+            v = self.poly(np.linspace(0.0, 1.0, 4097))
+        except OverflowError:   # a coefficient over the float range
+            raise ValueError(f"{self.name}: a coefficient overflows a float")
         if v.min() < -1e-12 or v.max() > 1 + 1e-12:
             raise ValueError(
                 f"{self.name}: image [{v.min():.3g}, {v.max():.3g}] leaves [0,1]")
@@ -561,44 +564,54 @@ def identity_map():
     return PolynomialMap([0, 1], name="identity")
 
 
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,3})?")
+_RATIO = re.compile(r"[+-]?[0-9]+/0*[1-9][0-9]*")
 _RATES = {
     "invsqrtlog": lambda e: 1.0 / math.sqrt(abs(math.log(e))),
     "invlog": lambda e: 1.0 / abs(math.log(e)),
 }
 
 
+def spec_number(text, exact=False):
+    """A decimal with at most 3 exponent digits as a float, or if exact as a
+    Fraction, then also p/q with q > 0; other text raises ValueError."""
+    if not (_DECIMAL.fullmatch(text) or exact and _RATIO.fullmatch(text)):
+        raise ValueError(f"{text!r} is not a spec number: a decimal with at "
+                         "most 3 exponent digits" + " or p/q, q > 0" * exact)
+    return Fraction(text) if exact else float(text)
+
+
 def get_rate(spec):
-    """Rate function by name: invsqrtlog, invlog, or pow:alpha."""
+    """Rate function: invsqrtlog, invlog or pow:alpha; else ValueError."""
     if spec in _RATES:
         return _RATES[spec]
-    m = re.fullmatch(r"pow:([0-9.eE+-]+)", spec)
-    if m:
-        alpha = float(m.group(1))
+    if spec.startswith("pow:"):
+        alpha = spec_number(spec[4:])
         return lambda e: e ** alpha
-    raise KeyError(f"unknown rate spec {spec!r}")
+    raise ValueError(f"unknown rate spec {spec!r}")
 
 
 def get_map(spec):
-    """Map registry: tent | identity | quadratic:a | poly:[...] | snake:..."""
+    """Map registry: tent | identity | quadratic:a | poly:[...] |
+    snake:eps=...[,lambda=...][,C=...][,rate=...]; else ValueError."""
     if spec == "tent":
         return tent_map()
     if spec == "identity":
         return identity_map()
     if spec.startswith("quadratic:"):
-        return quadratic_map(float(spec.split(":", 1)[1]))
+        return quadratic_map(spec_number(spec[10:]))
     if spec.startswith("poly:"):
         body = spec[5:].strip()
         if not (body.startswith("[") and body.endswith("]")):
-            raise KeyError(f"bad poly spec {spec!r}")
-        coeffs = [Fraction(tok.strip()).limit_denominator(1 << 40)
-                  for tok in body[1:-1].split(",") if tok.strip()]
+            raise ValueError(f"bad poly spec {spec!r}")
+        coeffs = [spec_number(tok.strip(), exact=True)
+                  .limit_denominator(1 << 40) for tok in body[1:-1].split(",")]
         return PolynomialMap(coeffs, name=spec)
     if spec.startswith("snake:"):
         kv = dict(part.split("=", 1) for part in spec[6:].split(","))
-        rate = get_rate(kv.get("rate", "invsqrtlog"))
-        eps = float(kv["eps"])
-        lam = float(kv.get("lambda", "1.0"))
-        big_c = float(kv.get("C", "1.0"))
-        _, m = build_snake(rate, eps, lam, big_c)
-        return m
-    raise KeyError(f"unknown map spec {spec!r}")
+        if "eps" not in kv or kv.keys() - {"eps", "lambda", "C", "rate"}:
+            raise ValueError(f"snake keys are eps, lambda, C, rate: {spec!r}")
+        return build_snake(get_rate(kv.get("rate", "invsqrtlog")),
+                           *(spec_number(kv.get(k, "1.0"))
+                             for k in ("eps", "lambda", "C")))[1]
+    raise ValueError(f"unknown map spec {spec!r}")

@@ -212,19 +212,19 @@ _NAMED = {
 
 
 def parse_weight(spec):
-    """Weight spec strings: kpow2 | analytic | const:M0 | fromrate:a=...,logDT=..."""
+    """Weight spec strings: kpow2 | analytic | const:M0 | fromrate:a=...,logDT=...;
+    any other spec raises ValueError."""
+    from .maps import get_rate, spec_number
     if spec in _NAMED:
         name, fn = _NAMED[spec]
         return WeightSequence(log_m=fn, name=spec)
-    m = re.fullmatch(r"const:([0-9.eE+-]+)", spec)
-    if m:
-        m0 = float(m.group(1))
+    if spec.startswith("const:"):
+        m0 = spec_number(spec[6:])
         if m0 < 1:
             raise ValueError("M0 must be >= 1")
         return WeightSequence(log_m=lambda k: math.log(m0), name=spec)
-    m = re.fullmatch(r"fromrate:a=([^,]+),logDT=([0-9.eE+-]+)", spec)
+    m = re.fullmatch(r"fromrate:a=([^,]+),logDT=(.*)", spec)
     if m:
-        from .maps import get_rate
-        w, _ = weight_from_rate(get_rate(m.group(1)), float(m.group(2)))
+        w, _ = weight_from_rate(get_rate(m.group(1)), spec_number(m.group(2)))
         return w
-    raise KeyError(f"unknown weight spec {spec!r}")
+    raise ValueError(f"unknown weight spec {spec!r}")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (DegenerateShiftError, DomainError, HypothesisUnmetError,
                      PrecisionError, ResourceError)
+from .maps import spec_number
 from .polyalg import _numerators
 
 __all__ = [
@@ -118,13 +119,25 @@ def _contains_forbidden(window, words):
     return False
 
 
+# Y_p has 2^(p-1) de Bruijn states and takes about 0.8 s and 75 MB at
+# p = 18; no SFT is built on more states than Y_20
+_SFT_P_CAP = 20
+
+
 def sft_from_forbidden_words(alphabet, words):
-    """De Bruijn-coded SFT whose sequences avoid every word everywhere."""
+    """De Bruijn-coded SFT whose sequences avoid every word everywhere.
+    More than 2^(_SFT_P_CAP - 1) blocks of the order raise ResourceError
+    before any is listed."""
     if alphabet < 2:
         raise ValueError("alphabet size must be >= 2")
     words = tuple(_as_word(w, alphabet) for w in words)
     order = max([len(w) - 1 for w in words], default=1)
     order = max(order, 1)
+    # order >= _SFT_P_CAP is over the cap for any alphabet, and the power
+    # is formed only below it
+    if order >= _SFT_P_CAP or alphabet ** order > 2 ** (_SFT_P_CAP - 1):
+        raise ResourceError(f"{alphabet}^{order} de Bruijn states are over "
+                            f"the cap 2^{_SFT_P_CAP - 1}")
     states = [b for b in product(range(alphabet), repeat=order)
               if not _contains_forbidden(b, words)]
     if not states:
@@ -525,9 +538,9 @@ _CANTOR_DEPTH_CAP, _CANTOR_BITS_CAP = 16, 1024
 
 def parse_cantor_spec(spec):
     """CantorApprox spec string: 'remove-middle 1/3 depth 12'.  A negative
-    depth raises ValueError; a depth over _CANTOR_DEPTH_CAP, or a depth
-    times the bit length of kd, the denominator of (1 - r)/2, over
-    _CANTOR_BITS_CAP, raises ResourceError, before anything is built."""
+    depth, or a ratio r outside `maps.spec_number`, raises ValueError; a
+    depth over _CANTOR_DEPTH_CAP, or depth * bits(kd) over _CANTOR_BITS_CAP
+    for kd the denominator of (1 - r)/2, raises ResourceError before a build."""
     toks = spec.split()
     if len(toks) != 4 or toks[0] != "remove-middle" or toks[2] != "depth":
         raise ValueError(f"bad Cantor spec {spec!r}")
@@ -537,7 +550,7 @@ def parse_cantor_spec(spec):
     if depth > _CANTOR_DEPTH_CAP:
         raise ResourceError(f"Cantor depth {depth} is over the cap "
                             f"{_CANTOR_DEPTH_CAP}")
-    r = Fraction(toks[1])
+    r = spec_number(toks[1], exact=True)
     bits = depth * ((1 - r) / 2).denominator.bit_length()
     if bits > _CANTOR_BITS_CAP:
         raise ResourceError(f"Cantor numerators of {bits} bits are over the "

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -252,7 +253,7 @@ def assert_rows_fit_header(text):
 
 @pytest.mark.parametrize("command", list(GOLDEN_CLI))
 def test_csv_matches_golden_hash(tmp_path, command):
-    """The cheap fixed runs, each command of tests/golden/cli.json, write
+    """The fixed runs, each command of tests/golden/cli.json, write
     the CSV whose sha256 the file holds, and each row of it has the
     header's field count (a `poly:[...]` map name is one quoted field).  A
     change that moves one CSV re-captures its hash and says why."""
@@ -428,8 +429,8 @@ def test_orbit_cap_boundary_without_allocating(monkeypatch, no_grid_allocation):
 
 @pytest.fixture
 def nothing_built(monkeypatch):
-    """Fail the test if a map, a weight, an SFT, a Cantor set, an estimate
-    or a snake sample is built."""
+    """Fail the test if a map, a weight, an SFT (or its de Bruijn blocks),
+    a Cantor set, an estimate or a snake sample is built."""
     from tailent import cli, entropy, maps, rates, symbolic
 
     def refuse(*args, **kwargs):
@@ -438,6 +439,7 @@ def nothing_built(monkeypatch):
     monkeypatch.setattr(maps.np, "linspace", refuse)
 
     monkeypatch.setattr(symbolic, "build_Yp", refuse)
+    monkeypatch.setattr(symbolic, "product", refuse)
     monkeypatch.setattr(symbolic, "middle_cantor", refuse)
     monkeypatch.setattr(entropy, "tail_entropy_estimate", refuse)
     monkeypatch.setattr(cli, "_map_for", refuse)
@@ -471,11 +473,27 @@ def test_size_over_cap_exits_3_before_building(tmp_path, capsys, nothing_built,
     assert err.startswith("numeric/resource error:") and "cap" in err
 
 
+def test_sft_spec_file_over_the_state_cap_exits_3_at_once(tmp_path, capsys,
+                                                          nothing_built):
+    """A spec file whose de Bruijn graph has 2^20 states, as Y_21 has, is
+    refused before any block is listed; unrefused, it ran 6.9 s and took
+    492 MB on a 2-core x86-64 host."""
+    spec = tmp_path / "y21.sft"
+    spec.write_text("2\n01" + "0" * 19 + "\n")
+    start = time.perf_counter()
+    code = main(["sft", "--sft-spec", str(spec), "--out", os.devnull])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric/resource error:") and "cap" in err
+
+
 def test_size_caps_boundaries(nothing_built):
     from tailent import cli, symbolic
     from tailent.errors import ResourceError
-    cfg = ExperimentConfig(name="sft", p_min=2, p_max=cli._SFT_P_CAP)
-    assert cfg.p_range() == range(2, cli._SFT_P_CAP + 1)
+    p_cap = symbolic._SFT_P_CAP
+    cfg = ExperimentConfig(name="sft", p_min=2, p_max=p_cap)
+    assert cfg.p_range() == range(2, p_cap + 1)
     cfg.p_max += 1
     with pytest.raises(ResourceError):
         cfg.p_range()
@@ -505,6 +523,16 @@ def test_size_caps_boundaries(nothing_built):
         symbolic.parse_cantor_spec(f"remove-middle 1/{2 ** 62} depth {depth}")
     with pytest.raises(ResourceError):
         symbolic.parse_cantor_spec(f"remove-middle 1/{2 ** 63} depth {depth}")
+    # an SFT of order k (one less than its longest word) over a symbols has
+    # a^k de Bruijn blocks, at most 2^(p_cap - 1) as Y_(p_cap) has
+    states = 2 ** (p_cap - 1)
+    for alphabet, order in ((2, p_cap - 1), (3, 11), (states, 1)):
+        with pytest.raises(AssertionError, match="built"):
+            symbolic.sft_from_forbidden_words(alphabet, ["0" * (order + 1)])
+    for alphabet, order in ((2, p_cap), (3, 12), (states + 1, 1), (2, 10 ** 5),
+                            (10 ** 100, 1)):
+        with pytest.raises(ResourceError, match="cap"):
+            symbolic.sft_from_forbidden_words(alphabet, ["0" * (order + 1)])
 
 
 def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
@@ -538,9 +566,21 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
     (["thickness", "--cantor", "remove-middle 1/3 depth -1"], "cantor"),
     (["weights", "--k-max", "0"], "k-max"),
     (["weights", "--k-max", "1"], "k-max"),
+    # spec fields outside the number grammar: no Fraction builds 10^k, and
+    # no empty coefficient or unknown snake key is dropped
+    (["thickness", "--cantor", "remove-middle 1e-1000000 depth 0"], "cantor"),
+    (["tail", "--map", "poly:[0,4,-4e-1000000]"], "map"),
+    (["tail", "--map", "poly:[0,1/0]"], "map"),
+    (["tail", "--map", "poly:[0,4,,-4]"], "map"),
+    (["tail", "--map", "snake:eps=0.1,lamda=3"], "map"),
 ])
-def test_refused_values_exit_2(tmp_path, capsys, nothing_built, args, field):
+def test_refused_values_exit_2(tmp_path, capsys, monkeypatch, nothing_built,
+                               args, field):
+    """Each refused at once; the map spec is parsed, and nothing is built."""
+    monkeypatch.setattr(cli, "_map_for", _MAP_FOR)
+    start = time.perf_counter()
     code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert time.perf_counter() - start < 0.1
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
@@ -553,8 +593,8 @@ _TAIL_ESTIMATE = entropy.tail_entropy_estimate
     (["snake", "--eps-start", "5e-324", "--eps-count", "1"], 3, "cap"),
     (["bounds", "--map", "snake:eps=5e-324"], 3, "cap"),
     (["bounds", "--map", "snake:eps=1e-300"], 3, "cap"),
-    (["tail", "--map", "snake:eps=0.1,C=nan"], 2, "finite C > eps"),
-    (["modulus", "--map", "snake:eps=0.1,C=nan"], 2, "finite C > eps"),
+    (["tail", "--map", "snake:eps=0.1,C=nan"], 2, "is not a spec number"),
+    (["modulus", "--map", "snake:eps=0.1,C=nan"], 2, "is not a spec number"),
     (["entropy", "--n-max", "9223372036854775808"], 3, "cap"),
     # 5e-324 * 0.5 rounds to 0; the smallest scale is estimated first
     (["tail", "--eps-start", "5e-324"], 3, "0 < eps"),
@@ -605,6 +645,16 @@ def _parses_as_float(text):
 
 _NON_NUMERIC = st.text(max_size=12).filter(lambda s: not _parses_as_float(s))
 _NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"])
+# Tokens outside the number grammar of spec fields (`maps.spec_number`):
+# text that float() or Fraction() reads as nan, inf, 10 or 10^k for an
+# exponent k of 4 or more digits, and text neither reads; p/q is also
+# refused where no fraction is allowed.
+_NOT_IN_GRAMMAR = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "", "1_0", "1/0", "-3/0",
+                     "--1", "+-1", "1e", ".", "0x1"]),
+    st.from_regex(r"[+-]?[0-9]{1,3}(\.[0-9]*)?[eE][+-]?[0-9]{4,9}",
+                  fullmatch=True))
+_NOT_A_FLOAT = st.one_of(_NOT_IN_GRAMMAR, st.sampled_from(["1/3", "-4/1"]))
 
 
 def _floats(**kwargs):
@@ -619,7 +669,8 @@ def _ints(**kwargs):
 # refuse: the flag's type rejects text, and the program rejects non-finite
 # values, values at or below zero where the flag must be positive, and sizes
 # over the caps; for the Cantor spec, negative depths and depths over the
-# cap.  No valid value is drawn, so no estimate runs.
+# cap; for each numeric spec field, a token outside the number grammar.  No
+# valid value is drawn, so no estimate runs.
 _REFUSED = {
     "--eps-start": ("tail", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                       _floats(max_value=0.0),
@@ -649,12 +700,20 @@ _REFUSED = {
     "--k-max": ("weights", st.one_of(_NON_NUMERIC, _NOT_FINITE,
                                      _ints(max_value=1),
                                      _ints(min_value=_K_MAX_CAP + 1))),
-    "--cantor": ("thickness", st.builds(
-        "remove-middle {} depth {}".format,
-        st.sampled_from(["1/3", "1/5", "1/2", "9/10"]),
-        st.one_of(st.integers(max_value=-1),
-                  st.integers(min_value=_CANTOR_DEPTH_CAP + 1)))),
+    "--cantor": ("thickness", st.one_of(
+        st.builds("remove-middle {} depth {}".format,
+                  st.sampled_from(["1/3", "1/5", "1/2", "9/10"]),
+                  st.one_of(st.integers(max_value=-1),
+                            st.integers(min_value=_CANTOR_DEPTH_CAP + 1))),
+        st.builds("remove-middle {} depth 2".format, _NOT_IN_GRAMMAR))),
+    "--map": ("tail", st.one_of(
+        st.builds("quadratic:{}".format, _NOT_A_FLOAT),
+        st.builds("poly:[0,{}]".format, _NOT_IN_GRAMMAR),
+        st.builds("snake:eps={}".format, _NOT_A_FLOAT))),
+    "--rate": ("snake", st.builds("pow:{}".format, _NOT_A_FLOAT)),
+    "--weight": ("weights", st.builds("const:{}".format, _NOT_A_FLOAT)),
 }
+_SPEC_FLAGS = ("--cantor", "--map", "--rate", "--weight")
 
 
 @st.composite
@@ -664,9 +723,11 @@ def _refused_flag(draw):
     return [experiment, f"{flag}={draw(values)}"]
 
 
-@settings(max_examples=150, deadline=2000, derandomize=True)
+@settings(max_examples=250, deadline=2000, derandomize=True)
 @given(_refused_flag())
 def test_refused_flag_values_exit_2_or_3_without_traceback(args):
+    """A refused spec is a config error (exit 2) unless a size cap refuses
+    it (exit 3)."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
@@ -675,6 +736,8 @@ def test_refused_flag_values_exit_2_or_3_without_traceback(args):
             code = exc.code
     assert code in (2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if args[1].split("=")[0] in _SPEC_FLAGS:
+        assert code == 2 or "cap" in err.getvalue(), (args, err.getvalue())
 
 
 # Edge values: subnormal, tiny, near-one and one-half floats for every

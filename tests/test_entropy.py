@@ -1195,6 +1195,17 @@ def test_continuity_modulus_rejects_nonmonotone():
         continuity_modulus(IDENT, 0.1, 2.0, lambda t: -math.log(t), grid_bits=12)
 
 
+def test_continuity_modulus_probes_ascending_below_1e_minus_6():
+    """Below eps = 1e-6 the probe runs from eps up to 1e-6, so the CLI's
+    increasing 1/|log t| passes it and eps = 1e-7 meets the grid's
+    ResolutionError; a decreasing hloc_g is still refused there."""
+    with pytest.raises(ResolutionError, match="fewer than 8 grid points"):
+        continuity_modulus(IDENT, 1e-7, 2.0, lambda t: 1.0 / abs(math.log(t)),
+                           grid_bits=10)
+    with pytest.raises(DomainError, match="hloc_g must not increase toward 0"):
+        continuity_modulus(IDENT, 1e-7, 2.0, lambda t: -t, grid_bits=10)
+
+
 # ---------------------------------------------------------------------------
 # continuity modulus against the full search
 # ---------------------------------------------------------------------------
@@ -1241,7 +1252,7 @@ def ref_continuity_modulus(m, eps, m0, hloc_g, grid_bits=14):
     checks against `ref_greedy_cover`."""
     if not 2 <= m0 < math.inf:
         raise DomainError("m0 must be finite and >= 2")
-    probe = np.geomspace(1e-6, min(eps, 0.06), 12)
+    probe = np.geomspace(*sorted((1e-6, min(eps, 0.06))), 12)
     vals = [hloc_g(t) for t in probe]
     if any(a > b + 1e-12 for a, b in zip(vals, vals[1:])):
         raise DomainError("hloc_g must not increase toward 0 "

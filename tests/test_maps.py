@@ -15,7 +15,8 @@ from tailent.errors import (DomainError, NotC1Error, ResourceError,
 from tailent.maps import (IntervalMap, PiecewiseAffineMap, PolynomialMap,
                           _critical_pullbacks, build_snake,
                           get_map, get_rate, identity_map,
-                          min_branch_length_iterate, quadratic_map, tent_map)
+                          min_branch_length_iterate, quadratic_map, spec_number,
+                          tent_map)
 
 F4 = quadratic_map()
 TENT = tent_map()
@@ -521,10 +522,44 @@ def test_registry_round_trip():
     assert m.evaluate_array(0.125) == 0.125
     sm = get_map("snake:eps=0.01,lambda=1.0,rate=invsqrtlog")
     assert sm.params.N == 100
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         get_map("lorenz")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         get_rate("cubic-spline")
+
+
+@pytest.mark.parametrize("text, exact, value", [
+    ("4", False, 4.0), ("-0.5e-3", False, -0.0005), (".5", False, 0.5),
+    ("+1.", False, 1.0), ("1e999", False, math.inf),
+    ("1.7976931348623157e+308", False, 1.7976931348623157e+308),
+    ("-4/6", True, Fraction(-2, 3)), ("007/010", True, Fraction(7, 10)),
+    ("1e-300", True, Fraction(1, 10 ** 300)), ("2.5", True, Fraction(5, 2)),
+])
+def test_spec_number_reads_the_grammar(text, exact, value):
+    got = spec_number(text, exact)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("text", [
+    "nan", "inf", "-inf", "", " 1", "1_0", "1/0", "-3/00", "--1", "1e", ".",
+    "0x1", "1e1000", "1e-1000000", "\u0663", "1/3.0"])
+def test_spec_number_refuses_other_text(text):
+    """Refused in both forms, before a Fraction builds 10^k for 1e-1000000."""
+    for exact in (False, True):
+        with pytest.raises(ValueError, match="is not a spec number"):
+            spec_number(text, exact)
+
+
+def test_spec_number_reads_p_over_q_only_if_exact():
+    with pytest.raises(ValueError, match="is not a spec number"):
+        spec_number("1/3")
+
+
+def test_poly_coefficient_over_the_float_range_is_a_value_error():
+    """1e999 is of the grammar and read exactly, but no float holds it, so
+    the map cannot be evaluated (it raised OverflowError)."""
+    with pytest.raises(ValueError, match="overflows a float"):
+        get_map("poly:[0,1e999]")
 
 
 def test_piecewise_affine_validation():

@@ -196,7 +196,7 @@ def test_weight_from_rate_nonconvex_output_raises():
 
 
 def test_parse_weight_errors():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         parse_weight("gevrey:2")
     with pytest.raises(ValueError):
         parse_weight("const:0.5")
