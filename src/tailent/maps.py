@@ -33,7 +33,8 @@ from .errors import (DomainError, NotC1Error, ResourceError,
 __all__ = [
     "IntervalMap", "PolynomialMap", "PiecewiseAffineMap", "SnakeMap",
     "SnakeParams", "build_snake", "get_map", "get_rate", "spec_number",
-    "min_branch_length_iterate", "quadratic_map", "tent_map", "identity_map",
+    "spec_int", "min_branch_length_iterate", "quadratic_map", "tent_map",
+    "identity_map",
 ]
 
 _GRID_BITS_SUP = 14      # dense grid for sup-norm estimates on non-polynomials
@@ -566,6 +567,8 @@ def identity_map():
 
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,3})?")
 _RATIO = re.compile(r"[+-]?[0-9]+/0*[1-9][0-9]*")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_POW_LOG_CAP = 709.78   # just under log(max float), where e ** alpha overflows
 _RATES = {
     "invsqrtlog": lambda e: 1.0 / math.sqrt(abs(math.log(e))),
     "invlog": lambda e: 1.0 / abs(math.log(e)),
@@ -581,13 +584,25 @@ def spec_number(text, exact=False):
     return Fraction(text) if exact else float(text)
 
 
+def spec_int(text):
+    """An optionally signed integer of ASCII digits; else ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not a spec integer of ASCII digits")
+    return int(text)
+
+
 def get_rate(spec):
     """Rate function: invsqrtlog, invlog or pow:alpha; else ValueError."""
     if spec in _RATES:
         return _RATES[spec]
     if spec.startswith("pow:"):
         alpha = spec_number(spec[4:])
-        return lambda e: e ** alpha
+
+        def rate(e):
+            if alpha * math.log(e) >= _POW_LOG_CAP:
+                raise DomainError(f"{e!r} ** {alpha!r} is over the float range")
+            return e ** alpha
+        return rate
     raise ValueError(f"unknown rate spec {spec!r}")
 
 

@@ -2,8 +2,9 @@
 thickness with the gap-lemma trichotomy.
 
 SFTs are realized by de Bruijn higher-block coding: states are admissible
-blocks of length max(forbidden word length) - 1 and transitions check the
-one-longer window.  Words are counted in one-sided admissible-word
+blocks of length max(forbidden word length) - 1 and transitions are the
+admissible one-longer windows, both listed as base-alphabet integer codes
+by one numpy kernel.  Words are counted in one-sided admissible-word
 semantics; the entropies agree with the two-sided shift.  Cantor sets are
 built by `middle_cantor` and moved onto a hull by `CantorApprox.scaled`;
 they store their endpoints as integer numerators over one common
@@ -15,16 +16,14 @@ only where the API returns them (`intervals`, `thickness`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import (DegenerateShiftError, DomainError, HypothesisUnmetError,
                      PrecisionError, ResourceError)
-from .maps import spec_number
+from .maps import spec_int, spec_number
 from .polyalg import _numerators
 
 __all__ = [
@@ -36,10 +35,7 @@ __all__ = [
 
 
 def _as_word(w, alphabet):
-    if isinstance(w, str):
-        word = tuple(int(ch) for ch in w)
-    else:
-        word = tuple(int(s) for s in w)
+    word = tuple(spec_int(s) if isinstance(w, str) else int(s) for s in w)
     if not word:
         raise ValueError("forbidden words must be nonempty")
     if any(not 0 <= s < alphabet for s in word):
@@ -47,113 +43,116 @@ def _as_word(w, alphabet):
     return word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sft:
     """Subshift of finite type over a block alphabet.
 
-    The transition graph is stored as successor lists: succ[i] is the
-    ascending tuple of the states that may follow state i.  A de Bruijn
-    state has at most `alphabet` successors, so the graph takes O(size)
-    memory; `matrix` derives the dense 0/1 rows on demand.
+    Edge k of the transition graph leads from state src[k] to dst[k], state
+    i being the i-th admissible block in code order; a de Bruijn state has
+    at most `alphabet` successors, so the graph takes O(size) memory.
 
-    The constructor raises DomainError unless there is one row per state
-    and every row is a strictly ascending tuple of integers in range(size),
-    so `matrix`, `word_count` and `sft_entropy` read the same graph.  The
-    entries are stored as ints.
+    The constructor raises DomainError unless src and dst are integer
+    arrays of one length with entries in range(size), strictly ascending in
+    (src, dst), so `matrix`, `word_count` and `sft_entropy` read the same
+    graph; it stores them as read-only intp arrays.
     """
     alphabet: int
     block_order: int
-    states: tuple           # admissible blocks (tuples of symbols)
-    succ: tuple             # ascending successor indices, indexed like states
+    size: int
+    src: np.ndarray
+    dst: np.ndarray
     forbidden: tuple
 
     def __post_init__(self):
-        n = len(self.states)
-        if len(self.succ) != n:
-            raise DomainError(f"{len(self.succ)} successor rows for {n} states")
-        rows = []
-        for i, row in enumerate(self.succ):
-            if not isinstance(row, tuple):
-                raise DomainError(f"successor row {i} is not a tuple")
-            try:
-                row = tuple(map(operator.index, row))
-            except TypeError as exc:
-                raise DomainError(
-                    f"successor entries must be integers: {exc}") from None
-            if any(not 0 <= j < n for j in row):
-                raise DomainError(f"successor entries must lie in range({n})")
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise DomainError(
-                    f"successor row {i} is not strictly ascending: {row}")
-            rows.append(row)
-        object.__setattr__(self, "succ", tuple(rows))
-
-    @property
-    def size(self):
-        return len(self.states)
+        src, dst = np.asarray(self.src), np.asarray(self.dst)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise DomainError(f"edge arrays of shapes {src.shape}, {dst.shape}")
+        if any(a.size and a.dtype.kind not in "biu" for a in (src, dst)):
+            raise DomainError(f"successor entries must be integers, not "
+                              f"{src.dtype}, {dst.dtype}")
+        src, dst = src.astype(np.intp), dst.astype(np.intp)
+        if not all(((0 <= a) & (a < self.size)).all() for a in (src, dst)):
+            raise DomainError(f"successor entries must lie in range({self.size})")
+        step = np.diff(src)
+        if ((step < 0) | (step == 0) & (np.diff(dst) <= 0)).any():
+            raise DomainError("edges are not strictly ascending in (src, dst)")
+        src.flags.writeable = dst.flags.writeable = False
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
 
     @property
     def matrix(self):
         """Dense 0/1 transition rows, indexed like states (size^2 entries)."""
-        rows = []
-        for row in self.succ:
-            dense = [0] * self.size
-            for j in row:
-                dense[j] = 1
-            rows.append(tuple(dense))
-        return tuple(rows)
+        dense = np.zeros((self.size, self.size), dtype=np.int8)
+        dense[self.src, self.dst] = 1
+        return tuple(tuple(row.tolist()) for row in dense)
 
     def successors(self):
-        return self.succ
+        """Row i: the ascending list of the states that may follow state i."""
+        return _Rows(self.dst,
+                     np.searchsorted(self.src, np.arange(self.size + 1)))
 
 
-def _contains_forbidden(window, words):
-    n = len(window)
-    for w in words:
-        k = len(w)
-        if k > n:
-            continue
-        for i in range(n - k + 1):
-            if window[i:i + k] == w:
-                return True
-    return False
+class _Rows:
+    """Successor rows, each built when it is read: the array path of
+    sft_entropy reads none of the 2^19 rows of Y_20."""
+
+    def __init__(self, dst, ends):
+        self.dst, self.ends = dst, ends
+
+    def __getitem__(self, i):
+        return self.dst[self.ends[i]:self.ends[i + 1]].tolist()
 
 
-# Y_p has 2^(p-1) de Bruijn states and takes about 0.8 s and 75 MB at
-# p = 18; no SFT is built on more states than Y_20
+# Y_p has 2^p de Bruijn windows and takes about 0.15 s to build at p = 20;
+# no SFT is built on more windows than Y_20, nor any graph on more words
 _SFT_P_CAP = 20
 
 
+def _word_space(alphabet, length):
+    """alphabet ** length, or ResourceError if that is over 2^_SFT_P_CAP."""
+    if length > _SFT_P_CAP or alphabet ** length > 2 ** _SFT_P_CAP:
+        raise ResourceError(f"{alphabet}^{length} words are over the cap "
+                            f"2^{_SFT_P_CAP}")
+    return alphabet ** length
+
+
+def _admissible_codes(alphabet, words, length):
+    """Ascending codes of the words of `length` symbols that contain none of
+    `words`; s_1 ... s_L is the base-`alphabet` integer with s_1 most
+    significant, so code order is lexicographic order."""
+    codes = np.arange(_word_space(alphabet, length))
+    keep = np.ones(codes.size, dtype=bool)
+    for w in words:
+        code = sum(s * alphabet ** i for i, s in enumerate(reversed(w)))
+        for shift in range(length - len(w) + 1):
+            keep &= codes // alphabet ** shift % alphabet ** len(w) != code
+    return codes[keep]
+
+
+def _block_graph(alphabet, words, length, step):
+    """(size, src, dst) of the graph on the admissible blocks of `length`
+    symbols, an edge u -> v for each admissible window of length + step
+    symbols from u to v, in ascending (src, dst) as the windows ascend.
+    Too many windows raise ResourceError before any block is listed."""
+    _word_space(alphabet, length + step)
+    blocks = _admissible_codes(alphabet, words, length)
+    if not blocks.size:
+        raise DegenerateShiftError("every block is forbidden")
+    win = _admissible_codes(alphabet, words, length + step)
+    return (blocks.size, np.searchsorted(blocks, win // alphabet ** step),
+            np.searchsorted(blocks, win % alphabet ** length))
+
+
 def sft_from_forbidden_words(alphabet, words):
-    """De Bruijn-coded SFT whose sequences avoid every word everywhere.
-    More than 2^(_SFT_P_CAP - 1) blocks of the order raise ResourceError
-    before any is listed."""
+    """De Bruijn-coded SFT whose sequences avoid every word everywhere; more
+    than 2^_SFT_P_CAP windows (words of order + 1 symbols) raise
+    ResourceError before any block is listed."""
     if alphabet < 2:
         raise ValueError("alphabet size must be >= 2")
     words = tuple(_as_word(w, alphabet) for w in words)
-    order = max([len(w) - 1 for w in words], default=1)
-    order = max(order, 1)
-    # order >= _SFT_P_CAP is over the cap for any alphabet, and the power
-    # is formed only below it
-    if order >= _SFT_P_CAP or alphabet ** order > 2 ** (_SFT_P_CAP - 1):
-        raise ResourceError(f"{alphabet}^{order} de Bruijn states are over "
-                            f"the cap 2^{_SFT_P_CAP - 1}")
-    states = [b for b in product(range(alphabet), repeat=order)
-              if not _contains_forbidden(b, words)]
-    if not states:
-        raise DegenerateShiftError("every block is forbidden")
-    index = {b: i for i, b in enumerate(states)}
-    succ = []
-    for b in states:
-        # states are listed in lexicographic order, so ascending s gives
-        # ascending successor indices
-        row = []
-        for s in range(alphabet):
-            j = index.get(b[1:] + (s,))
-            if j is not None and not _contains_forbidden(b + (s,), words):
-                row.append(j)
-        succ.append(tuple(row))
-    return Sft(alphabet, order, tuple(states), tuple(succ), words)
+    order = max([len(w) - 1 for w in words] + [1])
+    return Sft(alphabet, order, *_block_graph(alphabet, words, order, 1), words)
 
 
 def build_Yp(p):
@@ -167,26 +166,19 @@ def build_Yp(p):
 def word_count(sft: Sft, n):
     """Exact number of admissible words of length n (big integers).
 
-    Words shorter than the block order are enumerated directly; longer ones
-    are counted as transition paths between blocks.
+    Words up to the block order are counted by `_admissible_codes`; longer
+    ones as transition paths between blocks, on Python ints.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= sft.block_order:
-        if sft.forbidden:
-            return sum(1 for w in product(range(sft.alphabet), repeat=n)
-                       if not _contains_forbidden(w, sft.forbidden))
-        return min(sft.alphabet, sft.size) ** n if sft.block_order == 1 \
-            else sft.alphabet ** n
-    counts = [1] * sft.size
+        return len(_admissible_codes(sft.alphabet, sft.forbidden, n))
+    counts = np.ones(sft.size, dtype=object)
     for _ in range(n - sft.block_order):
-        nxt = [0] * sft.size
-        for i, row in enumerate(sft.succ):
-            ci = counts[i]
-            for j in row:
-                nxt[j] += ci
+        nxt = np.zeros(sft.size, dtype=object)
+        np.add.at(nxt, sft.dst, counts[sft.src])
         counts = nxt
-    return sum(counts)
+    return int(counts.sum())
 
 
 def word_count_entropy(sft: Sft):
@@ -246,14 +238,13 @@ def power_loop(tol, max_iter):
 """
 
 
-def _compile_loop(succ):
-    """power_loop(tol, max_iter) compiled from _LOOP for the graph succ; the
-    text holds only its own names and the successor indices, ints that `Sft`
-    has checked.  A small graph's w_i is a left fold from 0.0 over the
-    ascending successors of i; bincount adds the weights into each bin in
-    the same order."""
-    n = len(succ)
-    dst = [j for row in succ for j in row]
+def _compile_loop(sft, succ):
+    """power_loop(tol, max_iter) compiled from _LOOP for the graph of sft,
+    whose successor rows are succ; the text holds only its own names and
+    the successor indices, ints that `Sft` has checked.  A small graph's w_i
+    is a left fold from 0.0 over the ascending successors of i; bincount
+    adds the weights into each bin in the same order."""
+    n = sft.size
     namespace = {"np": np, "DegenerateShiftError": DegenerateShiftError,
                  "PrecisionError": PrecisionError}
     if n < _SMALL_GRAPH:
@@ -262,19 +253,16 @@ def _compile_loop(succ):
 
         vs = "".join(f"v{i}, " for i in range(n))
         ws = "".join(f"w{i}, " for i in range(n))
-        js = iter(dst)
         text = _LOOP.format(
             init=f"{vs}= " + "1.0, " * n,
-            step=f"{ws}= " + "".join(fold(f"v{next(js)}" for _ in row) + ", "
+            step=f"{ws}= " + "".join(fold(f"v{j}" for j in row) + ", "
                                      for row in succ),
             norm=fold(f"w{i}" for i in range(n)),
             total=fold(f"v{i}" for i in range(n)),
             snapshot=f"({vs})", same=f"({vs}) == snap",
             scale=f"{vs}= " + "".join(f"w{i} / norm, " for i in range(n)))
     else:
-        namespace.update(
-            n=n, src=np.repeat(np.arange(n), [len(row) for row in succ]),
-            dst=np.array(dst, dtype=np.intp))
+        namespace.update(n=n, src=sft.src, dst=sft.dst)
         text = _LOOP.format(
             init="v = np.ones(n)",
             step="w = np.bincount(src, weights=v[dst], minlength=n)",
@@ -309,7 +297,7 @@ def sft_entropy(sft: Sft):
     succ = sft.successors()
     if not any(succ):
         raise DegenerateShiftError("empty transition matrix")
-    lam = _compile_loop(succ)(_SFT_TOL, _SFT_MAX_ITER)
+    lam = _compile_loop(sft, succ)(_SFT_TOL, _SFT_MAX_ITER)
     if lam <= 0:
         raise DegenerateShiftError("spectral radius zero")
     return math.log(lam)
@@ -325,15 +313,8 @@ def power_system(sft: Sft, p):
         raise ValueError("p must be >= 1")
     if any(len(w) > p + 1 for w in sft.forbidden):
         raise ValueError("power block length too short for the forbidden words")
-    blocks = [w for w in product(range(sft.alphabet), repeat=p)
-              if not _contains_forbidden(w, sft.forbidden)]
-    if not blocks:
-        raise DegenerateShiftError("no admissible power blocks")
-    succ = tuple(tuple(j for j, v in enumerate(blocks)
-                       if not _contains_forbidden(u + v, sft.forbidden))
-                 for u in blocks)
-    states = tuple((i,) for i in range(len(blocks)))
-    return Sft(len(blocks), 1, states, succ, ())
+    size, src, dst = _block_graph(sft.alphabet, sft.forbidden, p, p)
+    return Sft(size, 1, size, src, dst, ())
 
 
 def load_sft_file(path):
@@ -342,8 +323,7 @@ def load_sft_file(path):
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty SFT spec file")
-    alphabet = int(lines[0])
-    return sft_from_forbidden_words(alphabet, lines[1:])
+    return sft_from_forbidden_words(spec_int(lines[0]), lines[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +517,15 @@ _CANTOR_DEPTH_CAP, _CANTOR_BITS_CAP = 16, 1024
 
 
 def parse_cantor_spec(spec):
-    """CantorApprox spec string: 'remove-middle 1/3 depth 12'.  A negative
-    depth, or a ratio r outside `maps.spec_number`, raises ValueError; a
-    depth over _CANTOR_DEPTH_CAP, or depth * bits(kd) over _CANTOR_BITS_CAP
-    for kd the denominator of (1 - r)/2, raises ResourceError before a build."""
+    """CantorApprox spec string: 'remove-middle 1/3 depth 12'.  A depth
+    outside `maps.spec_int` or negative, or a ratio r outside
+    `maps.spec_number`, raises ValueError; a depth over _CANTOR_DEPTH_CAP,
+    or depth * bits(kd) over _CANTOR_BITS_CAP for kd the denominator of
+    (1 - r)/2, raises ResourceError before a build."""
     toks = spec.split()
     if len(toks) != 4 or toks[0] != "remove-middle" or toks[2] != "depth":
         raise ValueError(f"bad Cantor spec {spec!r}")
-    depth = int(toks[3])
+    depth = spec_int(toks[3])
     if depth < 0:
         raise ValueError(f"Cantor depth {depth} is negative")
     if depth > _CANTOR_DEPTH_CAP:

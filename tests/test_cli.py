@@ -153,6 +153,10 @@ _BAD_SFT_SPECS = {
     "alphabet-x": "x\n",
     "word-12-over-2": "2\n12\n",
     "alphabet-1": "1\n",
+    # one integer grammar: ASCII digits, no underscore, no other script
+    "alphabet-1_0": "1_0\n",
+    "alphabet-arabic-indic": "\u0661\u0660\n",
+    "word-arabic-indic": "2\n\u0661\u0661\n",
 }
 
 
@@ -429,8 +433,8 @@ def test_orbit_cap_boundary_without_allocating(monkeypatch, no_grid_allocation):
 
 @pytest.fixture
 def nothing_built(monkeypatch):
-    """Fail the test if a map, a weight, an SFT (or its de Bruijn blocks),
-    a Cantor set, an estimate or a snake sample is built."""
+    """Fail the test if a map, a weight, an SFT (or any list of admissible
+    word codes), a Cantor set, an estimate or a snake sample is built."""
     from tailent import cli, entropy, maps, rates, symbolic
 
     def refuse(*args, **kwargs):
@@ -439,7 +443,7 @@ def nothing_built(monkeypatch):
     monkeypatch.setattr(maps.np, "linspace", refuse)
 
     monkeypatch.setattr(symbolic, "build_Yp", refuse)
-    monkeypatch.setattr(symbolic, "product", refuse)
+    monkeypatch.setattr(symbolic, "_admissible_codes", refuse)
     monkeypatch.setattr(symbolic, "middle_cantor", refuse)
     monkeypatch.setattr(entropy, "tail_entropy_estimate", refuse)
     monkeypatch.setattr(cli, "_map_for", refuse)
@@ -488,6 +492,21 @@ def test_sft_spec_file_over_the_state_cap_exits_3_at_once(tmp_path, capsys,
     assert err.startswith("numeric/resource error:") and "cap" in err
 
 
+def test_sft_spec_file_over_the_window_cap_exits_3_at_once(tmp_path, capsys,
+                                                           nothing_built):
+    """3000 symbols pass a cap on the 3000 states of order 1, but not one on
+    the 9 million de Bruijn windows; with only the state cap, the successor
+    loop ran 15.6 s on a 2-core x86-64 host and exited 0."""
+    spec = tmp_path / "wide.sft"
+    spec.write_text("3000\n0\n")
+    start = time.perf_counter()
+    code = main(["sft", "--sft-spec", str(spec), "--out", os.devnull])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric/resource error:") and "cap" in err
+
+
 def test_size_caps_boundaries(nothing_built):
     from tailent import cli, symbolic
     from tailent.errors import ResourceError
@@ -524,12 +543,14 @@ def test_size_caps_boundaries(nothing_built):
     with pytest.raises(ResourceError):
         symbolic.parse_cantor_spec(f"remove-middle 1/{2 ** 63} depth {depth}")
     # an SFT of order k (one less than its longest word) over a symbols has
-    # a^k de Bruijn blocks, at most 2^(p_cap - 1) as Y_(p_cap) has
+    # a^(k + 1) de Bruijn windows, at most 2^p_cap as Y_(p_cap) has; so an
+    # order-1 alphabet has at most 2^(p_cap / 2) symbols
     states = 2 ** (p_cap - 1)
-    for alphabet, order in ((2, p_cap - 1), (3, 11), (states, 1)):
+    for alphabet, order in ((2, p_cap - 1), (3, 11), (4, 9), (1024, 1)):
         with pytest.raises(AssertionError, match="built"):
             symbolic.sft_from_forbidden_words(alphabet, ["0" * (order + 1)])
-    for alphabet, order in ((2, p_cap), (3, 12), (states + 1, 1), (2, 10 ** 5),
+    for alphabet, order in ((2, p_cap), (3, 12), (4, 10), (1025, 1),
+                            (states, 1), (states + 1, 1), (2, 10 ** 5),
                             (10 ** 100, 1)):
         with pytest.raises(ResourceError, match="cap"):
             symbolic.sft_from_forbidden_words(alphabet, ["0" * (order + 1)])
@@ -573,6 +594,9 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
     (["tail", "--map", "poly:[0,1/0]"], "map"),
     (["tail", "--map", "poly:[0,4,,-4]"], "map"),
     (["tail", "--map", "snake:eps=0.1,lamda=3"], "map"),
+    # the depth is read by the integer grammar of `maps.spec_int`
+    (["thickness", "--cantor", "remove-middle 1/3 depth 1_0"], "cantor"),
+    (["thickness", "--cantor", "remove-middle 1/3 depth \u0661\u0660"], "cantor"),
 ])
 def test_refused_values_exit_2(tmp_path, capsys, monkeypatch, nothing_built,
                                args, field):
@@ -808,6 +832,12 @@ def _in_range_flag(draw):
 @example(["tail", *_CHEAP["tail"], "--eps-start=5e-324"])
 @example(["thickness", "--cantor=remove-middle 5e-324 depth 3"])
 @example(["tail", *_CHEAP["tail"], "--map=poly:[0,9,-24,16]"])
+# e ** alpha over the float range: a DomainError, not an OverflowError
+@example(["snake", "--rate", "pow:-1000", "--eps-start", "1e-5",
+          "--eps-count", "1"])
+@example(["tail", "--map", "snake:eps=1e-5,rate=pow:-1000", "--eps-count", "1"])
+@example(["weights", "--weight", "fromrate:a=pow:-1000,logDT=1.0",
+          "--k-max", "5"])
 def test_in_range_flag_values_exit_0_2_or_3_without_traceback(args):
     """An edge value inside a flag's or a spec field's accepted range runs
     or is refused with exit 2 or 3, never with an exception; a run writes

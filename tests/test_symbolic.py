@@ -121,11 +121,102 @@ def test_load_sft_file(tmp_path):
 def test_successor_lists_match_matrix():
     for sft in (GOLDEN, FULL, build_Yp(4), sft_from_forbidden_words(3, ["01", "22"]),
                 power_system(build_Yp(3), 3)):
-        assert len(sft.succ) == sft.size
-        for row, dense in zip(sft.succ, sft.matrix):
-            assert list(row) == sorted(set(row))
+        succ = list(sft.successors())
+        assert len(succ) == sft.size == len(sft.matrix)
+        for row, dense in zip(succ, sft.matrix):
+            assert row == sorted(set(row))
             assert dense == tuple(int(j in row) for j in range(sft.size))
-    assert GOLDEN.succ == ((0, 1), (0,))
+        assert sum(map(len, succ)) == len(sft.src) == len(sft.dst)
+    assert list(GOLDEN.successors()) == [[0, 1], [0]]
+
+
+def test_y20_graph_on_codes():
+    # 2^19 blocks; of the 2^20 windows only the forbidden word is missing
+    y20 = build_Yp(20)
+    assert y20.size == 2 ** 19 and len(y20.dst) == 2 ** 20 - 1
+    succ, last = y20.successors(), 2 ** 19 - 1
+    assert [succ[i] for i in (0, 1, 2, last)] == [[0, 1], [2, 3], [4, 5],
+                                                  [last - 1, last]]
+
+
+# ---------------------------------------------------------------------------
+# the integer-coded graphs against the tuple builders they replaced
+# ---------------------------------------------------------------------------
+
+def _contains_forbidden(window, words):
+    n = len(window)
+    for w in words:
+        k = len(w)
+        if k > n:
+            continue
+        for i in range(n - k + 1):
+            if window[i:i + k] == w:
+                return True
+    return False
+
+
+def ref_sft_graph(alphabet, words):
+    """The successor lists of the tuple builder sft_from_forbidden_words
+    replaced: blocks of the order listed by itertools.product, each window
+    scanned for every forbidden word."""
+    words = [tuple(int(c) for c in w) for w in words]
+    order = max([len(w) - 1 for w in words] + [1])
+    states = [b for b in product(range(alphabet), repeat=order)
+              if not _contains_forbidden(b, words)]
+    if not states:
+        raise DegenerateShiftError("every block is forbidden")
+    index = {b: i for i, b in enumerate(states)}
+    succ = []
+    for b in states:
+        row = []
+        for s in range(alphabet):
+            j = index.get(b[1:] + (s,))
+            if j is not None and not _contains_forbidden(b + (s,), words):
+                row.append(j)
+        succ.append(row)
+    return succ
+
+
+def ref_power_graph(sft, p):
+    """The successor lists of the O(B^2) power_system it replaced."""
+    blocks = [w for w in product(range(sft.alphabet), repeat=p)
+              if not _contains_forbidden(w, sft.forbidden)]
+    if not blocks:
+        raise DegenerateShiftError("no admissible power blocks")
+    return [[j for j, v in enumerate(blocks)
+             if not _contains_forbidden(u + v, sft.forbidden)] for u in blocks]
+
+
+_WORD_SETS = st.integers(2, 4).flatmap(lambda a: st.tuples(
+    st.just(a), st.lists(st.text("0123"[:a], min_size=1, max_size=5),
+                         max_size=3)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_WORD_SETS)
+@example((2, ["01000"]))
+@example((3, ["0", "1", "2"]))
+def test_sft_graphs_match_tuple_builders(shift):
+    alphabet, words = shift
+    want = outcome(ref_sft_graph, alphabet, words)
+    sft = outcome(sft_from_forbidden_words, alphabet, words)
+    if isinstance(want, type):
+        assert sft is want
+        return
+    assert sft.size == len(want) and list(sft.successors()) == want
+    for n in range(1, 8):
+        if alphabet ** n <= 4096:
+            assert word_count(sft, n) == brute_count(alphabet, words, n)
+    longest = max(map(len, words), default=1)
+    for p in range(max(longest - 1, 1), longest + 2):
+        if alphabet ** p <= 81:
+            power = outcome(power_system, sft, p)
+            want = outcome(ref_power_graph, sft, p)
+            if isinstance(want, type):
+                assert power is want
+            else:
+                assert power.size == len(want)
+                assert list(power.successors()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +326,9 @@ def test_sft_entropy_matches_reference_nilpotent():
 
 
 def _graph_sft(succ):
-    n = len(succ)
-    return Sft(2, 1, tuple((i,) for i in range(n)), tuple(succ), ())
+    """The Sft on len(succ) states whose row i lists succ[i]."""
+    src = [i for i, row in enumerate(succ) for _ in row]
+    return Sft(2, 1, len(succ), src, [j for row in succ for j in row], ())
 
 
 @st.composite
@@ -287,19 +379,38 @@ def test_sft_entropy_refuses_bad_successors_before_compiling(bad, size,
     # sft_entropy two
     (((0, 0), (0,)), "not strictly ascending"),
     (((1, 0), (0,)), "not strictly ascending"),
-    (((0, 1),), "1 successor rows for 2 states"),
-    (([0, 1], (0,)), "row 0 is not a tuple"),
 ])
 def test_sft_refuses_rows_its_consumers_read_differently(succ, match):
     with pytest.raises(DomainError, match=match):
-        Sft(2, 1, ((0,), (1,)), succ, ())
+        _graph_sft(succ)
+
+
+@pytest.mark.parametrize("src, dst, match", [
+    ([0, 1], [0], "edge arrays of shapes"),
+    ([[0, 1]], [[0, 0]], "edge arrays of shapes"),
+    # row 1 before row 0: word_count and sft_entropy would not care, the
+    # rows of `successors` would
+    ([1, 0], [0, 0], "not strictly ascending"),
+    ([0, 2], [0, 0], r"must lie in range\(2\)"),
+    ([0, 1], np.array([0, 2 ** 64 - 1], dtype=np.uint64),
+     r"must lie in range\(2\)"),
+    ([0, 1], np.array([0.0, 1.0]), "must be integers"),
+    (np.array(["0", "1"]), [0, 1], "must be integers"),
+])
+def test_sft_refuses_edge_arrays_its_consumers_read_differently(src, dst,
+                                                                match):
+    with pytest.raises(DomainError, match=match):
+        Sft(2, 1, 2, src, dst, ())
 
 
 def test_sft_stores_integer_entries_as_ints():
     sft = _graph_sft(((np.int64(0), np.int64(1)), (False,)))
-    assert sft.succ == GOLDEN.succ
-    assert all(type(j) is int for row in sft.succ for j in row)
+    assert sft.src.dtype == sft.dst.dtype == np.intp
+    assert list(sft.successors()) == list(GOLDEN.successors())
+    assert all(type(j) is int for row in sft.successors() for j in row)
     assert sft_entropy(sft) == sft_entropy(GOLDEN)
+    with pytest.raises(ValueError, match="read-only"):
+        sft.dst[0] = 1
 
 
 def test_numpy_sum_is_left_fold_below_8():
