@@ -185,26 +185,39 @@ def _tail_sweep(m, ks):
             for k in sorted(ks, reverse=True)}
 
 
+def _remark_bound(m, k):
+    """log 2 / p_eps at eps = 2^-k: the paper's remark bound on the tail
+    rate of a multimodal map, p_eps the largest p with L(f^p) > eps."""
+    p_eps, _ = maps.min_branch_length_iterate(m, 2.0 ** -k)
+    return LOG2 / p_eps
+
+
 def criterion_tent_tail():
-    """Tail bracket for the tent map at eps = 2^-k, k = 3..8."""
+    """Tail bracket and remark bound for the tent map at eps = 2^-k,
+    k = 3..8."""
     t = maps.tent_map()
     lo, hi = 0.8 * LOG2, 1.2 * math.log(4)
-    prods = []
+    prods, worst = [], 0.0
     for k, est in sorted(_tail_sweep(t, range(3, 9)).items()):
         prod = est.rate * k  # |log2 eps| = k
         prods.append(round(prod, 4))
         if not lo <= prod <= hi:
             return False, f"k={k}: product {prod:.4f} outside [{lo:.4f}, {hi:.4f}]"
-    return True, f"products {prods} within [{lo:.4f}, {hi:.4f}]"
+        bound = _remark_bound(t, k)
+        if est.rate > bound:
+            return False, f"k={k}: tail {est.rate:.4f} over log 2/p_eps {bound:.4f}"
+        worst = max(worst, est.rate / bound)
+    return True, (f"products {prods} within [{lo:.4f}, {hi:.4f}]; "
+                  f"tail/(log 2/p_eps) <= {worst:.3f}")
 
 
 def criterion_quadratic():
-    """eps-entropy near log 2; tail floor; bound domination."""
+    """eps-entropy near log 2; tail floor; bound domination; remark bound."""
     f4 = maps.quadratic_map()
     est = entropy.eps_entropy(f4, 2.0 ** -8, grid_bits=16, n_range=range(1, 13))
     if not LOG2 - 0.05 <= est.slope <= LOG2 + 0.05:
         return False, f"eps-entropy slope {est.slope:.4f} not within log2 +/- 0.05"
-    details = [f"h={est.slope:.4f}"]
+    details, worst = [f"h={est.slope:.4f}"], 0.0
     for k, tail in sorted(_tail_sweep(f4, range(4, 10)).items()):
         eps = 2.0 ** -k
         floor = tail.rate * abs(math.log(eps))
@@ -215,8 +228,12 @@ def criterion_quadratic():
         if tail.rate > b3 or tail.rate > b2:
             return False, (f"k={k}: tail {tail.rate:.4f} exceeds a bound "
                            f"(thm3 {b3:.4f}, thm2 {b2:.4f})")
+        bound = _remark_bound(f4, k)
+        if tail.rate > bound:
+            return False, f"k={k}: tail {tail.rate:.4f} over log 2/p_eps {bound:.4f}"
+        worst = max(worst, tail.rate / bound)
         details.append(f"k{k}:{floor:.2f}")
-    return True, " ".join(details)
+    return True, " ".join(details) + f"; tail/(log 2/p_eps) <= {worst:.3f}"
 
 
 def criterion_power():

@@ -1,8 +1,13 @@
 """Batch experiment runner.
 
 Subcommands: entropy | tail | bounds | reparam | sft | thickness | weights |
-snake | modulus | verify.  Configs are flat key=value files plus flag
-overrides; every CSV row carries the schema version and a hash of the
+snake | modulus | verify.  The fields of `ExperimentConfig` but `name` are
+the options, each a flag (`--` and the field name with `-` for `_`, or the
+short `--map`, `--weight`, `--cantor`, `--rate`, `--tag`) and a key of the
+flat key=value config files that flags override.  `_read` reads every
+value, flag or file, by the grammar of spec fields (`maps.spec_number`,
+`maps.spec_int`), so `1_0`, `nan`, `inf` and non-ASCII digits are config
+errors.  Every CSV row carries the schema version and a hash of the
 semantic config (output path excluded), so a rerun writing elsewhere
 produces a byte-identical file.  Each `run_*` returns (columns, rows) and
 `main` writes them, once every row exists, through the stdlib `csv`
@@ -21,7 +26,7 @@ import csv
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ResourceError, TailentError
 
@@ -109,38 +114,51 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _coerce(key, value):
-    kind = ExperimentConfig.__dataclass_fields__[key].default
-    if isinstance(kind, (int, float)):
-        try:
-            return type(kind)(value)
-        except ValueError:
-            raise ConfigError(key, f"expected {type(kind).__name__}, got {value!r}")
-    return value
+# option field -> its type's name; `name` is the experiment, not an option
+_OPTIONS = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "name"}
+_SHORT = {"map_spec": "map", "weight_spec": "weight", "cantor_spec": "cantor",
+          "rate_spec": "rate", "verify_tag": "tag"}
+
+
+def _flag(field):
+    return _SHORT.get(field, field.replace("_", "-"))
+
+
+def _read(field, text):
+    """An option's (or --threads') value from a flag's or a config line's
+    text; refused text is a ConfigError under the flag name."""
+    from .maps import spec_int, spec_number
+    kind = "int" if field == "threads" else _OPTIONS[field]
+    try:
+        return {"float": spec_number, "int": spec_int}.get(kind, str)(text)
+    except ValueError as exc:
+        raise ConfigError(_flag(field), str(exc))
 
 
 def load_config(name, path=None, overrides=None):
+    """Experiment `name` with the option defaults, then the `key = value`
+    lines of the file at path (a key is an option field, `-` or `_`), then
+    the flag texts of overrides (field -> text, or None where not given)."""
     cfg = ExperimentConfig(name=name)
+    texts = []
     if path:
         try:
             with open(path) as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    if "=" not in line:
-                        raise ConfigError("config", f"bad line {line!r}")
-                    key, value = (s.strip() for s in line.split("=", 1))
-                    key = key.replace("-", "_")
-                    if key not in ExperimentConfig.__dataclass_fields__:
-                        raise ConfigError(key, "unknown config key")
-                    setattr(cfg, key, _coerce(key, value))
-        except OSError as exc:
+                lines = [ln for ln in map(str.strip, fh)
+                         if ln and not ln.startswith("#")]
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("config", str(exc))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        setattr(cfg, key, value)
+        for line in lines:
+            if "=" not in line:
+                raise ConfigError("config", f"bad line {line!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in _OPTIONS:
+                raise ConfigError(key, "unknown config key")
+            texts.append((key, value))
+    texts += [(k, v) for k, v in (overrides or {}).items() if v is not None]
+    for key, text in texts:
+        setattr(cfg, key, _read(key, text))
     return cfg
 
 
@@ -308,46 +326,26 @@ def build_parser():
         prog="tailent",
         description="eps-entropy and tail-entropy experiments for 1-D maps")
     ap.add_argument("experiment", choices=[*_RUNNERS, "verify"])
-    ap.add_argument("--config", default=None, help="key=value config file")
-    ap.add_argument("--map", dest="map_spec", default=None)
-    ap.add_argument("--eps-start", dest="eps_start", type=float, default=None)
-    ap.add_argument("--eps-ratio", dest="eps_ratio", type=float, default=None)
-    ap.add_argument("--eps-count", dest="eps_count", type=int, default=None)
-    ap.add_argument("--n-max", dest="n_max", type=int, default=None)
-    ap.add_argument("--grid-bits", dest="grid_bits", type=int, default=None)
+    ap.add_argument("--config", help="key=value config file")
     # single-threaded only; kept so that scripts passing 1 still run
-    ap.add_argument("--threads", dest="threads", type=int, default=None)
-    ap.add_argument("--out", dest="out", default=None)
-    ap.add_argument("--sft-spec", dest="sft_spec", default=None)
-    ap.add_argument("--weight", dest="weight_spec", default=None)
-    ap.add_argument("--cantor", dest="cantor_spec", default=None)
-    ap.add_argument("--rate", dest="rate_spec", default=None)
-    ap.add_argument("--lambda-u", dest="lambda_u", type=float, default=None)
-    ap.add_argument("--p-min", dest="p_min", type=int, default=None)
-    ap.add_argument("--p-max", dest="p_max", type=int, default=None)
-    ap.add_argument("--m0", dest="m0", type=float, default=None)
-    ap.add_argument("--k-max", dest="k_max", type=int, default=None)
-    ap.add_argument("--tag", dest="verify_tag", default=None)
+    ap.add_argument("--threads")
+    for field in _OPTIONS:
+        ap.add_argument(f"--{_flag(field)}", dest=field)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("experiment", "config", "threads")}
+    args = vars(build_parser().parse_args(argv))
     try:
-        if args.threads not in (None, 1):
-            raise ConfigError("threads", f"only 1 is supported, got {args.threads}")
-        cfg = load_config(args.experiment, args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.experiment == "verify":
+        threads = args["threads"]
+        if threads is not None and _read("threads", threads) != 1:
+            raise ConfigError("threads", f"only 1 is supported, got {threads}")
+        cfg = load_config(args["experiment"], args["config"],
+                          {k: args[k] for k in _OPTIONS})
+        if cfg.name == "verify":
             from .acceptance import verify_all
             return 0 if verify_all(cfg.verify_tag) else 1
-        columns, rows = _RUNNERS[args.experiment](cfg)
+        columns, rows = _RUNNERS[cfg.name](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

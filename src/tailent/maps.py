@@ -365,15 +365,21 @@ def _critical_pullbacks(m: IntervalMap, cap):
             level, new = nxt, _new_points(nxt, level)
 
 
-def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
-    """Largest p <= p_cap with L(f^p) > eps, by critical-point pullback.
+_BRANCH_P_CAP = 32            # the largest p_eps reported
+_BRANCH_POINT_CAP = 1 << 17   # points in one pullback level p_eps reads
+
+
+def min_branch_length_iterate(m: IntervalMap, eps):
+    """Largest p <= _BRANCH_P_CAP with L(f^p) > eps, by critical-point
+    pullback.
 
     Returns (p_eps, saturated); saturated means the cap was reached with the
     minimal branch length still above eps.  A pullback level the answer
-    reads whose lanes overflow point_cap raises ResourceError, before any
-    of them is solved; a level that adds no point ends the solves, and
-    every later p reads it (`_critical_pullbacks`).
+    reads whose lanes overflow _BRANCH_POINT_CAP raises ResourceError,
+    before any of them is solved; a level that adds no point ends the
+    solves, and every later p reads it (`_critical_pullbacks`).
     """
+    p_cap, point_cap = _BRANCH_P_CAP, _BRANCH_POINT_CAP
     if not 0 < eps < 1:
         raise DomainError("need 0 < eps < 1")
     if not m.critical_points:
@@ -381,8 +387,7 @@ def min_branch_length_iterate(m: IntervalMap, eps, p_cap=32, point_cap=1 << 17):
     # level k holds crit(f^(k+1)); every level before it had L(f^p) > eps.
     # islice stops before level p_cap, which the answer never needs.
     k = -1
-    for k, cur in enumerate(islice(_critical_pullbacks(m, point_cap),
-                                   max(p_cap, 0))):
+    for k, cur in enumerate(islice(_critical_pullbacks(m, point_cap), p_cap)):
         pts = np.concatenate([[0.0], cur, [1.0]])
         if float(np.min(np.diff(np.unique(pts)))) <= eps:
             return k, False

@@ -320,7 +320,7 @@ def power_system(sft: Sft, p):
 def load_sft_file(path):
     """Plain-text SFT spec: first line alphabet size, then forbidden words."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty SFT spec file")
     return sft_from_forbidden_words(spec_int(lines[0]), lines[1:])

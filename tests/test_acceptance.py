@@ -70,19 +70,25 @@ def test_verify_all_tagged_subsets(capsys):
 
 _TAIL_DETAILS = {
     "5-tent-tail": "products [0.5677, 0.5655, 0.6113, 0.6003, 0.6437, 0.7121] "
-                   "within [0.5545, 1.6636]",
-    "6-quadratic": "h=0.6759 k4:0.41 k5:0.41 k6:0.40 k7:0.50 k8:0.42 k9:0.51",
+                   "within [0.5545, 1.6636]; tail/(log 2/p_eps) <= 0.899",
+    "6-quadratic": "h=0.6759 k4:0.41 k5:0.41 k6:0.40 k7:0.50 k8:0.42 k9:0.51; "
+                   "tail/(log 2/p_eps) <= 0.599",
 }
 
 
 @pytest.mark.parametrize("name, ks, rate, detail", [
     ("5-tent-tail", (5, 7), 10.0, "k=5: product 50.0000 outside"),
     ("6-quadratic", (6, 8), 0.0, "k=6: tail*|log eps| = 0.0000 < 0.1"),
+    # inside the bracket, the floor and the two bounds, over log 2 / p_eps
+    # (p_eps = 7 for the tent map at 2^-8, 2 for quadratic:4 at 2^-4)
+    ("5-tent-tail", (8,), 0.15, "k=8: tail 0.1500 over log 2/p_eps 0.0990"),
+    ("6-quadratic", (4,), 0.5, "k=4: tail 0.5000 over log 2/p_eps 0.3466"),
 ])
 def test_tail_criteria_sweep_smallest_eps_first(monkeypatch, name, ks, rate,
                                                 detail):
     """Criteria 5 and 6 estimate their scales smallest eps first, keep
-    their detail lines, and of two failing scales report the smaller k."""
+    their detail lines, and of two failing scales report the smaller k;
+    a rate over the remark bound log 2 / p_eps fails, with no slack."""
     fn = dict((n, f) for n, _, f, _ in acceptance.CRITERIA)[name]
     visited = []
     orig = entropy.tail_entropy_estimate

@@ -20,6 +20,7 @@ from tailent import cli, entropy
 from tailent.cli import (_K_MAX_CAP, _TAIL_N_MAX_CAP, ExperimentConfig,
                          load_config, main)
 from tailent.entropy import _GRID_BITS_CAP
+from tailent.maps import spec_int, spec_number
 from tailent.symbolic import _CANTOR_DEPTH_CAP
 
 
@@ -270,10 +271,46 @@ def test_csv_matches_golden_hash(tmp_path, command):
 def test_config_file_and_flag_override(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("map_spec = identity\neps-count = 2\nn_max = 5\n")
-    cfg = load_config("entropy", str(cfg_file), {"n_max": 7})
+    cfg = load_config("entropy", str(cfg_file), {"n_max": "7"})
     assert cfg.map_spec == "identity"
     assert cfg.eps_count == 2
     assert cfg.n_max == 7  # flag wins
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_CLI))
+def test_config_file_gives_the_config_of_the_flags(tmp_path, command):
+    """Each fixed run's flags, written as `field = text` lines of a config
+    file, give the same config and so the same config hash."""
+    args = vars(cli.build_parser().parse_args(command.split()))
+    options = {k: v for k, v in args.items()
+               if k not in ("experiment", "config", "threads")}
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in options.items()
+                                if v is not None))
+    from_file = load_config(args["experiment"], str(cfg_file))
+    from_flags = load_config(args["experiment"], None, options)
+    assert from_file == from_flags
+    assert from_file.config_hash() == from_flags.config_hash()
+
+
+def test_config_file_sets_only_option_fields(tmp_path, capsys):
+    """`name` is the experiment, not an option: a `name` line would rewrite
+    the name that the config hash reads."""
+    cfg_file = tmp_path / "name.cfg"
+    cfg_file.write_text("name = entropy\n")
+    code = main(["weights", "--k-max", "3", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and not (tmp_path / "x.csv").exists()
+    assert capsys.readouterr().err == "config error: name: unknown config key\n"
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "bytes.cfg"
+    cfg_file.write_bytes(b"\xff\xfe\n")
+    code = main(["sft", "--config", str(cfg_file), "--out", os.devnull])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config:") and "Traceback" not in err
 
 
 def test_config_hash_excludes_out():
@@ -300,7 +337,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "config error: n_max: expected int, got 'abc'\n"
+    assert err == ("config error: n-max: 'abc' is not a spec integer of "
+                   "ASCII digits\n")
 
 
 def test_verify_subcommand_combinatorics(capsys):
@@ -576,7 +614,7 @@ def test_grid_bits_cap_before_the_grid_size(no_grid_allocation):
     (["sft", "--p-min", "1"], "p-min"),
     (["sft", "--p-min", "5", "--p-max", "4"], "p-max"),
     (["weights", "--k-max=-1"], "k-max"),
-    (["snake", "--lambda-u", "nan"], "snake"),
+    (["snake", "--lambda-u", "nan"], "lambda-u"),
     (["snake", "--rate", "pow:1e"], "rate"),
     (["thickness", "--cantor", "remove-middle 1/0 depth 3"], "cantor"),
     (["thickness", "--cantor", "remove-middle 1/3 depth 1.5"], "cantor"),
@@ -738,30 +776,72 @@ _REFUSED = {
     "--weight": ("weights", st.builds("const:{}".format, _NOT_A_FLOAT)),
 }
 _SPEC_FLAGS = ("--cantor", "--map", "--rate", "--weight")
+_FLOAT_FLAGS = ("--eps-start", "--eps-ratio", "--lambda-u", "--m0")
+_INT_FLAGS = ("--eps-count", "--n-max", "--grid-bits", "--p-min", "--p-max",
+              "--k-max", "--threads")
+
+
+def _outside_grammar(flag, text):
+    """Whether the grammar of spec fields refuses text for the flag."""
+    try:
+        (spec_int if flag in _INT_FLAGS else spec_number)(text)
+    except ValueError:
+        return True
+    return False
 
 
 @st.composite
 def _refused_flag(draw):
     flag = draw(st.sampled_from(sorted(_REFUSED)))
     experiment, values = _REFUSED[flag]
+    if flag not in _SPEC_FLAGS:
+        values = st.one_of(values, _NOT_IN_GRAMMAR)
     return [experiment, f"{flag}={draw(values)}"]
 
 
 @settings(max_examples=250, deadline=2000, derandomize=True)
 @given(_refused_flag())
 def test_refused_flag_values_exit_2_or_3_without_traceback(args):
-    """A refused spec is a config error (exit 2) unless a size cap refuses
-    it (exit 3)."""
+    """A refused value is a config error (exit 2) unless a size cap or a
+    numeric check refuses it (exit 3); a spec is refused by a cap or as a
+    config error, and a numeric flag's text outside the grammar of spec
+    fields is a config error under the flag's name."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        try:
-            code = main(args + ["--out", os.devnull])
-        except SystemExit as exc:      # argparse refuses a value of bad type
-            code = exc.code
+        code = main(args + ["--out", os.devnull])
     assert code in (2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if args[1].split("=")[0] in _SPEC_FLAGS:
+    flag, text = args[1].split("=", 1)
+    if flag in _SPEC_FLAGS:
         assert code == 2 or "cap" in err.getvalue(), (args, err.getvalue())
+    elif _outside_grammar(flag, text):
+        assert err.getvalue().startswith(f"config error: {flag[2:]}:"), (
+            args, err.getvalue())
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "nan", "inf"])
+@pytest.mark.parametrize("flag, source", [
+    *((flag, "flag") for flag in _FLOAT_FLAGS + _INT_FLAGS),
+    *((flag, "config") for flag in _FLOAT_FLAGS + _INT_FLAGS
+      if flag != "--threads")])
+def test_numbers_outside_the_grammar_exit_2(tmp_path, capsys, nothing_built,
+                                            flag, source, text):
+    """Every numeric flag and config key is read by the grammar of spec
+    fields (`maps.spec_number`, `maps.spec_int`): an underscore, a digit of
+    another script, nan and inf are config errors under the flag's name,
+    refused before anything is built.  --threads is a flag only."""
+    experiment = _REFUSED[flag][0]
+    out = tmp_path / "x.csv"
+    if source == "flag":
+        args = [experiment, f"{flag}={text}"]
+    else:
+        cfg_file = tmp_path / "num.cfg"
+        cfg_file.write_text(f"{flag[2:].replace('-', '_')} = {text}\n")
+        args = [experiment, "--config", str(cfg_file)]
+    assert main(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag[2:]}:") and "Traceback" not in err
 
 
 # Edge values: subnormal, tiny, near-one and one-half floats for every

@@ -1060,11 +1060,11 @@ def test_grid_scales_not_above_zero_raise_domain_error(no_work, eps):
         eps_entropy(TENT, eps)
 
 
-def test_remark_bound_tail_below_log2_over_p():
-    from tailent.maps import min_branch_length_iterate
+def test_remark_bound_tail_below_log2_over_p(monkeypatch):
+    monkeypatch.setattr(maps, "_BRANCH_P_CAP", 16)
     for m in (TENT, F4):
         eps = 2.0 ** -6
-        p_eps, _ = min_branch_length_iterate(m, eps, 16)
+        p_eps, _ = min_branch_length_iterate(m, eps)
         est = tail_entropy_estimate(m, eps)
         assert est.rate <= LOG2 / p_eps + 0.05
 

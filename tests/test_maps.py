@@ -196,15 +196,28 @@ def test_vanishing_derivative_lemma():
         assert sup_dp <= sup_next * (hi - lo) ** k * (1 + 1e-9)
 
 
-def test_min_branch_length_iterate_examples():
-    assert min_branch_length_iterate(TENT, 0.1, 16) == (3, False)
-    assert min_branch_length_iterate(IDENT, 0.3, 8) == (8, True)
+@pytest.fixture
+def branch_caps(monkeypatch):
+    """set_caps(p_cap, point_cap) patches the two caps of
+    `min_branch_length_iterate`; one left out keeps its module value."""
+    def set_caps(p_cap=maps._BRANCH_P_CAP, point_cap=maps._BRANCH_POINT_CAP):
+        monkeypatch.setattr(maps, "_BRANCH_P_CAP", p_cap)
+        monkeypatch.setattr(maps, "_BRANCH_POINT_CAP", point_cap)
+    return set_caps
 
 
-def test_min_branch_length_monotone_in_eps():
+def test_min_branch_length_iterate_examples(branch_caps):
+    branch_caps(16)
+    assert min_branch_length_iterate(TENT, 0.1) == (3, False)
+    branch_caps(8)
+    assert min_branch_length_iterate(IDENT, 0.3) == (8, True)
+
+
+def test_min_branch_length_monotone_in_eps(branch_caps):
+    branch_caps(16)
     prev = None
     for eps in (0.01, 0.05, 0.2, 0.4):
-        p, _ = min_branch_length_iterate(F4, eps, 16)
+        p, _ = min_branch_length_iterate(F4, eps)
         if prev is not None:
             assert p <= prev
         prev = p
@@ -218,8 +231,9 @@ def compose(p, q):
     return out
 
 
-def test_min_branch_length_vs_exact_composition():
+def test_min_branch_length_vs_exact_composition(branch_caps):
     """Pullback partition agrees with exact root isolation of (f4^p)'."""
+    branch_caps(5)
     f4_poly = polyalg.Polynomial([0, 4, -4])
     comp = f4_poly
     lengths = []
@@ -235,7 +249,7 @@ def test_min_branch_length_vs_exact_composition():
                 expected = p
             else:
                 break
-        got, saturated = min_branch_length_iterate(F4, eps, 5)
+        got, saturated = min_branch_length_iterate(F4, eps)
         assert (got, saturated) == (expected, expected == 5)
 
 
@@ -333,22 +347,28 @@ def test_critical_pullbacks_match_sampled_iterate(p):
     assert np.max(np.abs(level - sampled)) <= 1e-12
 
 
-def test_critical_pullbacks_cap_policies():
+def test_critical_pullbacks_cap_policies(branch_caps):
     # F4 level k holds 2^(k+1) - 1 points; only levels a caller asks for
     # are computed and checked against its cap
+    branch_caps(point_cap=2)
     with pytest.raises(ResourceError):
-        min_branch_length_iterate(F4, 0.4, point_cap=2)
-    assert min_branch_length_iterate(F4, 0.4, point_cap=3) == (1, False)
+        min_branch_length_iterate(F4, 0.4)
+    branch_caps(point_cap=3)
+    assert min_branch_length_iterate(F4, 0.4) == (1, False)
     # the level after p_cap is never built, so its size cannot trip the cap
-    assert min_branch_length_iterate(F4, 1e-6, p_cap=6, point_cap=100) == (6, True)
-    assert min_branch_length_iterate(F4, 1e-6, p_cap=5, point_cap=100) == (5, True)
+    branch_caps(6, 100)
+    assert min_branch_length_iterate(F4, 1e-6) == (6, True)
+    branch_caps(5, 100)
+    assert min_branch_length_iterate(F4, 1e-6) == (5, True)
+    branch_caps(7, 100)
     with pytest.raises(ResourceError):
-        min_branch_length_iterate(F4, 1e-6, p_cap=7, point_cap=100)
+        min_branch_length_iterate(F4, 1e-6)
 
 
-def test_tent_dyadic_boundary_is_exact():
+def test_tent_dyadic_boundary_is_exact(branch_caps):
     # L(T^p) = 2^-p exactly; at eps = 2^-6 the inequality is strict, so p = 5
-    assert min_branch_length_iterate(TENT, 2.0 ** -6, 16)[0] == 5
+    branch_caps(16)
+    assert min_branch_length_iterate(TENT, 2.0 ** -6)[0] == 5
 
 
 # ---------------------------------------------------------------------------

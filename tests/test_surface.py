@@ -19,10 +19,9 @@ SOURCES = sorted((ROOT / "src" / "tailent").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-# the paper's main rate bound, the admissibility it assumes and its p_eps
-# scale, kept though no command reads them
-ALLOWED = {"rate_bound_gen", "iterate_bound_main", "is_admissible",
-           "min_branch_length_iterate"}
+# the paper's main rate bound and the admissibility it assumes, kept though
+# no command reads them
+ALLOWED = {"rate_bound_gen", "iterate_bound_main", "is_admissible"}
 # knobs with one value in use, each kept for the caller that restates it:
 # perfbench/workloads.py passes verify_atlas a grid_size of 10000
 # positionally, which a change to the benchmark alone can drop

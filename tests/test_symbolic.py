@@ -118,6 +118,17 @@ def test_load_sft_file(tmp_path):
     assert sft.matrix == GOLDEN.matrix
 
 
+def test_sft_file_skips_indented_comments_and_blank_lines(tmp_path):
+    """A line that starts with `#` once stripped is a comment, however it
+    is indented, and a blank line is skipped: the file reads as the one
+    without them, to the bit."""
+    plain, noted = tmp_path / "plain.sft", tmp_path / "noted.sft"
+    plain.write_text("2\n11\n")
+    noted.write_text("# golden mean\n2\n  # note\n\n\t# tab\n   \n11\n  #\n")
+    want = sft_entropy(load_sft_file(str(plain)))
+    assert sft_entropy(load_sft_file(str(noted))) == want == 0.48121182505960347
+
+
 def test_successor_lists_match_matrix():
     for sft in (GOLDEN, FULL, build_Yp(4), sft_from_forbidden_words(3, ["01", "22"]),
                 power_system(build_Yp(3), 3)):
